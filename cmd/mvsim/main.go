@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,45 +45,48 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "mvsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("mvsim", flag.ContinueOnError)
 	var (
-		virusNum   = flag.Int("virus", 1, "virus scenario (1-4)")
-		hours      = flag.Float64("hours", 0, "simulation horizon in hours (0 = paper default per virus)")
-		reps       = flag.Int("reps", 10, "replications")
-		seed       = flag.Uint64("seed", 1, "base random seed")
-		population = flag.Int("population", 1000, "number of phones")
-		phones     = flag.Int("phones", 0, "alias of -population (README's scaling quickstart; takes precedence when set)")
-		topology   = flag.String("topology", "powerlaw", "contact topology: powerlaw (paper) or ba (streamed Barabási–Albert, the 10^6-phone path)")
-		baM        = flag.Int("ba-m", 4, "edges each new node attaches with (-topology ba)")
-		shards     = flag.Int("shards", 1, "population shards, each on its own event queue (>1 enables the batched-delivery scale mode)")
-		shardWin   = flag.Duration("shard-window", 0, "cross-shard exchange-barrier interval (0 = horizon/128)")
-		grid       = flag.Int("grid", 100, "time-grid points")
-		chart      = flag.Bool("chart", false, "render a terminal chart")
-		scan       = flag.Duration("scan", 0, "gateway scan activation delay (e.g. 6h; 0 = off)")
-		detector   = flag.Float64("detector", 0, "gateway detector accuracy in (0,1] (0 = off)")
-		education  = flag.Float64("education", 0, "user-education eventual acceptance in (0,1) (0 = off)")
-		immunize   = flag.String("immunize", "", "immunization as dev,deploy durations (e.g. 24h,6h)")
-		monitor    = flag.Duration("monitor", 0, "monitoring forced wait (e.g. 15m; 0 = off)")
-		blacklist  = flag.Int("blacklist", 0, "blacklist threshold in messages (0 = off)")
-		tracePath  = flag.String("trace", "", "write a JSONL event trace of one replication to this file")
-		loss       = flag.Float64("loss", 0, "carrier congestion loss probability per copy in [0,1)")
-		outage     = flag.String("outage", "", "MMSC fault windows as start,dur[,capacity] pairs joined by ';' (e.g. 0s,6h or 2h,4h,0.25)")
-		retry      = flag.String("retry", "", "delivery retry policy as attempts,base[,max[,jitter]] (e.g. 3,30s,10m,0.2)")
-		churn      = flag.String("churn", "", "phone power cycling as up,down mean durations (e.g. 12h,20m)")
-		drain      = flag.Duration("drain", 0, "mean exponential spread of the post-outage queue drain (0 = drain at once)")
-		timeout    = flag.Duration("timeout", 0, "wall-clock run budget; salvage whatever finished (0 = none)")
-		minReps    = flag.Int("min-reps", 0, "salvage quorum: accept the run if at least this many replications survive (0 = all must)")
-		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "replications run concurrently")
-		storeDir   = flag.String("storedir", "", "persist replication results to this directory (content-addressed store + sweep journal)")
-		resume     = flag.Bool("resume", false, "resume a killed run: replay the store directory's journal and skip finished replications")
+		virusNum   = fs.Int("virus", 1, "virus scenario (1-4)")
+		hours      = fs.Float64("hours", 0, "simulation horizon in hours (0 = paper default per virus)")
+		reps       = fs.Int("reps", 10, "replications")
+		seed       = fs.Uint64("seed", 1, "base random seed")
+		population = fs.Int("population", 1000, "number of phones")
+		phones     = fs.Int("phones", 0, "alias of -population (README's scaling quickstart; takes precedence when set)")
+		topology   = fs.String("topology", "powerlaw", "contact topology: powerlaw (paper) or ba (streamed Barabási–Albert, the 10^6-phone path)")
+		baM        = fs.Int("ba-m", 4, "edges each new node attaches with (-topology ba)")
+		shards     = fs.Int("shards", 1, "population shards, each on its own event queue (>1 enables the batched-delivery scale mode)")
+		shardWin   = fs.Duration("shard-window", 0, "cross-shard exchange-barrier interval (0 = horizon/128)")
+		grid       = fs.Int("grid", 100, "time-grid points")
+		chart      = fs.Bool("chart", false, "render a terminal chart")
+		scan       = fs.Duration("scan", 0, "gateway scan activation delay (e.g. 6h; 0 = off)")
+		detector   = fs.Float64("detector", 0, "gateway detector accuracy in (0,1] (0 = off)")
+		education  = fs.Float64("education", 0, "user-education eventual acceptance in (0,1) (0 = off)")
+		immunize   = fs.String("immunize", "", "immunization as dev,deploy durations (e.g. 24h,6h)")
+		monitor    = fs.Duration("monitor", 0, "monitoring forced wait (e.g. 15m; 0 = off)")
+		blacklist  = fs.Int("blacklist", 0, "blacklist threshold in messages (0 = off)")
+		tracePath  = fs.String("trace", "", "write a JSONL event trace of one replication to this file")
+		loss       = fs.Float64("loss", 0, "carrier congestion loss probability per copy in [0,1)")
+		outage     = fs.String("outage", "", "MMSC fault windows as start,dur[,capacity] pairs joined by ';' (e.g. 0s,6h or 2h,4h,0.25)")
+		retry      = fs.String("retry", "", "delivery retry policy as attempts,base[,max[,jitter]] (e.g. 3,30s,10m,0.2)")
+		churn      = fs.String("churn", "", "phone power cycling as up,down mean durations (e.g. 12h,20m)")
+		drain      = fs.Duration("drain", 0, "mean exponential spread of the post-outage queue drain (0 = drain at once)")
+		timeout    = fs.Duration("timeout", 0, "wall-clock run budget; salvage whatever finished (0 = none)")
+		minReps    = fs.Int("min-reps", 0, "salvage quorum: accept the run if at least this many replications survive (0 = all must)")
+		jobs       = fs.Int("jobs", runtime.GOMAXPROCS(0), "replications run concurrently")
+		storeDir   = fs.String("storedir", "", "persist replication results to this directory (content-addressed store + sweep journal)")
+		resume     = fs.Bool("resume", false, "resume a killed run: replay the store directory's journal and skip finished replications")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume needs -storedir: the journal to resume lives in the store directory")
@@ -136,6 +140,9 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -topology %q (want powerlaw or ba)", *topology)
 	}
+	if *tracePath != "" && *shards > 1 {
+		return fmt.Errorf("-trace needs a one-shard run: a many-shard run has no single event order to record (drop -shards)")
+	}
 	cfg.Shards = *shards
 	cfg.ShardWindow = *shardWin
 	cfg.ShardWorkers = *jobs
@@ -146,6 +153,9 @@ func run() error {
 	sched, err := parseFaults(*outage, *retry, *churn, *drain)
 	if err != nil {
 		return err
+	}
+	if sched.Active() && *shards > 1 {
+		return fmt.Errorf("fault injection (-outage, -retry, -churn) needs a one-shard run: outages are global MMSC state (drop -shards)")
 	}
 	cfg.Faults = sched
 

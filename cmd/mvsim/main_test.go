@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -141,5 +142,30 @@ func TestParseFaults(t *testing.T) {
 	// An outage capacity of 1 is not a fault.
 	if _, err := parseFaults("0s,6h,1.0", "", "", 0); err == nil {
 		t.Error("parseFaults with capacity 1.0 = nil error, want rejection")
+	}
+}
+
+// TestFlagValidation checks that bad flag combinations fail at parse time
+// with an actionable message, before any replication runs.
+func TestFlagValidation(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-virus", "5"}, "virus 5 outside 1-4"},
+		{[]string{"-jobs", "0"}, "-jobs must be >= 1"},
+		{[]string{"-reps", "2", "-min-reps", "3"}, "min-reps 3 outside [0,2]"},
+		{[]string{"-detector", "1.5"}, "detector accuracy"},
+		{[]string{"-resume"}, "-resume needs -storedir"},
+		{[]string{"-shards", "2"}, "-shards needs -topology ba"},
+		{[]string{"-trace", "t.jsonl", "-topology", "ba", "-shards", "2"}, "-trace needs a one-shard run"},
+		{[]string{"-outage", "nope"}, "outage"},
+		{[]string{"-outage", "0s,6h", "-topology", "ba", "-shards", "2"}, "fault injection"},
+	}
+	for _, tc := range cases {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/curve"
-	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/mms"
@@ -63,25 +62,25 @@ type Config struct {
 	// Horizon is the simulated duration.
 	Horizon time.Duration
 	// PostRun, if non-nil, is invoked after the horizon with the live
-	// network, for measurements beyond Result's standard fields (e.g.
+	// shard set, for measurements beyond Result's standard fields (e.g.
 	// cross-referencing mechanism state with infection state). It may be
 	// called concurrently from parallel replications and must synchronize
 	// any shared state it touches.
-	PostRun func(net *mms.Network)
+	PostRun func(set *mms.ShardSet)
 
-	// Shards, when > 1, partitions the population into that many contiguous
-	// id ranges, each advanced on its own event queue with batched
-	// cross-shard MMS delivery at window barriers (mms.ShardSet). This is a
-	// scale mode for 10^5+ phones: trajectories match the unsharded model
-	// in distribution but not byte-for-byte. Response mechanisms and
-	// background legitimate traffic run sharded (globally merged response
-	// state advances at window barriers — DESIGN.md §15); the features that
-	// would need cross-shard synchronization inside a window — fault
-	// injection — and PostRun hooks (which receive an unsharded *Network)
-	// are rejected by Validate. 0 or 1 runs unsharded.
+	// Shards partitions the population into that many contiguous id
+	// ranges, each advanced on its own event queue (mms.ShardSet). 0 or 1
+	// is the paper's model: one shard, run inline. More than one is a
+	// scale mode for 10^5+ phones, with batched cross-shard MMS delivery
+	// and globally merged response state at window barriers (DESIGN.md
+	// §15): trajectories match the one-shard model in distribution but not
+	// byte-for-byte. Fault injection, which would need cross-shard
+	// synchronization inside a window, is rejected by Validate with more
+	// than one shard.
 	Shards int
-	// ShardWindow is the cross-shard exchange-barrier interval. Zero
-	// defaults to Horizon/128 (the cancellation-check slice width).
+	// ShardWindow is the barrier interval: the cross-shard exchange period
+	// and the cancellation-check granularity. Zero defaults to
+	// Horizon/128.
 	ShardWindow time.Duration
 	// ShardWorkers caps the shard worker pool (GOMAXPROCS when <= 0).
 	// Pure scheduling: the trajectory is identical for any worker count,
@@ -142,9 +141,7 @@ func (c Config) Validate() error {
 		case c.ShardWindow < 0:
 			return errors.New("core: shard window must be non-negative")
 		case c.Faults != nil || c.Network.Faults.Active():
-			return errors.New("core: fault injection requires an unsharded run")
-		case c.PostRun != nil:
-			return errors.New("core: PostRun hooks require an unsharded run")
+			return errors.New("core: fault injection requires a one-shard run")
 		}
 	}
 	if err := c.Virus.Validate(); err != nil {
@@ -181,23 +178,39 @@ func RunOnce(cfg Config, seed uint64) (*Result, error) {
 }
 
 // RunOnceContext executes one replication, honouring ctx: the simulation
-// horizon is executed in virtual-time slices with a cancellation check
-// between slices, so a timeout or cancel aborts a replication mid-run
-// rather than after it. Slicing never changes event order, so results are
-// bit-identical to RunOnce when the context stays live.
+// horizon is executed in windows with a cancellation check between them,
+// so a timeout or cancel aborts a replication mid-run rather than after
+// it. Windowing never changes a one-shard run's event order, so results
+// are bit-identical to RunOnce when the context stays live.
 func RunOnceContext(ctx context.Context, cfg Config, seed uint64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	sr, err := NewShardedRun(cfg, seed)
+	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.Shards > 1 {
-		sr, err := NewShardedRun(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		return sr.Run(ctx)
+	return sr.Run(ctx)
+}
+
+// ShardedRun is a constructed-but-not-yet-executed replication: topology,
+// SoA population, per-shard networks and event queues, per-shard virus
+// engines and the response mechanisms, with the initial infections seeded.
+// Construction is split from execution so scale benchmarks can meter them
+// separately (steady-state bytes per phone comes from the construction
+// phase; events per second from the execution phase). RunOnceContext is
+// NewShardedRun followed by Run.
+type ShardedRun struct {
+	cfg     Config
+	set     *mms.ShardSet
+	engines []*virus.Engine
+}
+
+// NewShardedRun builds the replication state for (cfg, seed). Streams 1–6
+// of the seed's root feed graph, vulnerability mask, network, virus,
+// responses and seed choice, and per-phone stream names are global phone
+// ids throughout, so every shard layout derives the same per-phone
+// generators.
+func NewShardedRun(cfg Config, seed uint64) (*ShardedRun, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	root := rng.New(seed)
 	graphSrc := root.Stream(1)
@@ -211,30 +224,35 @@ func RunOnceContext(ctx context.Context, cfg Config, seed uint64) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-
 	vulnerable := vulnerabilityMask(cfg, maskSrc)
 
-	sim := des.New()
+	shards := max(cfg.Shards, 1)
+	window := cfg.ShardWindow
+	if window <= 0 {
+		window = cfg.Horizon / defaultWindows
+		if window <= 0 {
+			window = cfg.Horizon
+		}
+	}
 	netCfg := cfg.Network
 	if cfg.Faults != nil {
 		netCfg.Faults = cfg.Faults
 	}
-	net, err := mms.NewCSR(topo, vulnerable, netCfg, sim, netSrc)
+	set, err := mms.NewShardSet(topo, vulnerable, netCfg, shards, window, netSrc)
 	if err != nil {
 		return nil, err
 	}
 
-	infections := curve.New(0)
-	count := 0
-	net.OnInfection(func(_ mms.PhoneID, at time.Duration) {
-		count++
-		// Infection times are non-decreasing within a run.
-		_ = infections.Append(at, float64(count))
-	})
-
-	eng, err := virus.Attach(cfg.Virus, net, virusSrc)
-	if err != nil {
-		return nil, err
+	sr := &ShardedRun{cfg: cfg, set: set}
+	for _, net := range set.Shards() {
+		// All shards share virusSrc: engines derive per-phone sender streams
+		// by global id, so the union across shards is exactly the one-shard
+		// engine's stream set.
+		eng, err := virus.Attach(cfg.Virus, net, virusSrc)
+		if err != nil {
+			return nil, err
+		}
+		sr.engines = append(sr.engines, eng)
 	}
 
 	for i, f := range cfg.Responses {
@@ -242,61 +260,78 @@ func RunOnceContext(ctx context.Context, cfg Config, seed uint64) (*Result, erro
 			return nil, fmt.Errorf("core: response factory %d is nil", i)
 		}
 		r := f()
-		if err := net.AttachResponse(r, respSrcBase.Stream(uint64(i))); err != nil {
+		// Mechanism i draws from sub-stream i of stream 5 for any shard
+		// count, so mechanisms that draw in canonical phone order (the
+		// immunizer's deployment offsets) see the same sequence on every
+		// layout.
+		if err := set.AttachResponse(r, respSrcBase.Stream(uint64(i))); err != nil {
 			return nil, fmt.Errorf("core: attach %s: %w", r.Name(), err)
 		}
 	}
 
-	if err := seedInfections(cfg, net, vulnerable, seedSrc); err != nil {
+	if err := seedInfections(cfg, set, vulnerable, seedSrc); err != nil {
 		return nil, err
 	}
-
-	if err := runHorizon(ctx, sim, cfg.Horizon); err != nil {
-		return nil, err
-	}
-
-	if cfg.PostRun != nil {
-		cfg.PostRun(net)
-	}
-
-	res := &Result{
-		Infections:    infections,
-		FinalInfected: net.InfectedCount(),
-		PeakInfected:  net.InfectedCount(),
-		Network:       net.Metrics(),
-		Engine:        eng.Stats(),
-		Tree:          net.BuildInfectionTree(),
-	}
-	res.GatewayDetectedAt, res.GatewayDetected = net.Gateway().Detected()
-	return res, nil
+	return sr, nil
 }
 
-// horizonSlices is how many virtual-time slices runHorizon splits the
-// horizon into between context checks.
-const horizonSlices = 128
+// defaultWindows is how many windows the horizon splits into when
+// ShardWindow is zero.
+const defaultWindows = 128
 
-// runHorizon drives the simulation to the horizon in slices, checking ctx
-// between them. Advancing the clock in steps fires exactly the same events
-// in the same order as a single RunUntil call, so slicing cannot perturb
-// determinism. The check granularity is virtual time: an event flood at a
-// single instant defers cancellation until the instant completes.
-func runHorizon(ctx context.Context, sim *des.Simulation, horizon time.Duration) error {
-	step := horizon / horizonSlices
-	if step <= 0 {
-		step = horizon
+// ShardSet exposes the underlying shard set (topology, populations, merged
+// counters). Benchmarks use it to read EventsFired and memory footprints.
+func (sr *ShardedRun) ShardSet() *mms.ShardSet { return sr.set }
+
+// Topology returns the CSR contact graph.
+func (sr *ShardedRun) Topology() *graph.CSR { return sr.set.Population().Topology() }
+
+// Horizon returns the configured horizon (convenience for benchmarks that
+// drive Run through a context with their own deadline).
+func (sr *ShardedRun) Horizon() time.Duration { return sr.cfg.Horizon }
+
+// Run advances every shard to the horizon (ShardWorkers wide), invokes the
+// PostRun hook, and assembles the replication Result: the infection curve
+// from the population's infection times, summed engine and network
+// counters, and the global gateway detection time.
+func (sr *ShardedRun) Run(ctx context.Context) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	for t := step; ; t += step {
-		if t > horizon {
-			t = horizon
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: cancelled at t=%v: %w", sim.Now(), err)
-		}
-		sim.RunUntil(t)
-		if t >= horizon {
-			return nil
+	if err := sr.set.Run(ctx, sr.cfg.Horizon, sr.cfg.ShardWorkers); err != nil {
+		return nil, err
+	}
+	if sr.cfg.PostRun != nil {
+		sr.cfg.PostRun(sr.set)
+	}
+	events := sr.set.InfectionEvents()
+	infections := curve.NewWithCapacity(0, len(events))
+	for i, ev := range events {
+		// Events are sorted by time, so appends are monotone.
+		if err := infections.Append(ev.At, float64(i+1)); err != nil {
+			return nil, fmt.Errorf("core: infection curve at %v: %w", ev.At, err)
 		}
 	}
+	var stats virus.Stats
+	for _, eng := range sr.engines {
+		s := eng.Stats()
+		stats.Activations += s.Activations
+		stats.MessagesAttempted += s.MessagesAttempted
+		stats.MessagesSent += s.MessagesSent
+		stats.SendsDeferred += s.SendsDeferred
+		stats.SendsBlocked += s.SendsBlocked
+		stats.QuotaPauses += s.QuotaPauses
+	}
+	res := &Result{
+		Infections:    infections,
+		FinalInfected: sr.set.InfectedCount(),
+		PeakInfected:  sr.set.InfectedCount(),
+		Network:       sr.set.Metrics(),
+		Engine:        stats,
+		Tree:          sr.set.BuildInfectionTree(),
+	}
+	res.GatewayDetectedAt, res.GatewayDetected = sr.set.Detected()
+	return res, nil
 }
 
 // buildTopology produces the CSR contact graph, taking the streaming
@@ -345,7 +380,9 @@ func vulnerabilityMask(cfg Config, src *rng.Source) []bool {
 	return mask
 }
 
-func seedInfections(cfg Config, net *mms.Network, vulnerable []bool, src *rng.Source) error {
+// seedInfections infects cfg.InitialInfected distinct vulnerable phones,
+// chosen by shuffling the candidates with src, each on its owner shard.
+func seedInfections(cfg Config, set *mms.ShardSet, vulnerable []bool, src *rng.Source) error {
 	candidates := make([]mms.PhoneID, 0, len(vulnerable))
 	for i, v := range vulnerable {
 		if v {
@@ -356,7 +393,7 @@ func seedInfections(cfg Config, net *mms.Network, vulnerable []bool, src *rng.So
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 	for i := 0; i < cfg.InitialInfected; i++ {
-		if err := net.SeedInfection(candidates[i]); err != nil {
+		if err := set.SeedInfection(candidates[i]); err != nil {
 			return err
 		}
 	}

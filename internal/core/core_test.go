@@ -292,9 +292,9 @@ func TestOptionsDefaults(t *testing.T) {
 
 // panicOnce returns a PostRun hook that panics in exactly one replication
 // (the first to reach it; use Parallelism 1 for a deterministic victim).
-func panicOnce() func(*mms.Network) {
+func panicOnce() func(*mms.ShardSet) {
 	var fired int32
-	return func(*mms.Network) {
+	return func(*mms.ShardSet) {
 		if atomic.AddInt32(&fired, 1) == 1 {
 			panic("injected replication failure")
 		}
@@ -376,7 +376,7 @@ func TestRunPartialResultsOnError(t *testing.T) {
 type failOnceResponse struct{ firstCall bool }
 
 func (f failOnceResponse) Name() string { return "fail-once" }
-func (f failOnceResponse) Attach(*mms.Network, *rng.Source) error {
+func (f failOnceResponse) Attach(*mms.ShardSet, *rng.Source) error {
 	if f.firstCall {
 		return errors.New("injected attach failure")
 	}
@@ -406,7 +406,7 @@ func TestRunSalvageQuorum(t *testing.T) {
 	}
 
 	// Below quorum the same scenario is an error again.
-	cfg.PostRun = func(*mms.Network) { panic("all replications fail") }
+	cfg.PostRun = func(*mms.ShardSet) { panic("all replications fail") }
 	if _, err := Run(cfg, Options{Replications: 4, GridPoints: 10, Parallelism: 1, MinReplications: 3}); err == nil {
 		t.Error("0/4 survivors met a quorum of 3")
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/mms"
+	"repro/internal/response"
 	"repro/internal/rng"
 	"repro/internal/virus"
 )
@@ -100,10 +101,10 @@ func TestShardedRunReportsDetection(t *testing.T) {
 	}
 }
 
-// TestShardedValidationMatrix pins every cell of the sharded feature
-// matrix: response mechanisms and background legitimate traffic are
-// supported on shards (this PR's un-gating), while fault injection and
-// PostRun hooks — plus the structural misconfigurations — stay rejected.
+// TestShardedValidationMatrix pins every cell of the many-shard feature
+// matrix: response mechanisms, background legitimate traffic and PostRun
+// hooks are supported on any shard count, while fault injection — plus the
+// structural misconfigurations — stays rejected.
 func TestShardedValidationMatrix(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -128,7 +129,7 @@ func TestShardedValidationMatrix(t *testing.T) {
 		{"network faults", false, func(c *Config) {
 			c.Network.Faults = &faults.Schedule{Outages: []faults.Window{{Start: time.Hour, End: 2 * time.Hour}}}
 		}},
-		{"postrun", false, func(c *Config) { c.PostRun = func(*mms.Network) {} }},
+		{"postrun", true, func(c *Config) { c.PostRun = func(*mms.ShardSet) {} }},
 		{"responses+faults", false, func(c *Config) {
 			c.Responses = []mms.ResponseFactory{func() mms.Response { return nil }}
 			c.Faults = &faults.Schedule{Outages: []faults.Window{{Start: time.Hour, End: 2 * time.Hour}}}
@@ -149,7 +150,33 @@ func TestShardedValidationMatrix(t *testing.T) {
 			t.Errorf("%s: Validate rejected a supported sharded config: %v", tc.name, err)
 		}
 		if !tc.accept && err == nil {
-			t.Errorf("%s: Validate accepted a sharded config that needs unsharded features", tc.name)
+			t.Errorf("%s: Validate accepted a sharded config that needs one-shard features", tc.name)
+		}
+	}
+}
+
+// TestPostRunSeesShardSet checks that the PostRun hook receives the live
+// shard set on one shard and on many: the attached mechanisms in attach
+// order and the final infection state the Result reports.
+func TestPostRunSeesShardSet(t *testing.T) {
+	t.Parallel()
+	for _, shards := range []int{1, 4} {
+		cfg := shardedTestConfig(shards, 0)
+		cfg.Responses = []mms.ResponseFactory{response.NewBlacklist(10)}
+		var infected, blacklisted int
+		cfg.PostRun = func(set *mms.ShardSet) {
+			infected = set.InfectedCount()
+			blacklisted = len(set.Responses()[0].(*response.Blacklist).BlacklistedPhones())
+		}
+		res, err := RunOnce(cfg, 9)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if infected != res.FinalInfected {
+			t.Errorf("shards=%d: PostRun saw %d infected, Result reports %d", shards, infected, res.FinalInfected)
+		}
+		if blacklisted == 0 {
+			t.Errorf("shards=%d: PostRun saw an empty blacklist under Virus 3", shards)
 		}
 	}
 }

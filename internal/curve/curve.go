@@ -34,6 +34,12 @@ func New(initial float64) *Curve {
 	return &Curve{Initial: initial}
 }
 
+// NewWithCapacity returns an empty curve with the given initial value and
+// room for n observations before Append reallocates.
+func NewWithCapacity(initial float64, n int) *Curve {
+	return &Curve{Initial: initial, pts: make([]Point, 0, n)}
+}
+
 // ErrTimeOrder is returned when observations are appended out of order.
 var ErrTimeOrder = errors.New("curve: observation time precedes previous observation")
 

@@ -100,8 +100,8 @@ func (opaqueDist) String() string                   { return "opaque" }
 // undescribedResponse is a Response without a Descriptor.
 type undescribedResponse struct{}
 
-func (undescribedResponse) Name() string                           { return "undescribed" }
-func (undescribedResponse) Attach(*mms.Network, *rng.Source) error { return nil }
+func (undescribedResponse) Name() string                            { return "undescribed" }
+func (undescribedResponse) Attach(*mms.ShardSet, *rng.Source) error { return nil }
 
 // Every opaque element must defeat caching — hashing a func or a foreign
 // type would address behaviour the encoding cannot see.
@@ -117,7 +117,7 @@ func TestFingerprintOpaque(t *testing.T) {
 			c.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) { return nil, nil }
 		}, "csr-builder"},
 		"post-run": {func(c *core.Config) {
-			c.PostRun = func(*mms.Network) {}
+			c.PostRun = func(*mms.ShardSet) {}
 		}, "post-run"},
 		"foreign-dist": {func(c *core.Config) {
 			c.Virus.ExtraWait = opaqueDist{}

@@ -142,7 +142,7 @@ func TestUncacheableConfigBypassesStore(t *testing.T) {
 	cache := NewPersistentCache(s, nil)
 	fig := Figure1(Scale{Factor: 20})
 	for i := range fig.Series {
-		fig.Series[i].Config.PostRun = func(*mms.Network) {}
+		fig.Series[i].Config.PostRun = func(*mms.ShardSet) {}
 	}
 	opts := core.Options{Replications: 2, GridPoints: 20, BaseSeed: 1}
 	if _, err := RunFigureCached(context.Background(), fig, opts, cache); err != nil {

@@ -72,16 +72,16 @@ type tradeoffCounts struct {
 }
 
 // collect is the PostRun hook: it pairs each replication's monitor with
-// its network at the horizon and classifies every flagged phone.
-func (c *tradeoffCounts) collect(net *mms.Network) {
+// its shard set at the horizon and classifies every flagged phone.
+func (c *tradeoffCounts) collect(set *mms.ShardSet) {
 	falsePos, truePos := 0, 0
-	for _, r := range net.Responses() {
+	for _, r := range set.Responses() {
 		m, ok := r.(*response.Monitor)
 		if !ok {
 			continue
 		}
 		for _, p := range m.FlaggedPhones() {
-			if net.State(p) == mms.StateInfected {
+			if set.State(p) == mms.StateInfected {
 				truePos++
 			} else {
 				falsePos++
@@ -98,8 +98,8 @@ func (c *tradeoffCounts) collect(net *mms.Network) {
 // containment of Virus 3 and the false-positive flags caused by legitimate
 // traffic. All thresholds' replications are flattened onto one worker pool
 // (opts.Parallelism wide); each replication gets a fresh monitor through
-// the ordinary factory path, and a PostRun hook pairs it with its network
-// at the horizon via mms.Network.Responses. The PostRun hook makes these
+// the ordinary factory path, and a PostRun hook pairs it with its shard
+// set at the horizon via mms.ShardSet.Responses. The PostRun hook makes these
 // configs uncacheable by design — every replication measures its own
 // mechanism state, so memoizing would be wrong.
 func RunMonitorTradeoff(tc TradeoffConfig, opts core.Options) ([]TradeoffPoint, error) {

@@ -74,7 +74,7 @@ func TestSweepUnitsSkipsUncacheable(t *testing.T) {
 	fig := Figure1(testScale)
 	opaque := fig.Series[0]
 	opaque.Label = "opaque"
-	opaque.Config.PostRun = func(net *mms.Network) {} // opaque element
+	opaque.Config.PostRun = func(*mms.ShardSet) {} // opaque element
 	fig.Series = append(fig.Series, opaque)
 	units, uncacheable := SweepUnits([]Figure{fig}, testOpts)
 	if uncacheable != 1 {

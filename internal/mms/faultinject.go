@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/faults"
+	"repro/internal/rng"
 )
 
 // FaultKind labels an infrastructure fault occurrence inside the network.
@@ -96,6 +97,29 @@ func (n *Network) faultWindow(t time.Duration) (faults.Window, bool) {
 		return faults.Window{}, false
 	}
 	return n.faults.WindowAt(t)
+}
+
+// attachFaults installs the configured fault schedule on a network owning
+// the whole population (faults run on one-shard sets only): the "flt"
+// stream for outage, drain and backoff draws, and per-phone churn streams
+// with every phone's first power-off armed.
+func (n *Network) attachFaults(src *rng.Source) {
+	if !n.cfg.Faults.Active() {
+		return
+	}
+	n.faults = n.cfg.Faults
+	src.StreamInto(&n.faultSrc, 0x666c74) // "flt"
+	if !n.faults.Churn.Enabled() {
+		return
+	}
+	phones := n.pop.N()
+	n.churnSrc = make([]rng.Source, phones)
+	n.churnOff = make([]bool, phones)
+	n.churnOn = make([]time.Duration, phones)
+	for i := 0; i < phones; i++ {
+		src.StreamInto(&n.churnSrc[i], churnStreamName(i))
+	}
+	n.startChurn()
 }
 
 // churnStreamName derives the per-phone churn stream name ("chr" | id); the

@@ -110,13 +110,13 @@ type Metrics struct {
 // behaviour, and response-mechanism interception points, all driven by one
 // discrete-event simulation.
 //
-// A Network is a view over a Population. An unsharded run has one Network
-// owning the whole id range; a sharded run (ShardSet) has one Network per
-// shard, each owning a contiguous id slice and exchanging cross-shard
-// deliveries in batches at window barriers.
+// A Network is one shard of a ShardSet: a view over the set's Population
+// owning a contiguous id range. A one-shard set has one Network owning the
+// whole population; a many-shard set has one per shard, exchanging
+// cross-shard deliveries in batches at window barriers.
 type Network struct {
 	sim     *des.Simulation
-	gateway *Gateway
+	gateway Gateway // by value: one allocation fewer per shard
 	cfg     Config
 
 	pop *Population
@@ -124,9 +124,10 @@ type Network struct {
 	// only writer of those Population entries while its event queue runs.
 	base, count int
 
+	set *ShardSet // the shard set this network belongs to
+
 	netSrc      rng.Source // delivery jitter stream
 	controllers []SendController
-	attached    []Response // responses installed via AttachResponse, in order
 
 	// Long-lived des.ArgHandlers for the per-copy event flavours. One read
 	// event fires per delivered MMS copy at million-phone scale; routing
@@ -138,8 +139,8 @@ type Network struct {
 	legitH des.ArgHandler // arg = phone id
 
 	// remote, when non-nil, receives recipient copies addressed outside the
-	// owned range instead of local delivery (sharded runs batch them at the
-	// next window barrier). Nil in unsharded runs.
+	// owned range instead of local delivery (many-shard sets batch them at
+	// the next window barrier). Nil on a one-shard set.
 	remote func(at time.Duration, from, target PhoneID)
 
 	// Fault-injection state (nil/empty when cfg.Faults injects nothing).
@@ -174,54 +175,30 @@ func New(g *graph.Graph, vulnerable []bool, cfg Config, sim *des.Simulation, src
 }
 
 // NewCSR builds a network directly over a CSR topology, skipping the
-// slice-per-node Graph representation entirely — the construction path for
-// populations beyond the paper's 1,000 phones.
+// slice-per-node Graph representation entirely. The network is the single
+// shard of a one-shard ShardSet advanced by sim; responses attach to that
+// set through AttachResponse.
 func NewCSR(topo *graph.CSR, vulnerable []bool, cfg Config, sim *des.Simulation, src *rng.Source) (*Network, error) {
 	if sim == nil {
 		return nil, errors.New("mms: nil simulation")
 	}
-	if src == nil {
-		return nil, errors.New("mms: nil rng source")
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pop, err := NewPopulation(topo, vulnerable, src)
+	ss, err := newShardSet(topo, vulnerable, cfg, 1, unbounded, src, sim)
 	if err != nil {
 		return nil, err
 	}
-	net := newShardNetwork(pop, 0, pop.N(), cfg, sim)
-	src.StreamInto(&net.netSrc, 0x6e6574) // "net"
-	n := pop.N()
-	if cfg.Faults.Active() {
-		net.faults = cfg.Faults
-		src.StreamInto(&net.faultSrc, 0x666c74) // "flt"
-		if cfg.Faults.Churn.Enabled() {
-			net.churnSrc = make([]rng.Source, n)
-			net.churnOff = make([]bool, n)
-			net.churnOn = make([]time.Duration, n)
-			for i := 0; i < n; i++ {
-				src.StreamInto(&net.churnSrc[i], churnStreamName(i))
-			}
-			net.startChurn()
-		}
-	}
-	if cfg.LegitSendInterval != nil {
-		for i := 0; i < n; i++ {
-			net.scheduleLegitSend(PhoneID(i))
-		}
-	}
-	return net, nil
+	return ss.nets[0], nil
 }
 
-// newShardNetwork wires a Network view over pop owning [base, base+count).
-// The caller derives netSrc and any fault state afterwards.
-func newShardNetwork(pop *Population, base, count int, cfg Config, sim *des.Simulation) *Network {
+// newShardNetwork wires a Network view over the set's population owning
+// [base, base+count). The caller derives netSrc and any fault state
+// afterwards.
+func newShardNetwork(ss *ShardSet, base, count int, sim *des.Simulation) *Network {
 	n := &Network{
 		sim:     sim,
-		gateway: NewGateway(cfg.GatewayDetectThreshold),
-		cfg:     cfg,
-		pop:     pop,
+		gateway: *NewGateway(ss.cfg.GatewayDetectThreshold),
+		cfg:     ss.cfg,
+		set:     ss,
+		pop:     ss.pop,
 		base:    base,
 		count:   count,
 		trials:  make(map[uint64]struct{}),
@@ -277,7 +254,7 @@ func (n *Network) legitSend(id PhoneID) {
 func (n *Network) Sim() *des.Simulation { return n.sim }
 
 // Gateway returns the provider's MMS gateway.
-func (n *Network) Gateway() *Gateway { return n.gateway }
+func (n *Network) Gateway() *Gateway { return &n.gateway }
 
 // N returns the population size (the whole population, not the owned range).
 func (n *Network) N() int { return n.pop.N() }
@@ -347,7 +324,7 @@ func (n *Network) Population() *Population { return n.pop }
 func (n *Network) Metrics() Metrics { return n.metrics }
 
 // InfectedCount returns the number of infected phones in the owned range
-// (the whole population for an unsharded network).
+// (the whole population on a one-shard set).
 func (n *Network) InfectedCount() int { return n.infected }
 
 // SusceptibleCount returns the number of owned phones still vulnerable.

@@ -1,19 +1,38 @@
 package mms
 
-import "repro/internal/rng"
+import (
+	"time"
 
-// Response is a virus response mechanism that attaches to a network run:
-// gateway filters, send controllers, consent changes, or patch schedulers.
-// Implementations live in internal/response; the interface lives here so the
-// core runner can wire mechanisms without depending on their package.
+	"repro/internal/rng"
+)
+
+// Response is a virus response mechanism that attaches to a run: gateway
+// filters, send controllers, consent changes, or patch schedulers.
+// Implementations live in internal/response; the interface lives here so
+// the core runner can wire mechanisms without depending on their package.
+//
+// A mechanism must honour the determinism contract: its behaviour may
+// depend on (config, seed, shard count, window) but never on worker count
+// or scheduling. The standard shapes (DESIGN.md §15):
+//
+//   - Per-shard sub-state owned by the sender's shard (monitor histories,
+//     blacklist counters, detector verdict caches) — exact partitions,
+//     since every message is filtered on its sending shard.
+//   - Globally shared scalars armed at detection (signature activation
+//     times) that inspections compare against, and work released onto
+//     owner shards window by window (patch waves). With more than one
+//     shard these are written only between windows by the coordinator;
+//     the barrier's pool hand-off orders the writes before the next
+//     window's reads.
 type Response interface {
 	// Name identifies the mechanism in reports.
 	Name() string
-	// Attach installs the mechanism into the network. src provides the
+	// Attach installs the mechanism across the shard set. src provides the
 	// mechanism's private randomness (detector coin flips, deployment
-	// jitter); Attach is called once per replication before the simulation
-	// starts.
-	Attach(n *Network, src *rng.Source) error
+	// jitter); mechanisms needing per-shard randomness derive pinned
+	// sub-streams from it. Attach is called once per replication before
+	// the simulation starts.
+	Attach(ss *ShardSet, src *rng.Source) error
 }
 
 // ResponseFactory builds a fresh Response per replication, so mechanisms can
@@ -34,18 +53,126 @@ type ResponseDescriber interface {
 	Descriptor() string
 }
 
-// AttachResponse installs r into the network via r.Attach and records the
-// instance, so post-run analyses (core.Config.PostRun hooks) can locate
-// the mechanism objects that served a given replication through Responses.
-func (n *Network) AttachResponse(r Response, src *rng.Source) error {
-	if err := r.Attach(n, src); err != nil {
+// AttachResponse installs r across the shard set via r.Attach and records
+// the instance, so post-run analyses (core.Config.PostRun hooks) can
+// locate the mechanism objects that served a given replication through
+// Responses.
+func (ss *ShardSet) AttachResponse(r Response, src *rng.Source) error {
+	if err := r.Attach(ss, src); err != nil {
 		return err
 	}
-	n.attached = append(n.attached, r)
+	ss.responses = append(ss.responses, r)
 	return nil
 }
 
+// AttachResponse installs r across the shard set this network belongs to.
+func (n *Network) AttachResponse(r Response, src *rng.Source) error {
+	return n.set.AttachResponse(r, src)
+}
+
 // Responses returns the mechanisms installed via AttachResponse, in attach
-// order. The returned slice is shared with the network; callers must not
+// order. The returned slice is shared with the shard set; callers must not
 // modify it.
-func (n *Network) Responses() []Response { return n.attached }
+func (ss *ShardSet) Responses() []Response { return ss.responses }
+
+// OnVirusDetected registers a callback fired once the virus reaches the
+// gateway detection threshold, with the detection time. On one shard it is
+// the gateway's own callback, fired inside the detecting event at the
+// exact detection time. On more than one shard it fires at the first
+// window barrier where the merged per-shard observations reach the
+// threshold, with the true global detection time (the k-th earliest
+// observation across all shards), which lies inside the window that just
+// closed. Either way mechanisms treat the time as a possibly-past instant:
+// they arm state that inspections compare against, and schedule events no
+// earlier than their shard's current time. Registering after detection
+// fires immediately with the recorded time.
+func (ss *ShardSet) OnVirusDetected(fn func(at time.Duration)) {
+	if fn == nil {
+		return
+	}
+	if len(ss.nets) == 1 {
+		ss.nets[0].Gateway().OnVirusDetected(fn)
+		return
+	}
+	if ss.detected {
+		fn(ss.detectedAt)
+		return
+	}
+	ss.onDetected = append(ss.onDetected, fn)
+}
+
+// OnBarrier registers a coordinator-side hook run after every window's
+// exchange (and after any detection callbacks for that barrier), with the
+// barrier just reached and the next barrier. Hooks run on the coordinating
+// goroutine while no shard event loop is live, so they may touch any
+// shard's state; work committed for the upcoming window must be scheduled
+// at times in [barrier, next).
+func (ss *ShardSet) OnBarrier(fn func(barrier, next time.Duration)) {
+	if fn != nil {
+		ss.onBarrier = append(ss.onBarrier, fn)
+	}
+}
+
+// Detected reports whether and when the virus reached the gateway
+// detection threshold globally: the k-th earliest observation overall.
+// One shard reads its gateway; more than one merge the per-shard
+// observations, exact at any time the shard event loops are idle.
+func (ss *ShardSet) Detected() (time.Duration, bool) {
+	switch {
+	case len(ss.nets) == 1:
+		return ss.nets[0].Gateway().Detected()
+	case ss.detected:
+		return ss.detectedAt, true
+	}
+	return ss.mergeDetection()
+}
+
+// mergeDetection recovers the global detection time from the per-shard
+// observation prefixes. Each shard records the times of its first k
+// observations (k = detection threshold); since per-shard event time is
+// monotone, the union of those prefixes contains the k globally earliest
+// observations, so once the union holds at least k entries its k-th
+// smallest is the global detection time — final, because every unrecorded
+// observation is later than its shard's recorded ones. The merge buffer is
+// reused and sorted by insertion (bounded at shards x k entries, with k
+// typically in the tens), keeping barriers allocation-free steady-state.
+func (ss *ShardSet) mergeDetection() (time.Duration, bool) {
+	k := ss.nets[0].Gateway().DetectThreshold()
+	ss.detScratch = ss.detScratch[:0]
+	for _, net := range ss.nets {
+		for _, t := range net.Gateway().ObservationTimes() {
+			ss.detScratch = append(ss.detScratch, t)
+			i := len(ss.detScratch) - 1
+			for i > 0 && ss.detScratch[i-1] > t {
+				ss.detScratch[i] = ss.detScratch[i-1]
+				i--
+			}
+			ss.detScratch[i] = t
+		}
+	}
+	if len(ss.detScratch) < k {
+		return 0, false
+	}
+	return ss.detScratch[k-1], true
+}
+
+// barrierSync runs the coordinator-side response protocol at a window
+// barrier: merged detection first (so activation times arm before any
+// same-barrier hook reads them), then the registered barrier hooks. Runs
+// with no shard event loop live. Skipped work is genuinely free: a run
+// with no responses attached performs no merge and no hook calls.
+func (ss *ShardSet) barrierSync(barrier, next time.Duration) {
+	if !ss.detected && len(ss.onDetected) > 0 {
+		if at, ok := ss.mergeDetection(); ok {
+			ss.detected = true
+			ss.detectedAt = at
+			for _, fn := range ss.onDetected {
+				fn(at)
+			}
+			ss.onDetected = nil
+		}
+	}
+	for _, fn := range ss.onBarrier {
+		fn(barrier, next)
+	}
+}

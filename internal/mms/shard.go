@@ -1,10 +1,13 @@
 package mms
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -74,28 +77,31 @@ func (b *exchangeBatch) Swap(i, j int) {
 
 // ShardSet partitions a Population into contiguous id ranges, each advanced
 // by its own Network on its own event queue, with batched cross-shard MMS
-// delivery at fixed window barriers. Within a window, shards run in
-// parallel on a worker pool and touch only their owned state plus their
-// private outbox; at each barrier the coordinator drains all outboxes in a
-// canonical sorted order (arrival time, sender, target) and injects the
-// copies into their owner shards, then runs the barrier synchronization
-// that response mechanisms hook (merged gateway detection, patch waves —
-// see shardresponse.go). The trajectory is therefore a pure function of
-// (config, seed, shard count, window) — worker count and scheduling cannot
-// perturb it.
+// delivery at fixed window barriers. Every run is a ShardSet: the paper's
+// 1,000-phone model is the one-shard configuration, and the 10^5–10^7
+// phone regime splits the population across many shards.
 //
-// Sharding is a scale mode, not a drop-in replacement for the unsharded
-// network: a cross-shard copy whose delivery latency expires mid-window is
-// clamped to the barrier, and globally merged response state advances only
-// at barriers, so trajectories match the unsharded run only in
-// distribution, not byte-for-byte (DESIGN.md §15). The paper-scale figures
-// all run unsharded; ShardSet exists for the 10^5–10^7 phone regime where
-// one event queue cannot hold the population.
+// With more than one shard, shards run each window in parallel on a worker
+// pool and touch only their owned state plus their private outbox; at each
+// barrier the coordinator drains all outboxes in a canonical sorted order
+// (arrival time, sender, target) and injects the copies into their owner
+// shards, then runs the barrier synchronization that response mechanisms
+// hook (merged gateway detection, patch waves — see response.go). The
+// trajectory is therefore a pure function of (config, seed, shard count,
+// window) — worker count and scheduling cannot perturb it. A cross-shard
+// copy whose delivery latency expires mid-window is clamped to the barrier,
+// and globally merged response state advances only at barriers, so a
+// many-shard trajectory matches the one-shard model only in distribution
+// (DESIGN.md §15).
+//
+// One shard has no exchange partner: it runs inline on the calling
+// goroutine, keeps the unsharded stream names, reports gateway detection
+// synchronously inside the detecting event, and is the only configuration
+// that supports infrastructure fault injection.
 type ShardSet struct {
 	cfg    Config
 	pop    *Population
 	nets   []*Network
-	sims   []*des.Simulation
 	bounds []int // len(nets)+1; shard s owns [bounds[s], bounds[s+1])
 	window time.Duration
 
@@ -104,19 +110,19 @@ type ShardSet struct {
 	outbox []remoteBuf
 	// batch is the reused coordinator-side merge buffer for exchange.
 	batch exchangeBatch
-	// infEvents[s] collects shard s's infections in event order.
-	infEvents [][]InfectionEvent
 
 	// Window-loop state reused across windows so Run allocates nothing per
 	// barrier: winFns are the per-shard window thunks submitted to the
 	// pool, reading winBarrier (written by the coordinator before each
-	// submission round, ordered by the pool's queue lock).
+	// submission round, ordered by the pool's queue lock). winBarrier is
+	// also the end of the current window (WindowEnd). A one-shard set runs
+	// inline and has no outboxes, thunks or pool.
 	winFns     []func()
 	winBarrier time.Duration
 	winErrs    []error
 	winWG      sync.WaitGroup
 
-	// Response-mechanism state (shardresponse.go): mechanisms attached via
+	// Response-mechanism state (response.go): mechanisms attached via
 	// AttachResponse, barrier hooks, and the merged gateway detection view.
 	responses  []Response
 	onDetected []func(at time.Duration)
@@ -126,13 +132,22 @@ type ShardSet struct {
 	detScratch []time.Duration // reused merge buffer for mergeDetection
 }
 
+// unbounded is the window end of a set no Run or RunWindow call drives.
+const unbounded = time.Duration(math.MaxInt64)
+
 // NewShardSet builds shards Networks over one shared Population. The one
 // feature that would need cross-shard synchronization inside a window is
-// rejected: infrastructure faults (outage windows and churn mutate global
-// MMSC state mid-window) are unsharded-only. Response mechanisms attach
-// via AttachResponse; background legitimate traffic schedules per shard on
-// the owned ranges.
+// rejected with more than one shard: infrastructure faults (outage windows
+// and churn mutate global MMSC state mid-window) run on one shard only.
+// Response mechanisms attach via AttachResponse; background legitimate
+// traffic schedules per shard on the owned ranges.
 func NewShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, window time.Duration, src *rng.Source) (*ShardSet, error) {
+	return newShardSet(topo, vulnerable, cfg, shards, window, src, nil)
+}
+
+// newShardSet is NewShardSet with an optional caller-supplied event queue
+// for a one-shard set (NewCSR); nil makes a fresh queue per shard.
+func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, window time.Duration, src *rng.Source, sim *des.Simulation) (*ShardSet, error) {
 	if topo == nil {
 		return nil, errors.New("mms: nil contact topology")
 	}
@@ -149,41 +164,59 @@ func NewShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 	if window <= 0 {
 		return nil, errors.New("mms: shard window must be positive")
 	}
-	if cfg.Faults.Active() {
-		return nil, errors.New("mms: fault injection requires an unsharded run")
+	if cfg.Faults.Active() && shards > 1 {
+		return nil, errors.New("mms: fault injection requires a one-shard run")
 	}
 	pop, err := NewPopulation(topo, vulnerable, src)
 	if err != nil {
 		return nil, err
 	}
 	ss := &ShardSet{
-		cfg:       cfg,
-		pop:       pop,
-		nets:      make([]*Network, shards),
-		sims:      make([]*des.Simulation, shards),
-		bounds:    make([]int, shards+1),
-		window:    window,
-		outbox:    make([]remoteBuf, shards),
-		infEvents: make([][]InfectionEvent, shards),
-		winFns:    make([]func(), shards),
-		winErrs:   make([]error, shards),
+		cfg:        cfg,
+		pop:        pop,
+		nets:       make([]*Network, shards),
+		bounds:     make([]int, shards+1),
+		window:     window,
+		winBarrier: unbounded,
+	}
+	if shards > 1 {
+		ss.outbox = make([]remoteBuf, shards)
+		ss.winFns = make([]func(), shards)
+		ss.winErrs = make([]error, shards)
 	}
 	for s := 0; s <= shards; s++ {
 		ss.bounds[s] = s * n / shards
 	}
 	for s := 0; s < shards; s++ {
 		s := s
-		sim := des.New()
-		net := newShardNetwork(pop, ss.bounds[s], ss.bounds[s+1]-ss.bounds[s], cfg, sim)
-		// Per-shard delivery jitter stream: the name family sits between the
-		// unsharded "net" name and the per-phone "usr" family.
-		src.StreamInto(&net.netSrc, 0x6e6574<<16|uint64(s)) // "net" | shard
-		net.remote = func(at time.Duration, from, target PhoneID) {
-			ss.outbox[s].push(at, from, target)
+		sim := sim
+		if sim == nil {
+			sim = des.New()
 		}
-		net.OnInfection(func(id PhoneID, at time.Duration) {
-			ss.infEvents[s] = append(ss.infEvents[s], InfectionEvent{At: at, ID: id})
-		})
+		net := newShardNetwork(ss, ss.bounds[s], ss.bounds[s+1]-ss.bounds[s], sim)
+		if shards == 1 {
+			// One shard keeps the unsharded stream names ("net", "flt",
+			// per-phone churn), so the paper-scale trajectory does not
+			// depend on the shard machinery around it.
+			src.StreamInto(&net.netSrc, 0x6e6574) // "net"
+			net.attachFaults(src)
+		} else {
+			// Per-shard delivery jitter stream: the name family sits between
+			// the one-shard "net" name and the per-phone "usr" family.
+			src.StreamInto(&net.netSrc, 0x6e6574<<16|uint64(s)) // "net" | shard
+			net.remote = func(at time.Duration, from, target PhoneID) {
+				ss.outbox[s].push(at, from, target)
+			}
+			ss.winFns[s] = func() {
+				defer ss.winWG.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						ss.winErrs[s] = fmt.Errorf("mms: shard %d panicked at window %v: %v", s, ss.winBarrier, r)
+					}
+				}()
+				sim.RunUntil(ss.winBarrier)
+			}
+		}
 		if cfg.LegitSendInterval != nil {
 			// Background legitimate traffic is shard-local by construction:
 			// each owned phone's sends draw from its own per-phone user
@@ -193,16 +226,6 @@ func NewShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 				net.scheduleLegitSend(PhoneID(i))
 			}
 		}
-		ss.winFns[s] = func() {
-			defer ss.winWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					ss.winErrs[s] = fmt.Errorf("mms: shard %d panicked at window %v: %v", s, ss.winBarrier, r)
-				}
-			}()
-			sim.RunUntil(ss.winBarrier)
-		}
-		ss.sims[s] = sim
 		ss.nets[s] = net
 	}
 	return ss, nil
@@ -220,6 +243,17 @@ func (ss *ShardSet) N() int { return ss.pop.N() }
 
 // Window returns the exchange-barrier interval.
 func (ss *ShardSet) Window() time.Duration { return ss.window }
+
+// WindowEnd returns the barrier that closes the current window. Work a
+// mechanism commits now may be scheduled before it; work landing later
+// waits for an OnBarrier hook. During barrier synchronization the current
+// window is the upcoming one. A set that no Run or RunWindow call drives —
+// a network from NewCSR advanced through its own Sim — has one unbounded
+// window.
+func (ss *ShardSet) WindowEnd() time.Duration { return ss.winBarrier }
+
+// State returns phone id's infection state (see Network.State).
+func (ss *ShardSet) State(id PhoneID) State { return ss.nets[0].State(id) }
 
 // ShardOf returns the index of the shard owning phone id. Hand-rolled
 // binary search over the bounds: exchange calls this once per cross-shard
@@ -245,11 +279,14 @@ func (ss *ShardSet) SeedInfection(id PhoneID) error {
 	return ss.nets[ss.ShardOf(id)].SeedInfection(id)
 }
 
-// Run advances every shard to the horizon in lock-step windows on a worker
-// pool of the given width (GOMAXPROCS when <= 0), exchanging cross-shard
-// deliveries and running barrier synchronization at each barrier. ctx is
-// checked between windows; a panic in any shard's event loop propagates as
-// an error carrying the shard index.
+// Run advances every shard to the horizon in lock-step windows, exchanging
+// cross-shard deliveries and running barrier synchronization at each
+// barrier. More than one shard runs on a worker pool of the given width
+// (GOMAXPROCS when <= 0), and a panic in any shard's event loop propagates
+// as an error carrying the shard index. One shard runs inline on the
+// calling goroutine, where a panic unwinds to the caller with its stack.
+// ctx is checked between windows: an event flood at a single instant
+// defers cancellation until the instant completes.
 func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int) error {
 	if horizon <= 0 {
 		return errors.New("mms: horizon must be positive")
@@ -257,26 +294,33 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := pool.New(workers)
-	defer p.Close()
+	var p *pool.Pool
+	if len(ss.nets) > 1 {
+		p = pool.New(workers)
+		defer p.Close()
+	}
 	for t := ss.window; ; t += ss.window {
 		if t > horizon {
 			t = horizon
 		}
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("mms: sharded run cancelled at t=%v: %w", t-ss.window, err)
+			return fmt.Errorf("mms: run cancelled at t=%v: %w", ss.nets[0].sim.Now(), err)
 		}
 		// The winBarrier write is ordered before the thunks' reads by the
 		// pool's queue lock; the thunks are pre-built so the steady-state
 		// window loop allocates nothing.
 		ss.winBarrier = t
-		ss.winWG.Add(len(ss.nets))
-		for s := range ss.winFns {
-			p.Submit(ss.winFns[s])
-		}
-		ss.winWG.Wait()
-		if err := errors.Join(ss.winErrs...); err != nil {
-			return err
+		if p == nil {
+			ss.nets[0].sim.RunUntil(t)
+		} else {
+			ss.winWG.Add(len(ss.nets))
+			for s := range ss.winFns {
+				p.Submit(ss.winFns[s])
+			}
+			ss.winWG.Wait()
+			if err := errors.Join(ss.winErrs...); err != nil {
+				return err
+			}
 		}
 		next := t + ss.window
 		if next > horizon {
@@ -297,17 +341,18 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 // RunWindow directly to meter the exchange hot path; trajectories are
 // identical to Run's because the window protocol is.
 func (ss *ShardSet) RunWindow(barrier, next time.Duration) {
-	for _, sim := range ss.sims {
-		sim.RunUntil(barrier)
+	for _, net := range ss.nets {
+		net.sim.RunUntil(barrier)
 	}
 	ss.barrierStep(barrier, next)
 }
 
 // barrierStep is everything that happens between windows, in order: drain
-// and inject the cross-shard outboxes, then run barrier synchronization
-// (merged detection, response hooks — shardresponse.go).
+// and inject the cross-shard outboxes, open the next window, then run
+// barrier synchronization (merged detection, response hooks — response.go).
 func (ss *ShardSet) barrierStep(barrier, next time.Duration) {
 	ss.exchange(barrier)
+	ss.winBarrier = next
 	ss.barrierSync(barrier, next)
 }
 
@@ -387,8 +432,8 @@ func (ss *ShardSet) SusceptibleCount() int {
 // EventsFired sums the events executed across all shard queues.
 func (ss *ShardSet) EventsFired() uint64 {
 	var f uint64
-	for _, sim := range ss.sims {
-		f += sim.Fired()
+	for _, net := range ss.nets {
+		f += net.sim.Fired()
 	}
 	return f
 }
@@ -406,19 +451,22 @@ func (ss *ShardSet) Metrics() Metrics {
 	return sum
 }
 
-// InfectionEvents merges the per-shard infection logs into one sequence
-// sorted by (time, id). Within a shard events are already time-ordered, so
-// the merge is deterministic for any worker count.
+// InfectionEvents returns every infection so far sorted by (time, id),
+// read from the shared population's infection times: infection is
+// permanent, so each infected phone contributes exactly one event, and the
+// log is the same for any worker count.
 func (ss *ShardSet) InfectionEvents() []InfectionEvent {
-	var all []InfectionEvent
-	for _, ev := range ss.infEvents {
-		all = append(all, ev...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
+	all := make([]InfectionEvent, 0, ss.InfectedCount())
+	for i, st := range ss.pop.state {
+		if st == StateInfected {
+			all = append(all, InfectionEvent{At: ss.pop.infectedAt[i], ID: PhoneID(i)})
 		}
-		return all[i].ID < all[j].ID
+	}
+	slices.SortFunc(all, func(a, b InfectionEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return all
 }

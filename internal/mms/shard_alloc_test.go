@@ -1,6 +1,7 @@
 package mms
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -57,5 +58,44 @@ func TestShardedExchangeAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
 		t.Fatalf("cross-shard exchange allocated %.1f times per window, want 0", allocs)
+	}
+}
+
+// TestShardSetRunWindowLoopAllocations pins the window loop's allocation
+// cost: per run, a many-shard set pays a constant for its worker pool and
+// nothing per window, and a one-shard set, which runs inline, pays
+// nothing at all. The idle population isolates the loop — submitting the
+// window thunks, joining them, and the empty barrier step — from event
+// work.
+func TestShardSetRunWindowLoopAllocations(t *testing.T) {
+	const phones = 1000
+	root := rng.New(1)
+	topo, err := graph.BarabasiAlbertCSR(phones, 4, root.Stream(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vulnerable := make([]bool, phones)
+	const horizon = 24 * time.Hour
+	for _, tc := range []struct {
+		shards, windows int
+		max             float64
+	}{
+		{1, 128, 0},
+		{4, 128, 10},
+		{4, 1024, 10},
+	} {
+		ss, err := NewShardSet(topo, vulnerable, DefaultConfig(), tc.shards, horizon/time.Duration(tc.windows), root.Stream(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := ss.Run(context.Background(), horizon, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs > tc.max {
+			t.Errorf("%d shards, %d windows: Run allocated %.1f times, want at most %.0f",
+				tc.shards, tc.windows, allocs, tc.max)
+		}
 	}
 }

@@ -14,9 +14,14 @@ import (
 // Pool is a bounded FIFO worker pool. The zero value is not usable;
 // construct with New.
 type Pool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the pending tasks. Popping advances head instead of
+	// reslicing, and a drained queue rewinds to the start of its backing
+	// array, so a steady submit-and-drain cycle (the shard runner's window
+	// loop) reuses one array and Submit allocates nothing.
 	queue  []func()
+	head   int
 	closed bool
 	done   sync.WaitGroup
 }
@@ -39,15 +44,20 @@ func (p *Pool) worker() {
 	defer p.done.Done()
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for p.head == len(p.queue) && !p.closed {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 {
+		if p.head == len(p.queue) {
 			p.mu.Unlock()
 			return
 		}
-		fn := p.queue[0]
-		p.queue = p.queue[1:]
+		fn := p.queue[p.head]
+		p.queue[p.head] = nil
+		p.head++
+		if p.head == len(p.queue) {
+			p.queue = p.queue[:0]
+			p.head = 0
+		}
 		p.mu.Unlock()
 		fn()
 	}

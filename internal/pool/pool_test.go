@@ -73,3 +73,23 @@ func TestDefaultWorkerCount(t *testing.T) {
 		t.Error("task did not run")
 	}
 }
+
+// A steady submit-and-drain cycle — the shard runner's window loop —
+// must reuse the queue's backing array instead of allocating per Submit.
+func TestSubmitDrainCycleAllocationFree(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	var wg sync.WaitGroup
+	task := func() { wg.Done() }
+	cycle := func() {
+		wg.Add(4)
+		for i := 0; i < 4; i++ {
+			p.Submit(task)
+		}
+		wg.Wait()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("submit-and-drain cycle allocated %.1f times, want 0", allocs)
+	}
+}

@@ -24,7 +24,7 @@ type Blacklist struct {
 	counts      map[mms.PhoneID]int
 	blacklisted map[mms.PhoneID]bool
 
-	// Sharded-run state: one sub-blacklist per shard counting that shard's
+	// Attach installs one sub-blacklist per shard counting that shard's
 	// senders (an exact partition — every send is controlled on its
 	// sender's shard), with this instance serving as the merged view.
 	set  *mms.ShardSet
@@ -48,14 +48,23 @@ func (b *Blacklist) Name() string {
 	return fmt.Sprintf("blacklist(threshold=%d)", b.Threshold)
 }
 
-// Attach implements mms.Response.
-func (b *Blacklist) Attach(n *mms.Network, _ *rng.Source) error {
+// Attach implements mms.Response: one sub-blacklist per shard, installed
+// as that shard's send controller.
+func (b *Blacklist) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 	if b.Threshold < 1 {
 		return fmt.Errorf("response: blacklist threshold must be at least 1")
 	}
-	b.counts = make(map[mms.PhoneID]int)
-	b.blacklisted = make(map[mms.PhoneID]bool)
-	n.AddController(b)
+	b.set = ss
+	b.subs = make([]*Blacklist, len(ss.Shards()))
+	for s, n := range ss.Shards() {
+		sub := &Blacklist{
+			Threshold:   b.Threshold,
+			counts:      make(map[mms.PhoneID]int),
+			blacklisted: make(map[mms.PhoneID]bool),
+		}
+		n.AddController(sub)
+		b.subs[s] = sub
+	}
 	return nil
 }
 
@@ -76,27 +85,24 @@ func (b *Blacklist) OnSent(p mms.PhoneID, _ time.Duration, _ int) {
 	}
 }
 
-// Blacklisted reports whether phone p has been cut off. On a sharded run
-// the query routes to the owner shard's sub-blacklist.
+// Blacklisted reports whether phone p has been cut off.
 func (b *Blacklist) Blacklisted(p mms.PhoneID) bool {
-	if b.set != nil {
-		return b.subs[b.set.ShardOf(p)].blacklisted[p]
-	}
-	return b.blacklisted[p]
+	return b.subs[b.set.ShardOf(p)].blacklisted[p]
 }
 
 // BlacklistedPhones returns the phones currently cut off, in ascending ID
-// order — the provider's merged blacklist. On a sharded run the per-shard
-// views concatenate in shard order, which is id order because shards own
-// contiguous ranges.
+// order — the provider's merged blacklist. The per-shard views concatenate
+// in shard order, which is id order because shards own contiguous ranges.
 func (b *Blacklist) BlacklistedPhones() []mms.PhoneID {
-	if b.set != nil {
-		var out []mms.PhoneID
-		for _, sub := range b.subs {
-			out = append(out, sub.BlacklistedPhones()...)
-		}
-		return out
+	var out []mms.PhoneID
+	for _, sub := range b.subs {
+		out = append(out, sub.ownBlacklisted()...)
 	}
+	return out
+}
+
+// ownBlacklisted returns a sub-blacklist's phones in ascending ID order.
+func (b *Blacklist) ownBlacklisted() []mms.PhoneID {
 	out := make([]mms.PhoneID, 0, len(b.blacklisted))
 	for p, cut := range b.blacklisted {
 		if cut {

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/mms"
 	"repro/internal/rng"
 )
@@ -35,23 +34,15 @@ type Detector struct {
 	// per-sender-per-day recognition.
 	IndependentPerCopy bool
 
-	active   bool
-	src      *rng.Source
-	verdicts map[uint64]bool // (sender, day) -> recognized
-
-	// Sharded-run state: activation is armed by the coordinator at the
-	// barrier where merged detection fires; per-shard sub-filters (see
-	// sharded.go) read it and keep their own verdict caches and rng
-	// streams, which partition exactly because every message is filtered
-	// on its sender's shard.
+	// Activation is armed at detection and shared by the per-shard
+	// sub-filters, which keep their own verdict caches and random streams;
+	// those partition exactly because every message is filtered on its
+	// sender's shard.
 	armed      bool
 	activateAt time.Duration
 }
 
-var (
-	_ mms.Response = (*Detector)(nil)
-	_ mms.Filter   = (*Detector)(nil)
-)
+var _ mms.Response = (*Detector)(nil)
 
 // DefaultAnalysisDelay is the analysis period used in the paper's detector
 // studies, where only accuracy is varied.
@@ -69,8 +60,11 @@ func (d *Detector) Name() string {
 	return fmt.Sprintf("gateway-detector(acc=%.2f,delay=%v)", d.Accuracy, d.AnalysisDelay)
 }
 
-// Attach implements mms.Response.
-func (d *Detector) Attach(n *mms.Network, src *rng.Source) error {
+// Attach implements mms.Response: one sub-filter per shard sharing the
+// activation time. A one-shard detector draws from src directly; with more
+// than one shard each sub-filter draws from a pinned stream ("rsp" |
+// shard) derived from src.
+func (d *Detector) Attach(ss *mms.ShardSet, src *rng.Source) error {
 	if d.Accuracy < 0 || d.Accuracy > 1 {
 		return fmt.Errorf("response: detector accuracy %v outside [0,1]", d.Accuracy)
 	}
@@ -80,46 +74,64 @@ func (d *Detector) Attach(n *mms.Network, src *rng.Source) error {
 	if src == nil {
 		return fmt.Errorf("response: detector needs a random source")
 	}
-	d.src = src
-	d.verdicts = make(map[uint64]bool)
-	n.Gateway().AddFilter(d)
-	n.Gateway().OnVirusDetected(func(at time.Duration) {
-		if _, err := n.Sim().ScheduleAfter(d.AnalysisDelay, func(*des.Simulation) {
-			d.active = true
-		}); err != nil {
-			return
+	shards := ss.Shards()
+	for s, n := range shards {
+		sd := &shardDetector{parent: d, src: src, verdicts: make(map[uint64]bool)}
+		if len(shards) > 1 {
+			sd.src = new(rng.Source)
+			src.StreamInto(sd.src, 0x727370<<16|uint64(s)) // "rsp" | shard
 		}
+		n.Gateway().AddFilter(sd)
+	}
+	ss.OnVirusDetected(func(at time.Duration) {
+		d.activateAt = at + d.AnalysisDelay
+		d.armed = true
 	})
 	return nil
 }
 
+// ActiveAt reports whether the analysis period has completed at virtual
+// time now.
+func (d *Detector) ActiveAt(now time.Duration) bool {
+	return d.armed && now >= d.activateAt
+}
+
+// shardDetector is one shard's view of a Detector: its own verdict cache
+// and random stream over that shard's senders.
+type shardDetector struct {
+	parent   *Detector
+	src      *rng.Source
+	verdicts map[uint64]bool // (sender, day) -> recognized
+}
+
+// Name implements mms.Filter.
+func (sd *shardDetector) Name() string { return sd.parent.Name() }
+
 // Inspect implements mms.Filter: once active, infected copies are stopped
 // with probability Accuracy — correlated per sender-day by default,
 // independently per copy when IndependentPerCopy is set.
-func (d *Detector) Inspect(from mms.PhoneID, _ int, now time.Duration) mms.FilterVerdict {
-	if !d.active {
+func (sd *shardDetector) Inspect(from mms.PhoneID, _ int, now time.Duration) mms.FilterVerdict {
+	d := sd.parent
+	if !d.ActiveAt(now) {
 		return mms.VerdictDeliver
 	}
 	if d.IndependentPerCopy {
-		if d.src.Bool(d.Accuracy) {
+		if sd.src.Bool(d.Accuracy) {
 			return mms.VerdictDrop
 		}
 		return mms.VerdictDeliver
 	}
 	key := uint64(from)<<21 | uint64(now/(24*time.Hour))
-	recognized, seen := d.verdicts[key]
+	recognized, seen := sd.verdicts[key]
 	if !seen {
-		recognized = d.src.Bool(d.Accuracy)
-		d.verdicts[key] = recognized
+		recognized = sd.src.Bool(d.Accuracy)
+		sd.verdicts[key] = recognized
 	}
 	if recognized {
 		return mms.VerdictDrop
 	}
 	return mms.VerdictDeliver
 }
-
-// Active reports whether the analysis period has completed.
-func (d *Detector) Active() bool { return d.active }
 
 // Descriptor implements mms.ResponseDescriber. It covers every
 // behaviour-determining parameter, including the per-copy independence

@@ -37,13 +37,19 @@ func (e *Education) Name() string {
 	return fmt.Sprintf("user-education(acceptance=%.2f)", e.EventualAcceptance)
 }
 
-// Attach implements mms.Response.
-func (e *Education) Attach(n *mms.Network, _ *rng.Source) error {
+// Attach implements mms.Response: the solved acceptance factor is set on
+// every shard (consent is evaluated on the recipient's owner shard).
+func (e *Education) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 	af, err := mms.SolveAcceptanceFactor(e.EventualAcceptance)
 	if err != nil {
 		return fmt.Errorf("response: education: %w", err)
 	}
-	return n.SetAcceptanceFactor(af)
+	for _, n := range ss.Shards() {
+		if err := n.SetAcceptanceFactor(af); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Descriptor implements mms.ResponseDescriber: education is fully

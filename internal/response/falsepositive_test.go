@@ -60,7 +60,7 @@ func TestMonitorFalsePositivesOnLegitTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("factory did not produce *Monitor")
 	}
-	if err := mon.Attach(net, nil); err != nil {
+	if err := net.AttachResponse(mon, nil); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunUntil(24 * time.Hour)
@@ -86,7 +86,7 @@ func TestMonitorNoFalsePositivesOnQuietTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("factory did not produce *Monitor")
 	}
-	if err := mon.Attach(net, nil); err != nil {
+	if err := net.AttachResponse(mon, nil); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunUntil(24 * time.Hour)
@@ -107,7 +107,7 @@ func TestBlacklistIgnoresLegitTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("factory did not produce *Blacklist")
 	}
-	if err := bl.Attach(net, nil); err != nil {
+	if err := net.AttachResponse(bl, nil); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunUntil(48 * time.Hour)

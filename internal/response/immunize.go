@@ -2,6 +2,7 @@ package response
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -24,24 +25,16 @@ type Immunizer struct {
 	// population (paper: 1, 6, or 24 hours).
 	DeploymentWindow time.Duration
 
-	deployStarted time.Duration
-	started       bool
-
-	// Sharded-run state: development completion is armed at the barrier
-	// where merged detection fires; the patch wave is drawn once in
-	// canonical phone order (identical offsets to an unsharded run, since
-	// vulnerability is static) and released window by window at barriers,
-	// each patch scheduled on its owner shard at its exact installation
-	// time (clamped up to the barrier when development completed
-	// mid-window). See sharded.go.
+	// Deployment state: at detection the wave is drawn once in canonical
+	// phone order and sorted by (install time, id); wave[:waveNext] are
+	// scheduled on their owner shards, the rest wait for a later window.
 	armed    bool
-	armAt    time.Duration
+	deployAt time.Duration
 	wave     []patchEntry
 	waveNext int
 }
 
-// patchEntry is one phone's scheduled patch installation in a sharded
-// deployment wave.
+// patchEntry is one phone's patch installation in a deployment wave.
 type patchEntry struct {
 	at time.Duration
 	id mms.PhoneID
@@ -64,8 +57,12 @@ func (im *Immunizer) Name() string {
 	return fmt.Sprintf("immunize(dev=%v,deploy=%v)", im.DevelopmentTime, im.DeploymentWindow)
 }
 
-// Attach implements mms.Response.
-func (im *Immunizer) Attach(n *mms.Network, src *rng.Source) error {
+// Attach implements mms.Response. Detection draws the deployment wave and
+// releases the patches installing inside the current window; each later
+// barrier releases the next window's share. Releasing window by window
+// keeps a many-shard run from holding the whole wave in its event queues
+// at once.
+func (im *Immunizer) Attach(ss *mms.ShardSet, src *rng.Source) error {
 	if im.DevelopmentTime < 0 {
 		return fmt.Errorf("response: negative patch development time")
 	}
@@ -75,31 +72,54 @@ func (im *Immunizer) Attach(n *mms.Network, src *rng.Source) error {
 	if src == nil {
 		return fmt.Errorf("response: immunizer needs a random source")
 	}
-	n.Gateway().OnVirusDetected(func(at time.Duration) {
-		if _, err := n.Sim().ScheduleAfter(im.DevelopmentTime, func(*des.Simulation) {
-			im.deploy(n, src)
-		}); err != nil {
-			return
-		}
+	ss.OnVirusDetected(func(at time.Duration) {
+		im.draw(ss, src, at+im.DevelopmentTime)
+		im.release(ss, ss.WindowEnd())
+	})
+	ss.OnBarrier(func(_, next time.Duration) {
+		im.release(ss, next)
 	})
 	return nil
 }
 
-// deploy schedules each phone's patch installation uniformly across the
-// deployment window.
-func (im *Immunizer) deploy(n *mms.Network, src *rng.Source) {
-	im.started = true
-	im.deployStarted = n.Sim().Now()
-	for i := 0; i < n.N(); i++ {
+// draw builds the deployment wave starting at start: one uniform offset
+// across the deployment window per phone that can be patched, drawn in
+// phone order so the wave is the same for any shard layout.
+func (im *Immunizer) draw(ss *mms.ShardSet, src *rng.Source, start time.Duration) {
+	im.armed = true
+	im.deployAt = start
+	for i := 0; i < ss.N(); i++ {
 		id := mms.PhoneID(i)
-		if n.State(id) == mms.StateNotVulnerable {
+		if ss.State(id) == mms.StateNotVulnerable {
 			continue // nothing to patch against
 		}
 		var offset time.Duration
 		if im.DeploymentWindow > 0 {
 			offset = time.Duration(src.Uniform(0, float64(im.DeploymentWindow)))
 		}
-		if _, err := n.Sim().ScheduleAfter(offset, func(*des.Simulation) {
+		im.wave = append(im.wave, patchEntry{at: start + offset, id: id})
+	}
+	sort.Slice(im.wave, func(i, j int) bool {
+		if im.wave[i].at != im.wave[j].at {
+			return im.wave[i].at < im.wave[j].at
+		}
+		return im.wave[i].id < im.wave[j].id
+	})
+}
+
+// release schedules every pending patch installing before end on its
+// owner shard, at its install time or the shard's current time, whichever
+// is later. Entries release in (time, id) order, so same-instant installs
+// tie-break by id on each shard's event queue.
+func (im *Immunizer) release(ss *mms.ShardSet, end time.Duration) {
+	nets := ss.Shards()
+	for ; im.waveNext < len(im.wave); im.waveNext++ {
+		e := im.wave[im.waveNext]
+		if e.at >= end {
+			return
+		}
+		n, id := nets[ss.ShardOf(e.id)], e.id
+		if _, err := n.Sim().ScheduleAt(max(e.at, n.Sim().Now()), func(*des.Simulation) {
 			// Patch failures are impossible for in-range ids.
 			_ = n.Patch(id)
 		}); err != nil {
@@ -108,9 +128,10 @@ func (im *Immunizer) deploy(n *mms.Network, src *rng.Source) {
 	}
 }
 
-// DeploymentStarted reports whether and when deployment began.
-func (im *Immunizer) DeploymentStarted() (time.Duration, bool) {
-	return im.deployStarted, im.started
+// DeploymentStart reports whether the virus has been detected and, if so,
+// when patch deployment begins (or began).
+func (im *Immunizer) DeploymentStart() (time.Duration, bool) {
+	return im.deployAt, im.armed
 }
 
 // Descriptor implements mms.ResponseDescriber: immunization is fully

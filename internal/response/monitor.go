@@ -31,9 +31,9 @@ type Monitor struct {
 	flagged  map[mms.PhoneID]bool
 	lastSent map[mms.PhoneID]time.Duration
 
-	// Sharded-run state: one sub-monitor per shard, each observing only
-	// its shard's senders (an exact partition — every send is controlled
-	// on its sender's shard), with this instance serving as the merged
+	// Attach installs one sub-monitor per shard, each observing only its
+	// shard's senders (an exact partition — every send is controlled on
+	// its sender's shard), with this instance serving as the merged
 	// reporting view.
 	set  *mms.ShardSet
 	subs []*Monitor
@@ -75,32 +75,31 @@ func (m *Monitor) Name() string {
 	return fmt.Sprintf("monitor(window=%v,threshold=%d,wait=%v)", m.Window, m.Threshold, m.ForcedWait)
 }
 
-func (m *Monitor) validate() error {
-	if m.Window <= 0 {
+// Attach implements mms.Response: one sub-monitor per shard, installed
+// as that shard's send controller and legitimate-traffic observer.
+func (m *Monitor) Attach(ss *mms.ShardSet, _ *rng.Source) error {
+	switch {
+	case m.Window <= 0:
 		return fmt.Errorf("response: monitor window must be positive")
-	}
-	if m.Threshold < 1 {
+	case m.Threshold < 1:
 		return fmt.Errorf("response: monitor threshold must be at least 1")
-	}
-	if m.ForcedWait <= 0 {
+	case m.ForcedWait <= 0:
 		return fmt.Errorf("response: monitor forced wait must be positive")
 	}
-	return nil
-}
-
-func (m *Monitor) initState() {
-	m.history = make(map[mms.PhoneID][]time.Duration)
-	m.flagged = make(map[mms.PhoneID]bool)
-	m.lastSent = make(map[mms.PhoneID]time.Duration)
-}
-
-// Attach implements mms.Response.
-func (m *Monitor) Attach(n *mms.Network, _ *rng.Source) error {
-	if err := m.validate(); err != nil {
-		return err
+	m.set = ss
+	m.subs = make([]*Monitor, len(ss.Shards()))
+	for s, n := range ss.Shards() {
+		sub := &Monitor{
+			Window:     m.Window,
+			Threshold:  m.Threshold,
+			ForcedWait: m.ForcedWait,
+			history:    make(map[mms.PhoneID][]time.Duration),
+			flagged:    make(map[mms.PhoneID]bool),
+			lastSent:   make(map[mms.PhoneID]time.Duration),
+		}
+		n.AddController(sub)
+		m.subs[s] = sub
 	}
-	m.initState()
-	n.AddController(m)
 	return nil
 }
 
@@ -146,27 +145,25 @@ func (m *Monitor) OnLegitSent(p mms.PhoneID, now time.Duration) {
 	m.OnSent(p, now, 1)
 }
 
-// Flagged reports whether phone p is currently under the forced wait. On a
-// sharded run the query routes to the owner shard's sub-monitor.
+// Flagged reports whether phone p is currently under the forced wait.
 func (m *Monitor) Flagged(p mms.PhoneID) bool {
-	if m.set != nil {
-		return m.subs[m.set.ShardOf(p)].flagged[p]
-	}
-	return m.flagged[p]
+	return m.subs[m.set.ShardOf(p)].flagged[p]
 }
 
 // FlaggedPhones returns the phones currently flagged, in ascending ID
 // order. Cross-reference with infection state to measure false positives.
-// On a sharded run the per-shard views concatenate in shard order, which
-// is id order because shards own contiguous ranges.
+// The per-shard views concatenate in shard order, which is id order
+// because shards own contiguous ranges.
 func (m *Monitor) FlaggedPhones() []mms.PhoneID {
-	if m.set != nil {
-		var out []mms.PhoneID
-		for _, sub := range m.subs {
-			out = append(out, sub.FlaggedPhones()...)
-		}
-		return out
+	var out []mms.PhoneID
+	for _, sub := range m.subs {
+		out = append(out, sub.ownFlagged()...)
 	}
+	return out
+}
+
+// ownFlagged returns a sub-monitor's flagged phones in ascending ID order.
+func (m *Monitor) ownFlagged() []mms.PhoneID {
 	out := make([]mms.PhoneID, 0, len(m.flagged))
 	for p, f := range m.flagged {
 		if f {

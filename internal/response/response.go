@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/mms"
 	"repro/internal/rng"
 )
@@ -38,12 +37,10 @@ type Scan struct {
 	// or 24 hours).
 	ActivationDelay time.Duration
 
-	active bool
-
-	// Sharded-run state: the coordinator arms the activation time at the
-	// window barrier where merged detection fires, and every shard's
-	// gateway compares inspection time against it. Written only between
-	// windows, read only during windows (ordered by the barrier hand-off).
+	// Activation is armed at detection, and every shard's gateway compares
+	// inspection time against it. With more than one shard it is written
+	// only between windows and read only during them (ordered by the
+	// barrier hand-off).
 	armed      bool
 	activateAt time.Duration
 }
@@ -67,38 +64,35 @@ func (s *Scan) Name() string {
 	return fmt.Sprintf("gateway-scan(delay=%v)", s.ActivationDelay)
 }
 
-// Attach implements mms.Response.
-func (s *Scan) Attach(n *mms.Network, _ *rng.Source) error {
+// Attach implements mms.Response: the filter is stateless apart from the
+// activation time, so one instance serves every shard's gateway.
+func (s *Scan) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 	if s.ActivationDelay < 0 {
 		return errors.New("response: negative scan activation delay")
 	}
-	n.Gateway().AddFilter(s)
-	n.Gateway().OnVirusDetected(func(at time.Duration) {
-		// The callback fires during event execution at time `at`; schedule
-		// activation after the signature-development delay.
-		if _, err := n.Sim().ScheduleAfter(s.ActivationDelay, func(*des.Simulation) {
-			s.active = true
-		}); err != nil {
-			return
-		}
+	for _, n := range ss.Shards() {
+		n.Gateway().AddFilter(s)
+	}
+	ss.OnVirusDetected(func(at time.Duration) {
+		s.activateAt = at + s.ActivationDelay
+		s.armed = true
 	})
 	return nil
 }
 
 // Inspect implements mms.Filter: once active, every infected message is
-// recognized by signature and dropped. On an unsharded run activation is
-// an event (active flips at the exact activation instant); on a sharded
-// run the filter compares against the armed activation time instead, so
-// the same Scan value serves both paths.
+// recognized by signature and dropped.
 func (s *Scan) Inspect(_ mms.PhoneID, _ int, now time.Duration) mms.FilterVerdict {
-	if s.active || (s.armed && now >= s.activateAt) {
+	if s.ActiveAt(now) {
 		return mms.VerdictDrop
 	}
 	return mms.VerdictDeliver
 }
 
-// Active reports whether the signature has been deployed.
-func (s *Scan) Active() bool { return s.active }
+// ActiveAt reports whether the signature is deployed at virtual time now.
+func (s *Scan) ActiveAt(now time.Duration) bool {
+	return s.armed && now >= s.activateAt
+}
 
 // Descriptor implements mms.ResponseDescriber: the scan's behaviour is
 // fully determined by its activation delay.

@@ -47,7 +47,7 @@ func harness(t *testing.T, detect int, seed uint64) (*mms.Network, *des.Simulati
 func attach(t *testing.T, net *mms.Network, f mms.ResponseFactory, seed uint64) mms.Response {
 	t.Helper()
 	r := f()
-	if err := r.Attach(net, rng.New(seed)); err != nil {
+	if err := net.AttachResponse(r, rng.New(seed)); err != nil {
 		t.Fatalf("attach %s: %v", r.Name(), err)
 	}
 	return r
@@ -69,15 +69,15 @@ func TestScanActivatesAfterDelay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if scan.Active() {
+	if scan.ActiveAt(sim.Now()) {
 		t.Fatal("scan active before its delay")
 	}
 	sim.RunUntil(time.Hour)
-	if scan.Active() {
+	if scan.ActiveAt(sim.Now()) {
 		t.Error("scan active after 1h, delay is 2h")
 	}
 	sim.RunUntil(3 * time.Hour)
-	if !scan.Active() {
+	if !scan.ActiveAt(sim.Now()) {
 		t.Fatal("scan not active after delay")
 	}
 	// Messages are now dropped at the gateway.
@@ -95,7 +95,7 @@ func TestScanNegativeDelayRejected(t *testing.T) {
 
 	net, _ := harness(t, 1, 3)
 	s := &Scan{ActivationDelay: -time.Hour}
-	if err := s.Attach(net, rng.New(1)); err == nil {
+	if err := net.AttachResponse(s, rng.New(1)); err == nil {
 		t.Error("negative delay accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestDetectorDropsWithAccuracy(t *testing.T) {
 
 	net, sim := harness(t, 1, 4)
 	det := &Detector{Accuracy: 0.9, AnalysisDelay: time.Hour, IndependentPerCopy: true}
-	if err := det.Attach(net, rng.New(5)); err != nil {
+	if err := net.AttachResponse(det, rng.New(5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +114,7 @@ func TestDetectorDropsWithAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunUntil(2 * time.Hour)
-	if !det.Active() {
+	if !det.ActiveAt(sim.Now()) {
 		t.Fatal("detector inactive after analysis period")
 	}
 	const trials = 3000
@@ -147,7 +147,7 @@ func TestDetectorCorrelatedPerSenderDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunUntil(2 * time.Hour)
-	if !det.Active() {
+	if !det.ActiveAt(sim.Now()) {
 		t.Fatal("detector inactive")
 	}
 	// Within one sender-day, every copy must share the verdict.
@@ -187,16 +187,16 @@ func TestDetectorValidation(t *testing.T) {
 	t.Parallel()
 
 	net, _ := harness(t, 1, 6)
-	if err := (&Detector{Accuracy: 1.5}).Attach(net, rng.New(1)); err == nil {
+	if err := net.AttachResponse(&Detector{Accuracy: 1.5}, rng.New(1)); err == nil {
 		t.Error("accuracy > 1 accepted")
 	}
-	if err := (&Detector{Accuracy: -0.1}).Attach(net, rng.New(1)); err == nil {
+	if err := net.AttachResponse(&Detector{Accuracy: -0.1}, rng.New(1)); err == nil {
 		t.Error("negative accuracy accepted")
 	}
-	if err := (&Detector{Accuracy: 0.9, AnalysisDelay: -time.Second}).Attach(net, rng.New(1)); err == nil {
+	if err := net.AttachResponse(&Detector{Accuracy: 0.9, AnalysisDelay: -time.Second}, rng.New(1)); err == nil {
 		t.Error("negative analysis delay accepted")
 	}
-	if err := (&Detector{Accuracy: 0.9}).Attach(net, nil); err == nil {
+	if err := net.AttachResponse(&Detector{Accuracy: 0.9}, nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }
@@ -220,7 +220,7 @@ func TestEducationInvalidTarget(t *testing.T) {
 
 	net, _ := harness(t, 1, 9)
 	e := &Education{EventualAcceptance: 1.5}
-	if err := e.Attach(net, nil); err == nil {
+	if err := net.AttachResponse(e, nil); err == nil {
 		t.Error("invalid education target accepted")
 	}
 }
@@ -242,16 +242,14 @@ func TestImmunizerPatchesPopulation(t *testing.T) {
 	if _, err := net.Send(0, []mms.Target{mms.ValidTarget(1)}); err != nil {
 		t.Fatal(err)
 	}
-	sim.RunUntil(23 * time.Hour)
-	if _, started := im.DeploymentStarted(); started {
-		t.Fatal("deployment started before development finished")
+	// Detection at t=0 fixes the deployment start at the end of
+	// development; no phone is patched before it.
+	if at, armed := im.DeploymentStart(); !armed || at != 24*time.Hour {
+		t.Errorf("deployment start = %v, %v; want 24h, true", at, armed)
 	}
+	sim.RunUntil(24*time.Hour - time.Nanosecond)
 	if net.Metrics().Patched != 0 {
 		t.Fatal("phones patched before development finished")
-	}
-	sim.RunUntil(25 * time.Hour)
-	if at, started := im.DeploymentStarted(); !started || at != 24*time.Hour {
-		t.Errorf("deployment start = %v, %v; want 24h, true", at, started)
 	}
 	sim.RunUntil(31 * time.Hour)
 	// All 10 vulnerable phones patched within the 6-hour window.
@@ -284,13 +282,13 @@ func TestImmunizerValidation(t *testing.T) {
 	t.Parallel()
 
 	net, _ := harness(t, 1, 14)
-	if err := (&Immunizer{DevelopmentTime: -1}).Attach(net, rng.New(1)); err == nil {
+	if err := net.AttachResponse(&Immunizer{DevelopmentTime: -1}, rng.New(1)); err == nil {
 		t.Error("negative dev time accepted")
 	}
-	if err := (&Immunizer{DeploymentWindow: -1}).Attach(net, rng.New(1)); err == nil {
+	if err := net.AttachResponse(&Immunizer{DeploymentWindow: -1}, rng.New(1)); err == nil {
 		t.Error("negative window accepted")
 	}
-	if err := (&Immunizer{}).Attach(net, nil); err == nil {
+	if err := net.AttachResponse(&Immunizer{}, nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }
@@ -370,13 +368,13 @@ func TestMonitorValidation(t *testing.T) {
 	t.Parallel()
 
 	net, _ := harness(t, 1, 19)
-	if err := (&Monitor{Window: 0, Threshold: 1, ForcedWait: time.Minute}).Attach(net, nil); err == nil {
+	if err := net.AttachResponse(&Monitor{Window: 0, Threshold: 1, ForcedWait: time.Minute}, nil); err == nil {
 		t.Error("zero window accepted")
 	}
-	if err := (&Monitor{Window: time.Hour, Threshold: 0, ForcedWait: time.Minute}).Attach(net, nil); err == nil {
+	if err := net.AttachResponse(&Monitor{Window: time.Hour, Threshold: 0, ForcedWait: time.Minute}, nil); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	if err := (&Monitor{Window: time.Hour, Threshold: 1, ForcedWait: 0}).Attach(net, nil); err == nil {
+	if err := net.AttachResponse(&Monitor{Window: time.Hour, Threshold: 1, ForcedWait: 0}, nil); err == nil {
 		t.Error("zero wait accepted")
 	}
 }
@@ -461,7 +459,7 @@ func TestBlacklistValidation(t *testing.T) {
 	t.Parallel()
 
 	net, _ := harness(t, 1, 26)
-	if err := (&Blacklist{Threshold: 0}).Attach(net, nil); err == nil {
+	if err := net.AttachResponse(&Blacklist{Threshold: 0}, nil); err == nil {
 		t.Error("zero threshold accepted")
 	}
 }

@@ -1,6 +1,6 @@
 // Package trace records structured event logs of a simulation run: message
 // attempts, transits, infections, and patches, with virtual timestamps. A
-// Recorder attaches to an mms.Network through the same interception points
+// Recorder attaches to a one-shard run through the same interception points
 // the response mechanisms use, so tracing needs no hooks inside the
 // simulator itself. Logs can be written as JSON Lines or CSV for offline
 // analysis of individual trajectories (the aggregate analysis lives in
@@ -73,11 +73,17 @@ var (
 // Name implements mms.Response.
 func (r *Recorder) Name() string { return "trace-recorder" }
 
-// Attach implements mms.Response.
-func (r *Recorder) Attach(n *mms.Network, _ *rng.Source) error {
-	if n == nil {
-		return fmt.Errorf("trace: nil network")
+// Attach implements mms.Response. A trace is one event log in event order,
+// which a many-shard run has no single notion of, so the recorder attaches
+// to one-shard sets only.
+func (r *Recorder) Attach(ss *mms.ShardSet, _ *rng.Source) error {
+	if ss == nil {
+		return fmt.Errorf("trace: nil shard set")
 	}
+	if len(ss.Shards()) > 1 {
+		return fmt.Errorf("trace: the trace recorder needs a one-shard run, got %d shards", len(ss.Shards()))
+	}
+	n := ss.Shards()[0]
 	n.AddController(r)
 	n.OnInfection(func(id mms.PhoneID, at time.Duration) {
 		r.add(Event{At: at, Kind: KindInfected, Phone: id})

@@ -34,7 +34,7 @@ func tracedNet(t *testing.T, rec *Recorder) (*mms.Network, *des.Simulation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Attach(net, nil); err != nil {
+	if err := net.AttachResponse(rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	return net, sim
@@ -178,7 +178,27 @@ func TestAttachNilNetwork(t *testing.T) {
 	t.Parallel()
 
 	if err := NewRecorder(0).Attach(nil, nil); err == nil {
-		t.Error("nil network accepted")
+		t.Error("nil shard set accepted")
+	}
+}
+
+// TestAttachRejectsManyShards checks that a trace, which is one event log
+// in event order, refuses a many-shard run with a clear error instead of
+// recording a partial log.
+func TestAttachRejectsManyShards(t *testing.T) {
+	t.Parallel()
+
+	topo, err := graph.BarabasiAlbertCSR(100, 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := mms.NewShardSet(topo, make([]bool, 100), mms.DefaultConfig(), 2, time.Minute, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ss.AttachResponse(NewRecorder(0), nil)
+	if err == nil || !strings.Contains(err.Error(), "one-shard run") {
+		t.Errorf("attach to a 2-shard set = %v, want a one-shard-run error", err)
 	}
 }
 
@@ -214,7 +234,7 @@ func TestFaultEventsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(0)
-	if err := rec.Attach(net, nil); err != nil {
+	if err := net.AttachResponse(rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := net.Send(0, []mms.Target{mms.ValidTarget(1)}); err != nil {
