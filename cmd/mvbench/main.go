@@ -4,13 +4,12 @@
 //
 // The suite covers the layers of the hot path: raw DES kernel
 // throughput (schedule/fire batches, self-perpetuating chains,
-// schedule+cancel round trips), SAN timed-activity completion on the phone
-// model, one full paper figure at reduced replications, and the persistent
-// store's result codec (whose encoded size doubles as a framing-drift
-// sentinel). Each entry
-// records ns/op, allocs/op, bytes/op, and — where meaningful — events/sec;
-// figure runs also record their headline mean-final-infections as a
-// built-in correctness sanity, which is deterministic for the pinned seeds.
+// schedule+cancel round trips), one full paper figure at reduced
+// replications, and the persistent store's result codec (whose encoded
+// size doubles as a framing-drift sentinel). Each entry records ns/op,
+// allocs/op, bytes/op, and — where meaningful — events/sec; figure runs
+// also record their headline mean-final-infections as a built-in
+// correctness sanity, which is deterministic for the pinned seeds.
 //
 // Usage:
 //
@@ -55,7 +54,6 @@ import (
 	"repro/internal/mms"
 	"repro/internal/response"
 	"repro/internal/rng"
-	"repro/internal/sanphone"
 	"repro/internal/store"
 	"repro/internal/virus"
 	"repro/internal/workq"
@@ -142,7 +140,6 @@ func suite() []spec {
 		{"des/schedule-fire-1k", tierQuick, benchScheduleFire},
 		{"des/self-perpetuating-chain", tierQuick, benchChain},
 		{"des/schedule-cancel", tierQuick, benchScheduleCancel},
-		{"san/phone-activity", tierQuick, benchSANPhone},
 		{"figure1/reduced", tierQuick, benchFigure1},
 		{"figures/sweep-reduced", tierQuick, benchFiguresSweep},
 		{"figures/sweep-distributed", tierQuick, benchDistributedSweep},
@@ -388,36 +385,6 @@ func benchScheduleCancel(b *testing.B) {
 			b.Fatal("cancel of pending event failed")
 		}
 	}
-}
-
-// benchSANPhone measures SAN timed-activity completion on the default
-// 40-phone model: one 24-hour replication per op against a model built
-// once. The first replication's final infected count is the headline
-// sanity (pinned seed, deterministic).
-func benchSANPhone(b *testing.B) {
-	b.ReportAllocs()
-	cfg := sanphone.DefaultConfig()
-	root := rng.New(1)
-	model, err := sanphone.Build(cfg, root.Stream(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const horizon = 24 * time.Hour
-	var events uint64
-	finalFirst := -1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		final, ev, err := model.Replicate(root.Stream(uint64(i)+2), horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += ev
-		if i == 0 {
-			finalFirst = final
-		}
-	}
-	b.ReportMetric(float64(events)/float64(b.N), eventsMetric)
-	b.ReportMetric(float64(finalFirst), "final-infected-seed1")
 }
 
 // benchFigure1 runs the paper's Figure 1 baselines at reduced replications

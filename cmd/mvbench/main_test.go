@@ -171,7 +171,6 @@ func TestSuitePinned(t *testing.T) {
 		{"des/schedule-fire-1k", tierQuick},
 		{"des/self-perpetuating-chain", tierQuick},
 		{"des/schedule-cancel", tierQuick},
-		{"san/phone-activity", tierQuick},
 		{"figure1/reduced", tierQuick},
 		{"figures/sweep-reduced", tierQuick},
 		{"figures/sweep-distributed", tierQuick},

@@ -9,7 +9,7 @@
 //	mvlint -disable errcheck ./...        # rule selection
 //	mvlint -list                          # print the rule catalog
 //	mvlint -roots des.Simulation.step ./...   # override hot-path roots
-//	mvlint -why san.Execution.fire ./...  # explain hot-path reachability
+//	mvlint -why des.Simulation.siftUp ./...   # explain hot-path reachability
 //	mvlint -staleallow ./...              # also report stale suppressions
 //
 // Findings are suppressed per line with
@@ -41,7 +41,7 @@ func run() int {
 		enable     = flag.String("enable", "", "comma-separated rules to run (default: all)")
 		disable    = flag.String("disable", "", "comma-separated rules to skip")
 		list       = flag.Bool("list", false, "print the rule catalog and exit")
-		roots      = flag.String("roots", "", "comma-separated hot-path root specs (default: the built-in des/san/mms set)")
+		roots      = flag.String("roots", "", "comma-separated hot-path root specs (default: the built-in des/mms set)")
 		why        = flag.String("why", "", "explain how the named function is reachable from the hot-path roots, then exit")
 		staleAllow = flag.Bool("staleallow", false, "also report //mvlint:allow comments that no longer anchor a finding")
 		jobs       = flag.Int("jobs", 0, "per-package checking workers (0 = GOMAXPROCS)")

@@ -147,8 +147,6 @@ func (p *ModulePass) Reportf(fset *token.FileSet, pos token.Pos, format string, 
 // feed the paper's claim checks.
 var simPackages = map[string]bool{
 	"des":        true,
-	"san":        true,
-	"sanphone":   true,
 	"mms":        true,
 	"epidemic":   true,
 	"faults":     true,

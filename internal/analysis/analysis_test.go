@@ -38,7 +38,7 @@ var corpusCases = []struct{ dir, path string }{
 	{"atomicproto", "testmod/cmd/mvtool"},
 	{"hotpath", "testmod/internal/des"},
 	{"goroutineleak", "testmod/internal/experiment"},
-	{"suppress", "testmod/internal/san"},
+	{"suppress", "testmod/internal/proximity"},
 	{"clean", "testmod/internal/virus"},
 }
 

@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -134,4 +138,65 @@ func TestMatchRoot(t *testing.T) {
 	if MatchRoot(label, "es.Simulation.step") {
 		t.Error("a mid-segment suffix must not match")
 	}
+}
+
+// TestDefaultHotPathRootsDeclared fails on a stale root: Reach skips a spec
+// that matches no call-graph node, so a renamed or deleted root would
+// silently switch the hotpath gate off for everything only it reached.
+// Each spec "pkg.Func" or "pkg.Type.Method" must name a declaration in
+// the non-test files of internal/<pkg>.
+func TestDefaultHotPathRootsDeclared(t *testing.T) {
+	t.Parallel()
+
+	declared := map[string]map[string]bool{} // pkg -> "Func" / "Type.Method"
+	for _, spec := range DefaultHotPathRoots {
+		pkg, name, ok := strings.Cut(spec, ".")
+		if !ok {
+			t.Errorf("root %q has no package qualifier", spec)
+			continue
+		}
+		if declared[pkg] == nil {
+			declared[pkg] = funcDecls(t, filepath.Join("..", pkg))
+		}
+		if !declared[pkg][name] {
+			t.Errorf("root %q names nothing declared in internal/%s", spec, pkg)
+		}
+	}
+}
+
+// funcDecls returns the "Func" and "Type.Method" names declared in the
+// non-test Go files of dir.
+func funcDecls(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := rootIdent(fn.Recv.List[0].Type)
+				if recv == nil {
+					continue
+				}
+				name = recv.Name + "." + name
+			}
+			names[name] = true
+		}
+	}
+	return names
 }

@@ -101,7 +101,7 @@ func (s *Simulation) held(id uint64) {
 }
 
 // coldError allocates only inside the error return: the cold-exit
-// exemption keeps it quiet, matching the des/san error discipline.
+// exemption keeps it quiet, matching the des error discipline.
 func (s *Simulation) coldError(at int) error {
 	if at < 0 {
 		return fmt.Errorf("past event at %d", at)

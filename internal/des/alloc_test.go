@@ -163,10 +163,9 @@ func TestCancelDuringOwnHandler(t *testing.T) {
 }
 
 // TestFIFOTieBreakSurvivesCancellation exercises the 4-ary heap's stable
-// (time, priority, seq) order under the hardest case: a large batch at one
-// instant with equal priorities, with a cancelled subset punched out of the
-// middle, plus arena-slot reuse in between. Survivors must fire in exact
-// scheduling order.
+// (at, seq) order under the hardest case: a large batch at one instant,
+// with a cancelled subset punched out of the middle, plus arena-slot reuse
+// in between. Survivors must fire in exact scheduling order.
 func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 	t.Parallel()
 
@@ -176,7 +175,7 @@ func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 	handles := make([]Handle, n)
 	for i := 0; i < n; i++ {
 		i := i
-		h, err := sim.ScheduleAtPriority(time.Second, 7, func(*Simulation) {
+		h, err := sim.ScheduleAt(time.Second, func(*Simulation) {
 			fired = append(fired, i)
 		})
 		if err != nil {
@@ -185,8 +184,8 @@ func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 		handles[i] = h
 	}
 	// Cancel every third event, then schedule replacements at the same
-	// instant and priority: they reuse freed slots but carry later seqs,
-	// so they must fire after every survivor.
+	// instant: they reuse freed slots but carry later seqs, so they must
+	// fire after every survivor.
 	cancelled := 0
 	for i := 0; i < n; i += 3 {
 		if !sim.Cancel(handles[i]) {
@@ -196,7 +195,7 @@ func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 	}
 	for i := 0; i < cancelled; i++ {
 		i := i
-		if _, err := sim.ScheduleAtPriority(time.Second, 7, func(*Simulation) {
+		if _, err := sim.ScheduleAt(time.Second, func(*Simulation) {
 			fired = append(fired, n+i)
 		}); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@
 // It substitutes for the simulation engine of the Möbius tool used in the
 // paper: a monotone virtual clock, an event calendar ordered by firing time
 // with stable FIFO tie-breaking, handles for cancellation, and run loops
-// bounded by time, event count, or an arbitrary predicate. Virtual time is
+// that drain the calendar or stop at a time horizon. Virtual time is
 // expressed as time.Duration offsets from the simulation start, which is all
 // the models need and keeps arithmetic exact.
 //
@@ -55,17 +55,10 @@ type event struct {
 	at         time.Duration
 	seq        uint64 // schedule order; breaks ties FIFO
 	arg        uint64 // payload passed to argHandler
-	priority   int    // lower fires first at equal time
 	heapIdx    int32  // index into Simulation.heap, -1 when not queued
 	gen        uint32
 	handler    Handler
 	argHandler ArgHandler
-}
-
-// Tracer observes every fired event; install one with Simulation.SetTracer
-// to record execution traces in tests or debugging sessions.
-type Tracer interface {
-	Fired(at time.Duration, seq uint64)
 }
 
 // Simulation is a single-threaded discrete-event simulation. It is not safe
@@ -73,12 +66,10 @@ type Tracer interface {
 type Simulation struct {
 	now     time.Duration
 	arena   []event  // pooled event storage
-	heap    []uint32 // arena indices, 4-ary heap ordered by (at, priority, seq)
+	heap    []uint32 // arena indices, 4-ary heap ordered by (at, seq)
 	free    []uint32 // released arena slots awaiting reuse
 	nextSeq uint64
 	fired   uint64
-	tracer  Tracer
-	stopped bool
 }
 
 // New returns an empty simulation with the clock at zero.
@@ -95,10 +86,6 @@ func (s *Simulation) Fired() uint64 { return s.fired }
 // Pending returns the number of events currently scheduled.
 func (s *Simulation) Pending() int { return len(s.heap) }
 
-// SetTracer installs a tracer invoked for every fired event. Pass nil to
-// remove.
-func (s *Simulation) SetTracer(t Tracer) { s.tracer = t }
-
 // ErrPastEvent is returned when an event is scheduled before the current
 // virtual time.
 var ErrPastEvent = errors.New("des: event scheduled in the past")
@@ -106,20 +93,13 @@ var ErrPastEvent = errors.New("des: event scheduled in the past")
 // ScheduleAt schedules h to fire at absolute virtual time at.
 // It returns an error if at precedes the current time.
 func (s *Simulation) ScheduleAt(at time.Duration, h Handler) (Handle, error) {
-	return s.ScheduleAtPriority(at, 0, h)
-}
-
-// ScheduleAtPriority schedules h at time at with a priority; among events at
-// the same instant, lower priorities fire first and equal priorities fire in
-// scheduling order.
-func (s *Simulation) ScheduleAtPriority(at time.Duration, priority int, h Handler) (Handle, error) {
 	if h == nil {
 		return Handle{}, errors.New("des: nil handler")
 	}
 	if at < s.now {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
 	}
-	slot, ev := s.acquire(at, priority)
+	slot, ev := s.acquire(at)
 	ev.handler = h
 	return Handle{slot: slot + 1, gen: ev.gen}, nil
 }
@@ -129,18 +109,13 @@ func (s *Simulation) ScheduleAtPriority(at time.Duration, priority int, h Handle
 // invisible to the calendar — so converting a closure-based schedule to an
 // argument-based one cannot perturb any trajectory.
 func (s *Simulation) ScheduleArgAt(at time.Duration, h ArgHandler, arg uint64) (Handle, error) {
-	return s.ScheduleArgAtPriority(at, 0, h, arg)
-}
-
-// ScheduleArgAtPriority is ScheduleArgAt with an explicit priority.
-func (s *Simulation) ScheduleArgAtPriority(at time.Duration, priority int, h ArgHandler, arg uint64) (Handle, error) {
 	if h == nil {
 		return Handle{}, errors.New("des: nil handler")
 	}
 	if at < s.now {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
 	}
-	slot, ev := s.acquire(at, priority)
+	slot, ev := s.acquire(at)
 	ev.argHandler = h
 	ev.arg = arg
 	return Handle{slot: slot + 1, gen: ev.gen}, nil
@@ -152,12 +127,12 @@ func (s *Simulation) ScheduleArgAfter(delay time.Duration, h ArgHandler, arg uin
 	if delay < 0 {
 		delay = 0
 	}
-	return s.ScheduleArgAtPriority(s.now+delay, 0, h, arg)
+	return s.ScheduleArgAt(s.now+delay, h, arg)
 }
 
-// acquire reserves an arena slot for a new event at (at, priority) and
-// enqueues it. The caller fills in the handler flavour.
-func (s *Simulation) acquire(at time.Duration, priority int) (uint32, *event) {
+// acquire reserves an arena slot for a new event at time at and enqueues
+// it. The caller fills in the handler flavour.
+func (s *Simulation) acquire(at time.Duration) (uint32, *event) {
 	var slot uint32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -170,7 +145,6 @@ func (s *Simulation) acquire(at time.Duration, priority int) (uint32, *event) {
 	ev := &s.arena[slot]
 	ev.at = at
 	ev.seq = s.nextSeq
-	ev.priority = priority
 	ev.heapIdx = int32(len(s.heap))
 	s.heap = append(s.heap, slot)
 	s.siftUp(len(s.heap) - 1)
@@ -184,14 +158,6 @@ func (s *Simulation) ScheduleAfter(delay time.Duration, h Handler) (Handle, erro
 		delay = 0
 	}
 	return s.ScheduleAt(s.now+delay, h)
-}
-
-// ScheduleAfterPriority is ScheduleAfter with an explicit priority.
-func (s *Simulation) ScheduleAfterPriority(delay time.Duration, priority int, h Handler) (Handle, error) {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleAtPriority(s.now+delay, priority, h)
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
@@ -226,10 +192,6 @@ func (s *Simulation) release(slot uint32) {
 	s.free = append(s.free, slot)
 }
 
-// Stop makes the current run loop return after the executing handler
-// completes. Pending events remain queued.
-func (s *Simulation) Stop() { s.stopped = true }
-
 // step fires the earliest event. It reports false when the queue is empty.
 func (s *Simulation) step() bool {
 	if len(s.heap) == 0 {
@@ -237,7 +199,7 @@ func (s *Simulation) step() bool {
 	}
 	slot := s.heap[0]
 	ev := &s.arena[slot]
-	at, seq := ev.at, ev.seq
+	at := ev.at
 	h, argH, arg := ev.handler, ev.argHandler, ev.arg
 	s.removeAt(0)
 	// Release before running the handler: by the time user code executes,
@@ -246,9 +208,6 @@ func (s *Simulation) step() bool {
 	s.release(slot)
 	s.now = at
 	s.fired++
-	if s.tracer != nil {
-		s.tracer.Fired(at, seq)
-	}
 	if argH != nil {
 		argH(s, arg)
 	} else {
@@ -257,33 +216,20 @@ func (s *Simulation) step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Simulation) Run() {
-	s.stopped = false
-	for !s.stopped && s.step() {
+	for s.step() {
 	}
 }
 
 // RunUntil executes events with firing time <= end, then advances the clock
 // to end. Events scheduled beyond end remain pending.
 func (s *Simulation) RunUntil(end time.Duration) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 || s.arena[s.heap[0]].at > end {
-			break
-		}
+	for len(s.heap) > 0 && s.arena[s.heap[0]].at <= end {
 		s.step()
 	}
-	if s.now < end && !s.stopped {
+	if s.now < end {
 		s.now = end
-	}
-}
-
-// RunWhile executes events while cond returns true, checking before each
-// event. It stops when the queue empties, cond fails, or Stop is called.
-func (s *Simulation) RunWhile(cond func() bool) {
-	s.stopped = false
-	for !s.stopped && cond() && s.step() {
 	}
 }
 
@@ -292,18 +238,15 @@ func (s *Simulation) RunWhile(cond func() bool) {
 // A 4-ary heap halves tree depth versus binary, trading a wider child scan
 // (cheap: the four slot indices share a cache line) for fewer levels of
 // sift traffic — the classic d-ary layout used by high-throughput event
-// calendars. The ordering (at, priority, seq) is a total order because seq
-// is unique, so pop order — and therefore every simulation trajectory — is
-// identical to the previous binary container/heap kernel.
+// calendars. The ordering (at, seq) is a total order because seq is unique,
+// so pop order — and therefore every simulation trajectory — does not
+// depend on the heap's shape.
 
 // less orders arena slots a before b.
 func (s *Simulation) less(a, b uint32) bool {
 	ea, eb := &s.arena[a], &s.arena[b]
 	if ea.at != eb.at {
 		return ea.at < eb.at
-	}
-	if ea.priority != eb.priority {
-		return ea.priority < eb.priority
 	}
 	return ea.seq < eb.seq
 }

@@ -29,6 +29,9 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Errorf("events fired out of order: %v", fired)
 	}
+	if sim.Fired() != uint64(len(times)) {
+		t.Errorf("Fired = %d, want %d", sim.Fired(), len(times))
+	}
 }
 
 func TestFIFOTieBreak(t *testing.T) {
@@ -48,31 +51,6 @@ func TestFIFOTieBreak(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie-break order %v, want scheduling order", order)
-		}
-	}
-}
-
-func TestPriorityOrdering(t *testing.T) {
-	t.Parallel()
-
-	sim := New()
-	var order []string
-	mustSchedule := func(p int, label string) {
-		t.Helper()
-		if _, err := sim.ScheduleAtPriority(time.Second, p, func(*Simulation) {
-			order = append(order, label)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustSchedule(5, "low")
-	mustSchedule(-1, "high")
-	mustSchedule(0, "mid")
-	sim.Run()
-	want := []string{"high", "mid", "low"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("priority order %v, want %v", order, want)
 		}
 	}
 }
@@ -241,46 +219,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	t.Parallel()
-
-	sim := New()
-	fired := 0
-	for i := 0; i < 10; i++ {
-		if _, err := sim.ScheduleAt(time.Duration(i)*time.Second, func(s *Simulation) {
-			fired++
-			if fired == 3 {
-				s.Stop()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	if fired != 3 {
-		t.Errorf("fired %d events after Stop, want 3", fired)
-	}
-	if sim.Pending() != 7 {
-		t.Errorf("Pending = %d after Stop, want 7", sim.Pending())
-	}
-}
-
-func TestRunWhile(t *testing.T) {
-	t.Parallel()
-
-	sim := New()
-	fired := 0
-	for i := 0; i < 10; i++ {
-		if _, err := sim.ScheduleAt(time.Duration(i)*time.Second, func(*Simulation) { fired++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.RunWhile(func() bool { return fired < 4 })
-	if fired != 4 {
-		t.Errorf("fired %d events, want 4", fired)
-	}
-}
-
 func TestHandlerSchedulesFollowUps(t *testing.T) {
 	t.Parallel()
 
@@ -304,32 +242,6 @@ func TestHandlerSchedulesFollowUps(t *testing.T) {
 	}
 	if want := 99 * time.Minute; sim.Now() != want {
 		t.Errorf("Now = %v, want %v", sim.Now(), want)
-	}
-}
-
-type recordingTracer struct {
-	times []time.Duration
-}
-
-func (r *recordingTracer) Fired(at time.Duration, _ uint64) { r.times = append(r.times, at) }
-
-func TestTracer(t *testing.T) {
-	t.Parallel()
-
-	sim := New()
-	tr := &recordingTracer{}
-	sim.SetTracer(tr)
-	for _, at := range []time.Duration{3, 1, 2} {
-		if _, err := sim.ScheduleAt(at, func(*Simulation) {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	if len(tr.times) != 3 {
-		t.Fatalf("tracer saw %d events, want 3", len(tr.times))
-	}
-	if sim.Fired() != 3 {
-		t.Errorf("Fired = %d, want 3", sim.Fired())
 	}
 }
 
@@ -399,7 +311,7 @@ func TestQuickCancelSubset(t *testing.T) {
 }
 
 // TestArgHandlerOrderingAndPayload checks that argument-carrying events
-// interleave with closure events in exact (at, priority, seq) order and
+// interleave with closure events in exact (at, seq) order and
 // deliver their payloads verbatim.
 func TestArgHandlerOrderingAndPayload(t *testing.T) {
 	t.Parallel()
@@ -420,11 +332,11 @@ func TestArgHandlerOrderingAndPayload(t *testing.T) {
 	if _, err := sim.ScheduleArgAt(3*time.Second, argH, 4); err != nil {
 		t.Fatal(err)
 	}
-	// Priority beats FIFO at equal time, regardless of handler flavour.
-	if _, err := sim.ScheduleArgAtPriority(4*time.Second, 1, argH, 6); err != nil {
+	// Equal time the other way round: the arg event scheduled first wins.
+	if _, err := sim.ScheduleArgAt(4*time.Second, argH, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.ScheduleArgAtPriority(4*time.Second, 0, argH, 5); err != nil {
+	if _, err := sim.ScheduleAt(4*time.Second, func(*Simulation) { order = append(order, 6) }); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
