@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-baseline bench-check microbench check fmt fmt-check vet lint lint-audit race
+.PHONY: build test bench microbench check fmt fmt-check vet lint lint-audit race
 
 build:
 	$(GO) build ./...
@@ -8,28 +8,23 @@ build:
 test:
 	$(GO) test ./...
 
-# Pinned performance suite (see DESIGN.md §9): emits BENCH_local.json.
+# Same-host timing gate (see DESIGN.md §9): the benchmark set in a
+# worktree of the merge base with main against this checkout.
 bench:
-	$(GO) run ./cmd/mvbench -label local -out . -count 3
-
-# Regenerate the committed CI baseline after an intentional perf change.
-bench-baseline:
-	$(GO) run ./cmd/mvbench -label baseline -out . -count 5
-
-# The CI regression gate: fresh run vs the committed baseline.
-bench-check:
-	$(GO) run ./cmd/mvbench -label ci -out . -count 5 -compare BENCH_baseline.json
+	@dir=$$(mktemp -d) && \
+	git worktree add --quiet --detach "$$dir" "$$(git merge-base HEAD main)" && \
+	{ sh scripts/benchcmp.sh "$$dir" .; status=$$?; git worktree remove --force "$$dir"; exit $$status; }
 
 # Ad-hoc go test benchmarks (figures, ablations, kernels).
 microbench:
 	$(GO) test -bench=. -benchmem
 
 fmt:
-	gofmt -w cmd examples internal bench_test.go
+	gofmt -w cmd examples internal perfbench bench_test.go
 
 # Fails (listing the files) instead of rewriting, for CI.
 fmt-check:
-	@unformatted=$$(gofmt -l cmd examples internal bench_test.go); \
+	@unformatted=$$(gofmt -l cmd examples internal perfbench bench_test.go); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi

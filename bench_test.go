@@ -26,17 +26,23 @@ func benchOpts() core.Options {
 	return core.Options{Replications: 2, GridPoints: 50}
 }
 
+// figure runs fig once at benchOpts: one op of the figure benchmarks.
+func figure(tb testing.TB, fig experiment.Figure) *experiment.FigureResult {
+	tb.Helper()
+	fr, err := experiment.RunFigure(fig, benchOpts())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fr
+}
+
 // runFigure executes the figure once per iteration and reports the final
 // infection means of its first and last series.
 func runFigure(b *testing.B, fig experiment.Figure) {
 	b.Helper()
 	var fr *experiment.FigureResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		fr, err = experiment.RunFigure(fig, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fr = figure(b, fig)
 	}
 	if fr != nil {
 		b.ReportMetric(fr.Series[0].FinalMean, "final-infected/first-series")
@@ -46,6 +52,20 @@ func runFigure(b *testing.B, fig experiment.Figure) {
 
 func BenchmarkFigure1Baselines(b *testing.B) {
 	runFigure(b, experiment.Figure1(experiment.FullScale))
+}
+
+// TestFigure1Allocs pins BenchmarkFigure1Baselines' allocations per run at
+// the recorded count plus 0.1% slack, counted at GOMAXPROCS 1 as
+// testing.AllocsPerRun does, which also makes the replication pool one
+// worker wide. Its final means are fixed by results/figure1.csv, whose
+// first two replications per series are this run's.
+func TestFigure1Allocs(t *testing.T) {
+	fig := experiment.Figure1(experiment.FullScale)
+	allocs := testing.AllocsPerRun(1, func() { figure(t, fig) })
+	t.Logf("%.0f allocs", allocs)
+	if allocs > 59_314+59 {
+		t.Errorf("%.0f allocs per figure run, want at most %d", allocs, 59_314+59)
+	}
 }
 
 func BenchmarkFigure2VirusScan(b *testing.B) {

@@ -134,15 +134,15 @@ func (c Config) Validate() error {
 	if c.GraphBuilder != nil && c.CSRBuilder != nil {
 		return errors.New("core: GraphBuilder and CSRBuilder are mutually exclusive")
 	}
-	if c.Shards > 1 {
-		switch {
-		case c.Shards > c.Population:
-			return fmt.Errorf("core: %d shards exceed the population", c.Shards)
-		case c.ShardWindow < 0:
-			return errors.New("core: shard window must be non-negative")
-		case c.Faults != nil || c.Network.Faults.Active():
-			return errors.New("core: fault injection requires a one-shard run")
-		}
+	switch {
+	case c.Shards < 0:
+		return fmt.Errorf("core: shard count %d is negative", c.Shards)
+	case c.ShardWindow < 0:
+		return errors.New("core: shard window must be non-negative")
+	case c.Shards > c.Population:
+		return fmt.Errorf("core: %d shards exceed the population", c.Shards)
+	case c.Shards > 1 && (c.Faults != nil || c.Network.Faults.Active()):
+		return errors.New("core: fault injection requires a one-shard run")
 	}
 	if err := c.Virus.Validate(); err != nil {
 		return err

@@ -103,8 +103,9 @@ func TestShardedRunReportsDetection(t *testing.T) {
 
 // TestShardedValidationMatrix pins every cell of the many-shard feature
 // matrix: response mechanisms, background legitimate traffic and PostRun
-// hooks are supported on any shard count, while fault injection — plus the
-// structural misconfigurations — stays rejected.
+// hooks are supported on any shard count, while fault injection stays
+// rejected, and the structural misconfigurations are rejected at one shard
+// and at many.
 func TestShardedValidationMatrix(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -134,13 +135,6 @@ func TestShardedValidationMatrix(t *testing.T) {
 			c.Responses = []mms.ResponseFactory{func() mms.Response { return nil }}
 			c.Faults = &faults.Schedule{Outages: []faults.Window{{Start: time.Hour, End: 2 * time.Hour}}}
 		}},
-		{"too many shards", false, func(c *Config) { c.Shards = c.Population + 1 }},
-		{"negative window", false, func(c *Config) { c.ShardWindow = -time.Second }},
-		{"both builders", false, func(c *Config) {
-			c.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-				return graph.BarabasiAlbert(600, 4, src)
-			}
-		}},
 	}
 	for _, tc := range cases {
 		cfg := shardedTestConfig(4, 0)
@@ -151,6 +145,28 @@ func TestShardedValidationMatrix(t *testing.T) {
 		}
 		if !tc.accept && err == nil {
 			t.Errorf("%s: Validate accepted a sharded config that needs one-shard features", tc.name)
+		}
+	}
+	structural := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"too many shards", func(c *Config) { c.Shards = c.Population + 1 }},
+		{"negative shards", func(c *Config) { c.Shards = -3 }},
+		{"negative window", func(c *Config) { c.ShardWindow = -time.Second }},
+		{"both builders", func(c *Config) {
+			c.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
+				return graph.BarabasiAlbert(600, 4, src)
+			}
+		}},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, tc := range structural {
+			cfg := shardedTestConfig(shards, 0)
+			tc.mutate(&cfg)
+			if cfg.Validate() == nil {
+				t.Errorf("%s: Validate accepted it at %d shards", tc.name, shards)
+			}
 		}
 	}
 }

@@ -74,3 +74,14 @@ func BenchmarkAcceptanceProbability(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkShardExchange times one steady-state window of the cross-shard
+// exchange (see shardExchange).
+func BenchmarkShardExchange(b *testing.B) {
+	op, _ := shardExchange(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}

@@ -362,7 +362,7 @@ func (ss *ShardSet) barrierStep(barrier, next time.Duration) {
 // so it may touch any shard's state. The merge buffer and the per-shard
 // outboxes are reused across windows and the sort runs on a stored
 // sort.Interface value, so the steady-state exchange performs zero
-// allocations (pinned by the mms/shard-exchange benchmark).
+// allocations (pinned by TestShardedExchangeAllocationFree).
 func (ss *ShardSet) exchange(barrier time.Duration) {
 	b := &ss.batch
 	b.reset()

@@ -9,14 +9,15 @@ import (
 	"repro/internal/rng"
 )
 
-// TestShardedExchangeAllocationFree pins the cross-shard hot path at zero
-// steady-state allocations: sends queued into the flat SoA outbox, the
-// barrier drain with its canonical stable sort, and owner-shard injection
-// must all run out of reused buffers once warmed. This is the same
-// invariant the mms/shard-exchange mvbench entry gates in CI, checked here
-// hermetically so a regression fails `go test ./...` with a direct pointer
-// at the package that broke it.
-func TestShardedExchangeAllocationFree(t *testing.T) {
+// shardExchange builds a two-shard set and returns one op of the
+// cross-shard hot path: 64 virus copies sent from shard 0 to a fixed set
+// of 16 shard 1 phones, then one conservative window run through the
+// serial RunWindow driver (no pool, so allocation counts do not depend on
+// scheduling). The set is warmed until its buffers reach steady-state
+// capacity and every target's read-event cap (readCap) is saturated, so
+// each op is the steady state.
+func shardExchange(tb testing.TB) (op func(), ss *ShardSet) {
+	tb.Helper()
 	const (
 		phones  = 2048
 		copies  = 64
@@ -25,7 +26,7 @@ func TestShardedExchangeAllocationFree(t *testing.T) {
 	root := rng.New(1)
 	topo, err := graph.BarabasiAlbertCSR(phones, 4, root.Stream(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	// An invulnerable population keeps reads from infecting (pure delivery
 	// load), and duplicate trials skip the trials-map inserts that a real
@@ -33,31 +34,45 @@ func TestShardedExchangeAllocationFree(t *testing.T) {
 	vulnerable := make([]bool, phones)
 	cfg := DefaultConfig()
 	cfg.AllowDuplicateTrials = true
-	ss, err := NewShardSet(topo, vulnerable, cfg, 2, time.Minute, root.Stream(3))
+	ss, err = NewShardSet(topo, vulnerable, cfg, 2, time.Minute, root.Stream(3))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	sender := ss.Shards()[0]
 	tbuf := make([]Target, 1)
 	barrier := time.Duration(0)
-	op := func() {
+	op = func() {
 		for k := 0; k < copies; k++ {
 			from := PhoneID(k % (phones / 2))
 			tbuf[0] = ValidTarget(PhoneID(phones/2 + k%targets))
 			if _, err := sender.Send(from, tbuf); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		barrier += ss.Window()
 		ss.RunWindow(barrier, barrier+ss.Window())
 	}
-	// Warm until buffers reach steady-state capacity and every target's
-	// read-event cap is saturated (readCap events per phone).
 	for i := 0; i < 2*targets*readCap/copies; i++ {
 		op()
 	}
-	if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
+	return op, ss
+}
+
+// TestShardedExchangeAllocationFree pins the cross-shard hot path at zero
+// steady-state allocations: sends queued into the flat SoA outbox, the
+// barrier drain with its canonical stable sort, and owner-shard injection
+// must all run out of reused buffers once warmed. Every send must also be
+// accepted, so each op moves all 64 copies across the barrier.
+func TestShardedExchangeAllocationFree(t *testing.T) {
+	op, ss := shardExchange(t)
+	const runs = 50
+	before := ss.Metrics().MessagesSent
+	if allocs := testing.AllocsPerRun(runs, op); allocs != 0 {
 		t.Fatalf("cross-shard exchange allocated %.1f times per window, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up call to the measured runs.
+	if sent := ss.Metrics().MessagesSent - before; sent != 64*(runs+1) {
+		t.Errorf("sent %d messages over %d ops, want 64 per op", sent, runs+1)
 	}
 }
 

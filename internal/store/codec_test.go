@@ -72,6 +72,36 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// realReplication runs a small real replication: Virus 3 on 120 phones
+// with mean degree 12, a 12-hour horizon, seed 42.
+func realReplication(tb testing.TB) *core.Result {
+	tb.Helper()
+	cfg := core.Default(virus.Virus3())
+	cfg.Population = 120
+	cfg.Graph.MeanDegree = 12
+	cfg.Horizon = 12 * time.Hour
+	res, err := core.RunOnce(cfg, 42)
+	if err != nil {
+		tb.Fatalf("replication: %v", err)
+	}
+	return res
+}
+
+// roundTrip encodes res and decodes the frame back: one op of
+// BenchmarkCodecRoundTrip and of its pin.
+func roundTrip(tb testing.TB, res *core.Result) (data []byte, got *core.Result) {
+	tb.Helper()
+	data, err := EncodeResult(res)
+	if err != nil {
+		tb.Fatalf("encode: %v", err)
+	}
+	got, err = DecodeResult(data)
+	if err != nil {
+		tb.Fatalf("decode: %v", err)
+	}
+	return data, got
+}
+
 // TestCodecRoundTripRealReplication is the property the persistent cache
 // rests on: a result decoded from disk is indistinguishable from the
 // recomputed one, so every downstream artifact (CSV bands, claim checks)
@@ -79,24 +109,25 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecRoundTripRealReplication(t *testing.T) {
 	t.Parallel()
 
-	cfg := core.Default(virus.Virus3())
-	cfg.Population = 120
-	cfg.Graph.MeanDegree = 12
-	cfg.Horizon = 12 * time.Hour
-	want, err := core.RunOnce(cfg, 42)
-	if err != nil {
-		t.Fatalf("replication: %v", err)
-	}
-	data, err := EncodeResult(want)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeResult(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	want := realReplication(t)
+	if _, got := roundTrip(t, want); !reflect.DeepEqual(got, want) {
 		t.Errorf("real replication did not round-trip exactly")
+	}
+}
+
+// TestCodecRoundTripPins pins the real replication's frame at 596 bytes,
+// so a change to the framing or payload layout shows here before it
+// invalidates on-disk stores, and the round trip at its recorded 39
+// allocations.
+func TestCodecRoundTripPins(t *testing.T) {
+	res := realReplication(t)
+	var data []byte
+	allocs := testing.AllocsPerRun(100, func() { data, _ = roundTrip(t, res) })
+	if len(data) != 596 {
+		t.Errorf("encoded %d bytes, want 596", len(data))
+	}
+	if allocs > 39 {
+		t.Errorf("round trip allocates %.0f times, want at most 39", allocs)
 	}
 }
 
