@@ -111,18 +111,9 @@ func run() error {
 	sc := experiment.Scale{Factor: *scale}
 	opts := core.Options{Replications: *reps, BaseSeed: *seed, GridPoints: *grid}
 
-	var figures []experiment.Figure
-	if *figureID == "all" {
-		figures = experiment.AllStudies(sc)
-	} else {
-		for _, f := range experiment.AllStudies(sc) {
-			if f.ID == *figureID {
-				figures = append(figures, f)
-			}
-		}
-		if len(figures) == 0 {
-			return fmt.Errorf("unknown figure %q", *figureID)
-		}
+	figures, err := experiment.SelectStudies(*figureID, sc)
+	if err != nil {
+		return err
 	}
 
 	so := experiment.SweepOptions{Jobs: *jobs}
@@ -195,39 +186,13 @@ func run() error {
 	return sweepErr
 }
 
-// claimsFor evaluates the paper's claims applicable to the figure; studies
-// without claim checks return nothing.
+// claimsFor evaluates the study's claim checks; an evaluation error
+// becomes one failing check, and studies without checks return nothing.
 func claimsFor(fr *experiment.FigureResult) []experiment.Check {
-	var (
-		checks []experiment.Check
-		err    error
-	)
-	switch fr.Figure.ID {
-	case "figure2":
-		checks, err = experiment.CheckScanClaims(fr)
-	case "figure3":
-		checks, err = experiment.CheckDetectorClaims(fr)
-	case "figure4":
-		checks, err = experiment.CheckEducationClaims(fr)
-	case "figure5":
-		checks, err = experiment.CheckImmunizationClaims(fr)
-	case "figure6":
-		checks, err = experiment.CheckMonitoringClaims(fr)
-	case "figure7":
-		checks, err = experiment.CheckBlacklistClaims(fr)
-	case "neg-scan-v3":
-		checks, err = experiment.CheckScanVsVirus3(fr)
-	case "neg-monitor-slow":
-		checks, err = experiment.CheckMonitorVsSlowViruses(fr)
-	case "neg-blacklist-v2":
-		checks, err = experiment.CheckBlacklistVsVirus2(fr)
-	case "neg-blacklist-v1":
-		checks, err = experiment.CheckBlacklistVsVirus1(fr)
-	case "blacklist-equivalence":
-		checks, err = experiment.CheckBlacklistEquivalence(fr)
-	default:
+	if fr.Figure.Claims == nil {
 		return nil
 	}
+	checks, err := fr.Figure.Claims(fr)
 	if err != nil {
 		return []experiment.Check{{
 			ID:        fr.Figure.ID,

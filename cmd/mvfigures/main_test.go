@@ -24,7 +24,7 @@ func TestClaimsForMissingSeriesBecomesFailingCheck(t *testing.T) {
 
 	// A figure with claims but no series must surface the evaluation error
 	// as a failing check rather than panicking or hiding it.
-	fr := &experiment.FigureResult{Figure: experiment.Figure{ID: "figure2"}}
+	fr := &experiment.FigureResult{Figure: experiment.Figure2(experiment.Scale{Factor: 10})}
 	checks := claimsFor(fr)
 	if len(checks) != 1 {
 		t.Fatalf("got %d checks, want 1 error check", len(checks))
@@ -37,9 +37,9 @@ func TestClaimsForMissingSeriesBecomesFailingCheck(t *testing.T) {
 func TestEveryClaimFigureIsWired(t *testing.T) {
 	t.Parallel()
 
-	// Each study with a registered claim evaluator must resolve through
-	// claimsFor without returning nil for the wrong reason; IDs with
-	// evaluators are exactly these.
+	// Each study with a claim check must resolve through claimsFor
+	// without returning nil for the wrong reason; IDs with checks are
+	// exactly these.
 	withClaims := map[string]bool{
 		"figure2": true, "figure3": true, "figure4": true,
 		"figure5": true, "figure6": true, "figure7": true,
@@ -51,10 +51,10 @@ func TestEveryClaimFigureIsWired(t *testing.T) {
 		fr := &experiment.FigureResult{Figure: fig}
 		checks := claimsFor(fr)
 		if withClaims[fig.ID] && checks == nil {
-			t.Errorf("%s has a claim evaluator but claimsFor returned nil", fig.ID)
+			t.Errorf("%s has a claim check but claimsFor returned nil", fig.ID)
 		}
 		if !withClaims[fig.ID] && checks != nil {
-			t.Errorf("%s has no claim evaluator but claimsFor returned %v", fig.ID, checks)
+			t.Errorf("%s has no claim check but claimsFor returned %v", fig.ID, checks)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // while the rest wait and count a hit. The optional persistent tier
 // (NewPersistentCache) consults a store.Store before simulating and
 // publishes what it computes, so results survive the process and a killed
-// sweep resumes from disk; when the store also implements store.Computer,
-// computation of one key is additionally serialized across processes.
+// sweep resumes from disk; the store's lease also serializes computation
+// of one key across processes.
 // Store failures of any kind degrade to recomputation — a damaged or
 // unwritable store can slow a sweep down but never change its output.
 //
@@ -177,34 +177,17 @@ func (c *ReplicationCache) produce(ctx context.Context, cfg core.Config, fp Fing
 		}
 		return res, repErr
 	}
-	if comp, ok := c.persist.(store.Computer); ok {
-		return c.produceSingleflight(ctx, comp, k, cfg, rep, seed)
-	}
-
-	// Plain store: read, else simulate and publish. A read error falls
-	// through to simulation (the store counts it); a failed publish only
-	// leaves the store cold (counted as WriteErrors by the store).
-	if res, ok, err := c.persist.Get(ctx, k); err == nil && ok {
-		c.diskHits.Add(1)
-		return res, nil
-	}
-	res, repErr := core.RunReplication(ctx, cfg, rep, seed)
-	if repErr != nil {
-		return nil, repErr
-	}
-	c.misses.Add(1)
-	if c.persist.Put(ctx, k, res) == nil {
-		c.recordDone(ctx, k)
-	}
-	return res, nil
+	return c.produceStored(ctx, k, cfg, rep, seed)
 }
 
-// produceSingleflight routes computation through the store's cross-process
-// lease. Simulation failures pass through typed; store-layer failures
-// (I/O, a cancelled lease wait) degrade to a direct local run.
-func (c *ReplicationCache) produceSingleflight(ctx context.Context, comp store.Computer, k store.Key, cfg core.Config, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
+// produceStored routes computation through the store's cross-process
+// lease. It is separate from produce so that only this path moves the
+// closure's captures to the heap. Simulation failures pass through typed;
+// store-layer failures (I/O, a cancelled lease wait) degrade to a direct
+// local run.
+func (c *ReplicationCache) produceStored(ctx context.Context, k store.Key, cfg core.Config, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
 	var repErr *core.ReplicationError
-	res, origin, err := comp.GetOrCompute(ctx, k, func() (*core.Result, error) {
+	res, origin, err := c.persist.GetOrCompute(ctx, k, func() (*core.Result, error) {
 		r, re := core.RunReplication(ctx, cfg, rep, seed)
 		if re != nil {
 			repErr = re

@@ -165,6 +165,38 @@ func TestClaimEvaluationsNeedSeries(t *testing.T) {
 	}
 }
 
+// TestEveryClaimStudyIsWired: the studies carrying a claim check are
+// exactly the figures and negative results with in-text claims, and each
+// check is live — evaluating it on a result without series reports an
+// error (which mvfigures prints as a failing check and mvreport returns).
+func TestEveryClaimStudyIsWired(t *testing.T) {
+	t.Parallel()
+
+	want := map[string]bool{
+		"figure2": true, "figure3": true, "figure4": true,
+		"figure5": true, "figure6": true, "figure7": true,
+		"neg-scan-v3": true, "neg-monitor-slow": true,
+		"neg-blacklist-v2": true, "neg-blacklist-v1": true,
+		"blacklist-equivalence": true,
+	}
+	wired := 0
+	for _, fig := range AllStudies(testScale) {
+		if (fig.Claims != nil) != want[fig.ID] {
+			t.Errorf("%s: has claim check = %v, want %v", fig.ID, fig.Claims != nil, want[fig.ID])
+		}
+		if fig.Claims == nil {
+			continue
+		}
+		wired++
+		if _, err := fig.Claims(&FigureResult{Figure: fig}); err == nil {
+			t.Errorf("%s: claim check accepted a result without series", fig.ID)
+		}
+	}
+	if wired != len(want) {
+		t.Errorf("%d studies carry claim checks, want %d", wired, len(want))
+	}
+}
+
 func TestCheckString(t *testing.T) {
 	t.Parallel()
 

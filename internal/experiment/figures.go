@@ -34,6 +34,9 @@ type Figure struct {
 	XLabel, YLabel string
 	// Series are the curves, baseline first where applicable.
 	Series []Series
+	// Claims evaluates the paper's in-text claims against the study's
+	// result; nil for studies without claim checks.
+	Claims func(*FigureResult) ([]Check, error)
 }
 
 // Scale shrinks experiments for tests and benchmarks: population and mean
@@ -83,6 +86,7 @@ func Figure2(s Scale) Figure {
 		Title:  "Figure 2: Virus Scan: Varying the Activation Time Delay (Virus 1)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckScanClaims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus1())})
 	for _, delay := range []time.Duration{6 * time.Hour, 12 * time.Hour, 24 * time.Hour} {
@@ -104,6 +108,7 @@ func Figure3(s Scale) Figure {
 		Title:  "Figure 3: Virus Detection Algorithm: Varying Detection Accuracy (Virus 2)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckDetectorClaims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus2())})
 	for _, acc := range []float64{0.99, 0.95, 0.90, 0.85, 0.80} {
@@ -127,6 +132,7 @@ func Figure4(s Scale) Figure {
 		Title:  "Figure 4: Phone User Education: Effective for All Viruses",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckEducationClaims,
 	}
 	for _, v := range virus.Scenarios() {
 		fig.Series = append(fig.Series, Series{Label: v.Name, Config: s.paperConfig(v)})
@@ -148,6 +154,7 @@ func Figure5(s Scale) Figure {
 		Title:  "Figure 5: Immunization Using Patches: Varying the Deployment Times (Virus 4)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckImmunizationClaims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus4())})
 	for _, dev := range []time.Duration{24 * time.Hour, 48 * time.Hour} {
@@ -171,6 +178,7 @@ func Figure6(s Scale) Figure {
 		Title:  "Figure 6: Monitoring: Varying the Wait Time for Suspicious Phones (Virus 3)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckMonitoringClaims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus3())})
 	for _, wait := range []time.Duration{15 * time.Minute, 30 * time.Minute, 60 * time.Minute} {
@@ -192,6 +200,7 @@ func Figure7(s Scale) Figure {
 		Title:  "Figure 7: Blacklisting: Varying the Activation Threshold (Virus 3)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckBlacklistClaims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus3())})
 	for _, threshold := range []int{10, 20, 30, 40} {

@@ -24,6 +24,7 @@ func ScanVsVirus3Study(s Scale) Figure {
 		Title:  "Negative result: Gateway Scan vs fast Virus 3",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckScanVsVirus3,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus3())})
 	for _, delay := range []time.Duration{6 * time.Hour, 12 * time.Hour} {
@@ -47,6 +48,7 @@ func MonitorVsSlowVirusesStudy(s Scale) Figure {
 		Title:  "Negative result: Monitoring vs self-throttled Viruses 1, 2, 4",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckMonitorVsSlowViruses,
 	}
 	for _, v := range []virus.Config{virus.Virus1(), virus.Virus2(), virus.Virus4()} {
 		fig.Series = append(fig.Series, Series{Label: v.Name, Config: s.paperConfig(v)})
@@ -68,6 +70,7 @@ func BlacklistVsVirus2Study(s Scale) Figure {
 		Title:  "Negative result: Blacklisting vs multi-recipient Virus 2",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckBlacklistVsVirus2,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus2())})
 	for _, threshold := range []int{10, 40} {
@@ -92,6 +95,7 @@ func BlacklistVsVirus1Study(s Scale) Figure {
 		Title:  "Blacklisting vs single-recipient Virus 1 (threshold 10 vs 40)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckBlacklistVsVirus1,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus1())})
 	for _, threshold := range []int{10, 40} {
@@ -117,6 +121,7 @@ func BlacklistEquivalenceStudy(s Scale) Figure {
 		Title:  "Blacklist equivalence: threshold 30 vs random == threshold 10 vs contacts",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
+		Claims: CheckBlacklistEquivalence,
 	}
 	// Virus 3 variant restricted to Virus 1's pacing so only the targeting
 	// differs, plus the true Virus 1, both over the same horizon.

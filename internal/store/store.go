@@ -7,12 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/clock"
@@ -75,7 +71,8 @@ type Stats struct {
 // Store is the persistence interface the replication cache layers on. A
 // Get that cannot produce a valid result reports a miss (or an error),
 // never a partial or corrupt value — the caller's fallback is always
-// recomputation.
+// recomputation. DiskStore is the implementation; the interface lets a
+// caller wrap it (a benchmark's span recorder, for one).
 type Store interface {
 	// Get returns the stored result for k, or ok=false when the store
 	// has no valid entry. err is an I/O failure; corruption is handled
@@ -84,18 +81,13 @@ type Store interface {
 	// Put publishes the result for k atomically: after Put returns nil
 	// the entry is durable; on error nothing partial is visible.
 	Put(ctx context.Context, k Key, res *core.Result) error
+	// GetOrCompute returns the stored result or runs compute under a
+	// per-key cross-process lease, publishing its result. When another
+	// process holds the lease, it waits for that process's entry (or for
+	// the lease to go stale) instead of duplicating work.
+	GetOrCompute(ctx context.Context, k Key, compute func() (*core.Result, error)) (*core.Result, Origin, error)
 	// Stats snapshots the counters.
 	Stats() Stats
-}
-
-// Computer is the optional cross-process singleflight extension: a store
-// that can serialize computation of one key across processes.
-type Computer interface {
-	// GetOrCompute returns the stored result or runs compute under a
-	// per-key lease, publishing its result. When another process holds
-	// the lease, it waits for that process's entry (or for the lease to
-	// go stale) instead of duplicating work.
-	GetOrCompute(ctx context.Context, k Key, compute func() (*core.Result, error)) (*core.Result, Origin, error)
 }
 
 // DiskOptions configures Open beyond the directory.
@@ -103,26 +95,17 @@ type DiskOptions struct {
 	// FS is the filesystem; nil means the real one. Tests inject a
 	// *FaultFS here.
 	FS FS
-	// Clock reads wall time for lease staleness; nil means the system
-	// clock.
-	Clock clock.Clock
+	// Clock, Alive and Hostname configure the lease protocol as in
+	// LeaseOptions.
+	Clock    clock.Clock
+	Alive    func(pid int) bool
+	Hostname string
 	// LeaseTTL is how old a lease file may grow before any process may
-	// break it, the backstop for leases whose owner cannot be probed
-	// (default 5m). On the same host a dead owner is detected by pid
-	// immediately, without waiting out the TTL.
+	// break it (default 5m); see Leases.
 	LeaseTTL time.Duration
 	// LeasePoll is the interval at which a waiter re-checks a held
 	// lease (default 25ms).
 	LeasePoll time.Duration
-	// Alive probes whether the process that wrote a lease still runs;
-	// nil means a signal-0 probe of the pid. Tests inject a stub.
-	Alive func(pid int) bool
-	// Hostname names this host inside lease files. A pid probe is only
-	// meaningful against a lease written on the same host; leases from
-	// other hosts (multi-worker sweeps over a shared filesystem) are
-	// broken by TTL expiry alone. Empty means os.Hostname, and an
-	// unknown hostname degrades every probe to the TTL backstop.
-	Hostname string
 }
 
 // DiskStore is the production Store: one file per entry under dir,
@@ -141,11 +124,8 @@ type DiskOptions struct {
 type DiskStore struct {
 	dir       string
 	fsys      FS
-	now       clock.Clock
-	leaseTTL  time.Duration
+	leases    *Leases
 	leasePoll time.Duration
-	alive     func(pid int) bool
-	hostname  string
 
 	diskHits    atomic.Uint64
 	misses      atomic.Uint64
@@ -155,11 +135,9 @@ type DiskStore struct {
 	readErrors  atomic.Uint64
 	writeErrors atomic.Uint64
 	leaseWaits  atomic.Uint64
-	takeovers   atomic.Uint64
 }
 
 var _ Store = (*DiskStore)(nil)
-var _ Computer = (*DiskStore)(nil)
 
 // Open prepares a DiskStore rooted at dir, creating the directory tree as
 // needed.
@@ -167,35 +145,16 @@ func Open(dir string, opts DiskOptions) (*DiskStore, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty store directory")
 	}
-	s := &DiskStore{
-		dir:       dir,
-		fsys:      opts.FS,
-		now:       opts.Clock,
-		leaseTTL:  opts.LeaseTTL,
-		leasePoll: opts.LeasePoll,
-		alive:     opts.Alive,
-	}
+	s := &DiskStore{dir: dir, fsys: opts.FS, leasePoll: opts.LeasePoll}
 	if s.fsys == nil {
 		s.fsys = OS
-	}
-	if s.now == nil {
-		s.now = clock.System
-	}
-	if s.leaseTTL <= 0 {
-		s.leaseTTL = 5 * time.Minute
 	}
 	if s.leasePoll <= 0 {
 		s.leasePoll = 25 * time.Millisecond
 	}
-	if s.alive == nil {
-		s.alive = processAlive
-	}
-	s.hostname = opts.Hostname
-	if s.hostname == "" {
-		// A failed lookup leaves the hostname unknown; stale leases are
-		// then broken by TTL alone, which stays correct, just slower.
-		s.hostname, _ = os.Hostname()
-	}
+	s.leases = NewLeases(s.fsys, 5*time.Minute, LeaseOptions{
+		Clock: opts.Clock, TTL: opts.LeaseTTL, Alive: opts.Alive, Hostname: opts.Hostname,
+	})
 	for _, sub := range []string{"objects", "corrupt", "leases"} {
 		if err := s.fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
 			return nil, fmt.Errorf("store: init %s: %w", dir, err)
@@ -301,12 +260,12 @@ func (s *DiskStore) Stats() Stats {
 		ReadErrors:     s.readErrors.Load(),
 		WriteErrors:    s.writeErrors.Load(),
 		LeaseWaits:     s.leaseWaits.Load(),
-		LeaseTakeovers: s.takeovers.Load(),
+		LeaseTakeovers: s.leases.Takeovers(),
 	}
 }
 
-// GetOrCompute implements Computer: disk hit, else compute under a
-// per-key lease file created with O_CREATE|O_EXCL. A process that loses
+// GetOrCompute implements Store: disk hit, else compute under the key's
+// lease (Leases). A process that loses
 // the race waits for the winner's entry to appear, taking over the lease
 // if its owner dies (pid probe) or its file goes stale (TTL).
 //
@@ -322,7 +281,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 	}
 	waited := false
 	for {
-		acquired, err := s.tryLease(k)
+		acquired, err := s.leases.TryAcquire(s.leasePath(k))
 		if err != nil {
 			return nil, OriginComputed, err
 		}
@@ -349,7 +308,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 			s.peerHits.Add(1)
 			return res, OriginPeer, nil
 		}
-		// Not published yet: loop — tryLease breaks the lease if its
+		// Not published yet: loop — TryAcquire breaks the lease if its
 		// owner died, otherwise we keep waiting.
 	}
 }
@@ -358,7 +317,7 @@ func (s *DiskStore) GetOrCompute(ctx context.Context, k Key, compute func() (*co
 // the lease in all cases. A failed Put is counted but not fatal: the
 // caller still gets the computed result, the store just stays cold.
 func (s *DiskStore) computeHoldingLease(ctx context.Context, k Key, compute func() (*core.Result, error), recheck bool) (*core.Result, error) {
-	defer s.releaseLease(k)
+	defer s.leases.Release(s.leasePath(k))
 	if recheck {
 		// We took over a stale lease; the dead owner may have published
 		// between our last poll and the takeover.
@@ -376,92 +335,4 @@ func (s *DiskStore) computeHoldingLease(ctx context.Context, k Key, compute func
 	// result is correct regardless.
 	_ = s.Put(ctx, k, res)
 	return res, nil
-}
-
-// tryLease attempts to create k's lease file exclusively. It breaks an
-// existing lease whose owner is provably dead (same-host pid probe) or
-// whose file has outlived the TTL, then retries once.
-func (s *DiskStore) tryLease(k Key) (bool, error) {
-	path := s.leasePath(k)
-	for attempt := 0; attempt < 2; attempt++ {
-		f, err := s.fsys.OpenExcl(path)
-		if err == nil {
-			// Content is advisory (owner pid + host for the liveness
-			// probe); lease correctness rests on O_EXCL creation alone.
-			_, _ = fmt.Fprintf(f, "%d %s\n", os.Getpid(), s.hostname)
-			_ = f.Sync()
-			if err := f.Close(); err != nil {
-				_ = s.fsys.Remove(path)
-				return false, fmt.Errorf("store: write lease %s: %w", path, err)
-			}
-			return true, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return false, fmt.Errorf("store: acquire lease %s: %w", path, err)
-		}
-		if !s.leaseDead(path) {
-			return false, nil
-		}
-		// Stale: break it and retry the exclusive create. Concurrent
-		// breakers may both Remove; exactly one OpenExcl then wins.
-		s.takeovers.Add(1)
-		if err := s.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return false, fmt.Errorf("store: break stale lease %s: %w", path, err)
-		}
-	}
-	return false, nil
-}
-
-// leaseDead reports whether the lease at path can be broken: its file has
-// outlived the TTL (authoritative on its own), or its owner pid provably
-// no longer runs. A vanished file counts as dead (the owner released it).
-//
-// The pid probe is a same-host fast path only: a lease written by a worker
-// on another host names a pid that is meaningless here — probing it would
-// either find an unrelated local process (lease never breaks) or nothing
-// (live lease broken instantly, duplicating work and racing the owner's
-// publish). When the lease's host is absent, unparseable, or differs from
-// ours, TTL expiry is the only authority.
-func (s *DiskStore) leaseDead(path string) bool {
-	info, err := s.fsys.Stat(path)
-	if err != nil {
-		return true
-	}
-	if s.now().Sub(info.ModTime()) > s.leaseTTL {
-		return true
-	}
-	data, err := s.fsys.ReadFile(path)
-	if err != nil {
-		return true
-	}
-	fields := strings.Fields(string(data))
-	if len(fields) == 0 {
-		// Torn lease write: only the TTL can break it.
-		return false
-	}
-	pid, err := strconv.Atoi(fields[0])
-	if err != nil || pid <= 0 {
-		return false
-	}
-	if len(fields) < 2 || s.hostname == "" || fields[1] != s.hostname {
-		// Unknown or foreign host: the pid is not ours to probe.
-		return false
-	}
-	return !s.alive(pid)
-}
-
-// releaseLease removes k's lease file, best effort: an unremovable lease
-// is eventually broken by TTL.
-func (s *DiskStore) releaseLease(k Key) {
-	_ = s.fsys.Remove(s.leasePath(k))
-}
-
-// processAlive probes pid with signal 0, the conventional same-host
-// liveness check. FindProcess never fails on unix; the signal does.
-func processAlive(pid int) bool {
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	return p.Signal(syscall.Signal(0)) == nil
 }

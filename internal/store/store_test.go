@@ -346,7 +346,7 @@ func TestLeaseForeignHostOnlyTTL(t *testing.T) {
 	if err := os.WriteFile(fresh.leasePath(k), []byte("999999 hostA\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.leaseDead(fresh.leasePath(k)) {
+	if fresh.leases.Stale(fresh.leasePath(k)) {
 		t.Error("fresh foreign-host lease declared dead by a local pid probe")
 	}
 
@@ -359,7 +359,7 @@ func TestLeaseForeignHostOnlyTTL(t *testing.T) {
 	if err := os.WriteFile(aged.leasePath(k), []byte("999999 hostA\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !aged.leaseDead(aged.leasePath(k)) {
+	if !aged.leases.Stale(aged.leasePath(k)) {
 		t.Error("foreign-host lease past the TTL not declared dead")
 	}
 }
@@ -387,7 +387,7 @@ func TestLeaseTakeoverOfSIGKilledOwner(t *testing.T) {
 	// the probe would see the owner as alive.
 	_ = cmd.Wait()
 
-	lease := fmt.Sprintf("%d %s\n", pid, s.hostname)
+	lease := fmt.Sprintf("%d %s\n", pid, s.leases.host)
 	if err := os.WriteFile(s.leasePath(k), []byte(lease), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestLeaseDeadUnparseableFreshLeaseHolds(t *testing.T) {
 	if err := os.WriteFile(s.leasePath(k), []byte("garbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.leaseDead(s.leasePath(k)) {
+	if s.leases.Stale(s.leasePath(k)) {
 		t.Error("fresh lease with unparseable pid was declared dead; only the TTL may break it")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/clock"
@@ -33,14 +32,10 @@ import (
 // open, claimed (stale-able), acked, or dead — never in two, never in a
 // torn intermediate.
 type Queue struct {
-	dir      string
-	fsys     store.FS
-	now      clock.Clock
-	ttl      time.Duration
-	alive    func(pid int) bool
-	hostname string
-	worker   string
-	pid      int
+	dir    string
+	fsys   store.FS
+	leases *store.Leases
+	worker string
 }
 
 // QueueOptions configures Open.
@@ -48,18 +43,15 @@ type QueueOptions struct {
 	// FS is the filesystem; nil means the real one. Tests inject a
 	// *store.FaultFS here, extending the store's failpoints to queue I/O.
 	FS store.FS
-	// Clock reads wall time for claim staleness; nil means system.
-	Clock clock.Clock
+	// Clock, Alive and Hostname configure the claim leases as in
+	// store.LeaseOptions.
+	Clock    clock.Clock
+	Alive    func(pid int) bool
+	Hostname string
 	// TTL is how old a claim's mtime may grow before any worker may break
 	// it regardless of owner (default 30s). Heartbeats renew the mtime, so
-	// the TTL only fires for workers that stopped heartbeating. On the
-	// same host a dead owner is detected by pid probe immediately.
+	// the TTL only fires for workers that stopped heartbeating.
 	TTL time.Duration
-	// Alive probes a pid's liveness; nil means a signal-0 probe.
-	Alive func(pid int) bool
-	// Hostname names this host in claims; pid probes are only trusted
-	// against claims from the same hostname. Empty means os.Hostname.
-	Hostname string
 	// WorkerID names this worker in claims and acks, for humans reading a
 	// crashed sweep's directory. Empty means "pid-<pid>".
 	WorkerID string
@@ -71,36 +63,16 @@ func OpenQueue(dir string, o QueueOptions) (*Queue, error) {
 	if dir == "" {
 		return nil, errors.New("workq: empty queue directory")
 	}
-	q := &Queue{
-		dir:      dir,
-		fsys:     o.FS,
-		now:      o.Clock,
-		ttl:      o.TTL,
-		alive:    o.Alive,
-		hostname: o.Hostname,
-		worker:   o.WorkerID,
-		pid:      os.Getpid(),
-	}
+	q := &Queue{dir: dir, fsys: o.FS, worker: o.WorkerID}
 	if q.fsys == nil {
 		q.fsys = store.OS
 	}
-	if q.now == nil {
-		q.now = clock.System
-	}
-	if q.ttl <= 0 {
-		q.ttl = 30 * time.Second
-	}
-	if q.alive == nil {
-		q.alive = processAlive
-	}
-	if q.hostname == "" {
-		// A failed lookup leaves the hostname unknown; claims then fall
-		// back to the TTL alone, which stays correct, just slower.
-		q.hostname, _ = os.Hostname()
-	}
 	if q.worker == "" {
-		q.worker = "pid-" + strconv.Itoa(q.pid)
+		q.worker = "pid-" + strconv.Itoa(os.Getpid())
 	}
+	q.leases = store.NewLeases(q.fsys, 30*time.Second, store.LeaseOptions{
+		Clock: o.Clock, TTL: o.TTL, Alive: o.Alive, Hostname: o.Hostname, Owner: q.worker,
+	})
 	for _, sub := range []string{"claims", "acks", "failed", "dead"} {
 		if err := q.fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
 			return nil, fmt.Errorf("workq: init %s: %w", dir, err)
@@ -144,93 +116,25 @@ func (q *Queue) deadPath(u Unit) string {
 	return filepath.Join(q.dir, "dead", u.ID())
 }
 
-// TryClaim attempts to claim u exclusively. It breaks an existing claim
-// whose owner is provably dead (same-host pid probe) or whose mtime has
-// outlived the TTL — a worker that stopped heartbeating — then retries the
-// exclusive create once. ok=false without error means another live worker
-// holds the unit.
+// TryClaim attempts to claim u exclusively under the store's lease
+// protocol: a claim whose owner is provably dead (same-host pid probe) or
+// whose mtime has outlived the TTL — a worker that stopped heartbeating —
+// is broken and the exclusive create retried once. ok=false without error
+// means another live worker holds the unit.
 func (q *Queue) TryClaim(u Unit) (bool, error) {
-	path := q.claimPath(u)
-	for attempt := 0; attempt < 2; attempt++ {
-		f, err := q.fsys.OpenExcl(path)
-		if err == nil {
-			// Content is advisory (owner identity for the liveness probe
-			// and for humans); claim correctness rests on O_EXCL alone.
-			_, _ = fmt.Fprintf(f, "%d %s %s\n", q.pid, q.hostname, q.worker)
-			_ = f.Sync()
-			if err := f.Close(); err != nil {
-				_ = q.fsys.Remove(path)
-				return false, fmt.Errorf("workq: write claim %s: %w", path, err)
-			}
-			return true, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return false, fmt.Errorf("workq: acquire claim %s: %w", path, err)
-		}
-		if !q.claimStale(path) {
-			return false, nil
-		}
-		// Stale: break it and retry. Concurrent breakers may both Remove;
-		// exactly one OpenExcl then wins.
-		if err := q.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return false, fmt.Errorf("workq: break stale claim %s: %w", path, err)
-		}
-	}
-	return false, nil
+	return q.leases.TryAcquire(q.claimPath(u))
 }
 
-// claimStale reports whether the claim at path can be broken. TTL expiry
-// of the heartbeat-renewed mtime is authoritative on its own; the pid
-// probe is a same-host fast path only — a claim written on another host
-// names a pid that means nothing here, so it waits out the TTL.
-func (q *Queue) claimStale(path string) bool {
-	info, err := q.fsys.Stat(path)
-	if err != nil {
-		return true // vanished: the owner released it
-	}
-	if q.now().Sub(info.ModTime()) > q.ttl {
-		return true
-	}
-	data, err := q.fsys.ReadFile(path)
-	if err != nil {
-		return true
-	}
-	fields := strings.Fields(string(data))
-	if len(fields) < 2 {
-		// Torn claim write: only the TTL can break it.
-		return false
-	}
-	pid, err := strconv.Atoi(fields[0])
-	if err != nil || pid <= 0 {
-		return false
-	}
-	if q.hostname == "" || fields[1] != q.hostname {
-		// Foreign or unknown host: the pid probe is meaningless, only the
-		// TTL is trusted.
-		return false
-	}
-	return !q.alive(pid)
-}
-
-// Heartbeat renews this worker's claim on u by appending to the claim
-// file, refreshing its mtime so the TTL keeps counting from now. The
-// appended bytes are inert; only the mtime matters.
+// Heartbeat renews this worker's claim on u, refreshing its mtime so the
+// TTL keeps counting from now.
 func (q *Queue) Heartbeat(u Unit) error {
-	f, err := q.fsys.OpenAppend(q.claimPath(u))
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte("hb\n")); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	return q.leases.Renew(q.claimPath(u))
 }
 
 // Release removes u's claim, best effort: an unremovable claim is
 // eventually broken by pid probe or TTL.
 func (q *Queue) Release(u Unit) {
-	_ = q.fsys.Remove(q.claimPath(u))
+	q.leases.Release(q.claimPath(u))
 }
 
 // ackRecord is the JSON body of an ack file.
@@ -391,14 +295,4 @@ func trimNL(b []byte) []byte {
 		b = b[:len(b)-1]
 	}
 	return b
-}
-
-// processAlive probes pid with signal 0, the conventional same-host
-// liveness check.
-func processAlive(pid int) bool {
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	return p.Signal(syscall.Signal(0)) == nil
 }

@@ -23,8 +23,7 @@ type WorkerOptions struct {
 	// workers (default 200ms).
 	Poll time.Duration
 	// Heartbeat is the claim-renewal interval while a unit runs (default
-	// a third of the queue's TTL as configured at OpenQueue, falling back
-	// to 10s).
+	// a third of the queue's claim TTL).
 	Heartbeat time.Duration
 	// MaxAttempts is the global per-unit attempt budget before
 	// dead-lettering, shared across workers via the failure log
@@ -44,11 +43,7 @@ func (o WorkerOptions) withDefaults(ttl time.Duration) WorkerOptions {
 		o.Poll = 200 * time.Millisecond
 	}
 	if o.Heartbeat <= 0 {
-		if ttl > 0 {
-			o.Heartbeat = ttl / 3
-		} else {
-			o.Heartbeat = 10 * time.Second
-		}
+		o.Heartbeat = ttl / 3
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
@@ -113,7 +108,7 @@ func WaitManifest(ctx context.Context, q *Queue, poll time.Duration) (*Manifest,
 // closes. A SIGKILL at any instant loses at most the in-flight unit, which
 // the next claimer recomputes.
 func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o WorkerOptions) (WorkerStats, error) {
-	o = o.withDefaults(q.ttl)
+	o = o.withDefaults(q.leases.TTL())
 	var st WorkerStats
 	if !m.Complete {
 		return st, errors.New("workq: refusing to work an incomplete manifest")

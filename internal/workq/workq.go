@@ -3,9 +3,9 @@
 // (config fingerprint, seed) replication of a sweep into an append-only,
 // fsynced manifest inside the shared store directory; workers — separate
 // processes, possibly on separate hosts sharing the filesystem — claim
-// units via O_CREATE|O_EXCL claim files with a TTL and heartbeat renewal,
-// publish results into internal/store, and acknowledge completion with an
-// atomic rename.
+// units with internal/store's lease protocol (O_CREATE|O_EXCL claim files
+// with a TTL and heartbeat renewal), publish results into internal/store,
+// and acknowledge completion with an atomic rename.
 //
 // Crash tolerance is the design center, inherited from internal/store's
 // discipline (DESIGN.md §11, §12):

@@ -267,7 +267,7 @@ func TestHeartbeatRenewsClaim(t *testing.T) {
 		Hostname: "breaker", TTL: ttl, Clock: frozen,
 		Alive: func(pid int) bool { return false },
 	})
-	if !qb.claimStale(qb.claimPath(u)) {
+	if !qb.leases.Stale(qb.claimPath(u)) {
 		t.Fatal("claim aged past the TTL not seen as stale")
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -276,7 +276,7 @@ func TestHeartbeatRenewsClaim(t *testing.T) {
 	}
 	// Same breaker, same frozen clock: the renewed mtime is now ahead of
 	// the breaker's notion of now, so the claim is fresh again.
-	if qb.claimStale(qb.claimPath(u)) {
+	if qb.leases.Stale(qb.claimPath(u)) {
 		t.Error("heartbeat-renewed claim still seen as stale")
 	}
 }
