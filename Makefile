@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build test bench microbench check fmt fmt-check vet lint lint-audit race
+.PHONY: build test examples bench microbench check fmt fmt-check vet lint lint-audit race
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Every runnable example, to completion: go vet compiles them, but only
+# running them catches an example that fails or panics.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
 
 # Same-host timing gate (see DESIGN.md §9): the benchmark set in a
 # worktree of the merge base with main against this checkout.

@@ -41,6 +41,50 @@ func TestWriteReportScaled(t *testing.T) {
 	}
 }
 
+// TestWriteReportParallelismByteIdentical pins the one shared sweep: a
+// single replication cache serves every section, and the report must not
+// depend on how many workers race over it.
+func TestWriteReportParallelismByteIdentical(t *testing.T) {
+	t.Parallel()
+
+	sc := experiment.Scale{Factor: 20}
+	var reports [2]string
+	for i, jobs := range []int{1, 3} {
+		var sb strings.Builder
+		opts := core.Options{Replications: 2, GridPoints: 20, Parallelism: jobs}
+		now := clock.Stepped(time.Unix(0, 0).UTC(), time.Minute)
+		if err := writeReport(&sb, sc, opts, now); err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = sb.String()
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("report differs between Parallelism 1 and 3:\n--- 1 ---\n%s\n--- 3 ---\n%s", reports[0], reports[1])
+	}
+}
+
+// TestFlagValidation pins that population divisors and replication counts
+// below 1 are rejected up front instead of running a mislabelled report.
+func TestFlagValidation(t *testing.T) {
+	t.Parallel()
+
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "-scale must be >= 1"},
+		{[]string{"-scale", "-2"}, "-scale must be >= 1"},
+		{[]string{"-reps", "0"}, "-reps must be >= 1"},
+		{[]string{"-reps", "-1"}, "-reps must be >= 1"},
+	}
+	for _, tc := range cases {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // failWriter fails every write after the first n bytes.
 type failWriter struct{ budget int }
 

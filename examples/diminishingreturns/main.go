@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,8 +27,18 @@ func main() {
 		experiment.MonitorReturnsSweep(experiment.FullScale),
 		experiment.ImmunizerReturnsSweep(experiment.FullScale),
 	}
-	for _, sweep := range sweeps {
-		res, err := experiment.EvaluateReturns(sweep, 0.08, opts)
+	// The three sweeps run as one: every replication shares one worker
+	// pool, and the knee of each is read from its figure's result.
+	figs := make([]experiment.Figure, len(sweeps))
+	for i, sweep := range sweeps {
+		figs[i] = sweep.Figure()
+	}
+	sr, err := experiment.RunSweep(context.Background(), figs, opts, experiment.SweepOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, fr := range sr.Figures {
+		res, err := experiment.EvaluateKnee(fr, 0.08)
 		if err != nil {
 			log.Fatal(err)
 		}

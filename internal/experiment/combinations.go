@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mms"
-	"repro/internal/pool"
 	"repro/internal/response"
 	"repro/internal/virus"
 )
@@ -56,79 +54,55 @@ type CombinationResult struct {
 // RunCombinationMatrix evaluates the baseline, every single variant, and
 // every unordered pair against the virus, returning results sorted by
 // final infections (best first) with the baseline last. The whole matrix
-// — baseline, singles, and pairs — is flattened onto one worker pool
-// (opts.Parallelism wide) with a replication cache, so scenarios the
-// matrix shares with itself are simulated once and nothing waits on a
-// per-scenario barrier.
+// runs as one figure (baseline, singles, then pairs) on one worker pool
+// (opts.Parallelism wide), so nothing waits on a per-scenario barrier.
 func RunCombinationMatrix(s Scale, v virus.Config, variants []MechanismVariant, opts core.Options) ([]CombinationResult, float64, error) {
 	if len(variants) < 2 {
 		return nil, 0, fmt.Errorf("experiment: combination matrix needs >= 2 variants")
 	}
-	opts = opts.WithDefaults()
-	p := pool.New(opts.Parallelism)
-	defer p.Close()
-	cache := NewReplicationCache()
-	submit := func(factories ...mms.ResponseFactory) *seriesJob {
+	fig := Figure{ID: "combinations", Title: "Pairwise combination matrix (" + v.Name + ")"}
+	add := func(label string, factories ...mms.ResponseFactory) {
 		cfg := s.paperConfig(v)
 		cfg.Responses = factories
-		return submitSeries(p, context.Background(), cache, cfg, opts)
+		fig.Series = append(fig.Series, Series{Label: label, Config: cfg})
 	}
-
-	baseJob := submit()
-	singleJobs := make([]*seriesJob, len(variants))
-	for i, m := range variants {
-		singleJobs[i] = submit(m.Factory)
+	add("Baseline")
+	for _, m := range variants {
+		add(m.Name, m.Factory)
 	}
-	type pair struct {
-		a, b int
-		job  *seriesJob
-	}
-	var pairJobs []pair
 	for i := 0; i < len(variants); i++ {
 		for j := i + 1; j < len(variants); j++ {
-			pairJobs = append(pairJobs, pair{a: i, b: j,
-				job: submit(variants[i].Factory, variants[j].Factory)})
+			add(variants[i].Name+" + "+variants[j].Name, variants[i].Factory, variants[j].Factory)
 		}
 	}
-
-	baseRun, err := baseJob.wait()
+	fr, err := RunFigure(fig, opts)
 	if err != nil {
-		return nil, 0, fmt.Errorf("experiment: combination baseline: %w", err)
+		return nil, 0, err
 	}
-	baseline := baseRun.FinalMean()
 
-	singles := make(map[string]float64, len(variants))
-	results := make([]CombinationResult, 0, len(variants)*(len(variants)+1)/2)
+	// Read the series back in the order they were added.
+	singles := fr.Series[1 : 1+len(variants)]
+	pairs := fr.Series[1+len(variants):]
+	results := make([]CombinationResult, 0, len(singles)+len(pairs))
 	for i, m := range variants {
-		rs, err := singleJobs[i].wait()
-		if err != nil {
-			return nil, 0, fmt.Errorf("experiment: combination %v: %w", []string{m.Name}, err)
-		}
-		singles[m.Name] = rs.FinalMean()
 		results = append(results, CombinationResult{
 			Names:         []string{m.Name},
-			FinalInfected: rs.FinalMean(),
+			FinalInfected: singles[i].FinalMean,
 		})
 	}
-	for _, pj := range pairJobs {
-		a, b := variants[pj.a], variants[pj.b]
-		rs, err := pj.job.wait()
-		if err != nil {
-			return nil, 0, fmt.Errorf("experiment: combination %v: %w", []string{a.Name, b.Name}, err)
+	for i := 0; i < len(variants); i++ {
+		for j := i + 1; j < len(variants); j++ {
+			final := pairs[0].FinalMean
+			pairs = pairs[1:]
+			results = append(results, CombinationResult{
+				Names:         []string{variants[i].Name, variants[j].Name},
+				FinalInfected: final,
+				Synergy:       min(singles[i].FinalMean, singles[j].FinalMean) - final,
+			})
 		}
-		final := rs.FinalMean()
-		best := singles[a.Name]
-		if singles[b.Name] < best {
-			best = singles[b.Name]
-		}
-		results = append(results, CombinationResult{
-			Names:         []string{a.Name, b.Name},
-			FinalInfected: final,
-			Synergy:       best - final,
-		})
 	}
 	sort.SliceStable(results, func(x, y int) bool {
 		return results[x].FinalInfected < results[y].FinalInfected
 	})
-	return results, baseline, nil
+	return results, fr.Series[0].FinalMean, nil
 }

@@ -38,7 +38,9 @@ type FrontierPoint struct {
 }
 
 // CostFrontier evaluates the options against the baseline and marks the
-// efficient ones. Options must be non-empty with non-negative costs.
+// efficient ones. Options must be non-empty with non-negative costs. The
+// baseline and every option run as the series of one figure on one worker
+// pool (opts.Parallelism wide).
 func CostFrontier(baseline core.Config, options []CostedOption, opts core.Options) ([]FrontierPoint, error) {
 	if len(options) == 0 {
 		return nil, errors.New("experiment: cost frontier needs at least one option")
@@ -48,19 +50,20 @@ func CostFrontier(baseline core.Config, options []CostedOption, opts core.Option
 			return nil, fmt.Errorf("experiment: option %q has negative cost", o.Label)
 		}
 	}
-	baseRun, err := core.Run(baseline, opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: cost-frontier baseline: %w", err)
+	fig := Figure{ID: "cost-frontier", Title: "Cost-effectiveness frontier",
+		Series: []Series{{Label: "Baseline", Config: baseline}}}
+	for _, o := range options {
+		fig.Series = append(fig.Series, Series{Label: o.Label, Config: o.Config})
 	}
-	base := baseRun.FinalMean()
+	fr, err := RunFigure(fig, opts)
+	if err != nil {
+		return nil, err
+	}
+	base := fr.Series[0].FinalMean
 
 	points := make([]FrontierPoint, 0, len(options))
-	for _, o := range options {
-		rs, err := core.Run(o.Config, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: cost-frontier option %q: %w", o.Label, err)
-		}
-		final := rs.FinalMean()
+	for i, o := range options {
+		final := fr.Series[1+i].FinalMean
 		points = append(points, FrontierPoint{
 			Label:     o.Label,
 			Cost:      o.Cost,

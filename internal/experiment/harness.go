@@ -48,25 +48,22 @@ func (fr *FigureResult) SeriesByLabel(label string) (*SeriesResult, bool) {
 }
 
 // RunFigure executes every series of the figure with the given options.
+// Every series runs on one shared worker pool (opts.Parallelism wide) via
+// the sweep scheduler, and series inherit core.RunContext's salvage
+// semantics, so a series whose surviving replications meet
+// opts.MinReplications still contributes its aggregated band. A failed
+// series does not discard the completed ones: per-series failures are
+// collected with errors.Join and the partial FigureResult is returned
+// alongside the error, mirroring core.RunSet salvage.
 func RunFigure(fig Figure, opts core.Options) (*FigureResult, error) {
-	return RunFigureContext(context.Background(), fig, opts)
+	return RunFigureCached(context.Background(), fig, opts, nil)
 }
 
-// RunFigureContext is RunFigure under a context: a cancellation or timeout
-// aborts in-flight replications. Every series runs on one shared worker
-// pool (opts.Parallelism wide) via the sweep scheduler, and series inherit
-// core.RunContext's salvage semantics, so a series whose surviving
-// replications meet opts.MinReplications still contributes its aggregated
-// band. A failed series no longer discards the completed ones: per-series
-// failures are collected with errors.Join and the partial FigureResult is
-// returned alongside the error, mirroring core.RunSet salvage.
-func RunFigureContext(ctx context.Context, fig Figure, opts core.Options) (*FigureResult, error) {
-	return RunFigureCached(ctx, fig, opts, nil)
-}
-
-// RunFigureCached is RunFigureContext with a caller-supplied replication
-// cache — the hook the CLIs use to attach a persistent result store (and
-// its sweep journal) to a single-figure run. A nil cache runs uncached.
+// RunFigureCached is RunFigure under a context, where a cancellation or
+// timeout aborts in-flight replications, with a caller-supplied
+// replication cache: the hook the CLIs use to attach a persistent result
+// store (and its sweep journal) to a single-figure run. A nil cache runs
+// uncached.
 func RunFigureCached(ctx context.Context, fig Figure, opts core.Options, cache *ReplicationCache) (*FigureResult, error) {
 	sr, err := RunSweep(ctx, []Figure{fig}, opts, SweepOptions{Jobs: opts.Parallelism, Cache: cache})
 	if err != nil {

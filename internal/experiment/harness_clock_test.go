@@ -15,7 +15,8 @@ import (
 func TestElapsedUsesInjectedClock(t *testing.T) {
 	orig := timeNow
 	t.Cleanup(func() { timeNow = orig })
-	// Two reads per RunFigureContext (start, end), 3s apart.
+	// RunSweep reads the clock at its start and again when it assembles
+	// the figure, 3s apart.
 	timeNow = clock.Stepped(time.Unix(0, 0).UTC(), 3*time.Second)
 
 	cfg := Scale{Factor: 20}.paperConfig(virus.Virus3())

@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mms"
-	"repro/internal/pool"
 	"repro/internal/response"
 	"repro/internal/virus"
 )
@@ -42,9 +40,25 @@ type Sweep struct {
 	Points []SweepPoint
 }
 
+// Figure is the sweep as one study: the baseline first, then the levels
+// in increasing-strength order. Run it alone or inside a larger RunSweep
+// and pass its result to EvaluateKnee.
+func (sw Sweep) Figure() Figure {
+	fig := Figure{
+		ID:     sw.Name,
+		Title:  sw.Name,
+		XLabel: "Hours",
+		YLabel: "Infection Count",
+		Series: []Series{{Label: "Baseline", Config: sw.Baseline}},
+	}
+	for _, p := range sw.Points {
+		fig.Series = append(fig.Series, Series{Label: p.Label, Config: p.Config})
+	}
+	return fig
+}
+
 // ReturnsPoint is one evaluated level.
 type ReturnsPoint struct {
-	Strength  float64
 	Label     string
 	Final     float64
 	Prevented float64 // baseline final − this final
@@ -75,52 +89,37 @@ func (r *ReturnsResult) Knee() (ReturnsPoint, bool) {
 	return r.Points[r.KneeIndex], true
 }
 
-// EvaluateReturns runs the sweep and locates the point of diminishing
-// returns: the first strength increment whose marginal prevention is below
-// kneeFraction of the baseline infections. kneeFraction must lie in (0,1).
-// Baseline and all levels are flattened onto one worker pool
-// (opts.Parallelism wide) with a replication cache; the knee math reads
-// results in level order, so the outcome is independent of scheduling.
-func EvaluateReturns(sweep Sweep, kneeFraction float64, opts core.Options) (*ReturnsResult, error) {
-	if len(sweep.Points) < 2 {
+// EvaluateKnee locates the point of diminishing returns in an executed
+// Sweep.Figure: the first strength increment after the weakest level whose
+// marginal prevention is strictly below kneeFraction of the baseline
+// infections. kneeFraction must lie in (0,1). It reads the series in
+// definition order and returns ErrSeriesMissing when one is absent, as in
+// the partial result of a failed sweep.
+func EvaluateKnee(fr *FigureResult, kneeFraction float64) (*ReturnsResult, error) {
+	if len(fr.Figure.Series) < 3 {
 		return nil, errors.New("experiment: returns sweep needs at least 2 levels")
 	}
 	if kneeFraction <= 0 || kneeFraction >= 1 {
 		return nil, fmt.Errorf("experiment: knee fraction %v outside (0,1)", kneeFraction)
 	}
-	opts = opts.WithDefaults()
-	p := pool.New(opts.Parallelism)
-	defer p.Close()
-	cache := NewReplicationCache()
-	baseJob := submitSeries(p, context.Background(), cache, sweep.Baseline, opts)
-	pointJobs := make([]*seriesJob, len(sweep.Points))
-	for i, pt := range sweep.Points {
-		pointJobs[i] = submitSeries(p, context.Background(), cache, pt.Config, opts)
+	for i, s := range fr.Figure.Series {
+		if i >= len(fr.Series) || fr.Series[i].Label != s.Label {
+			return nil, fmt.Errorf("%w: %s / %s", ErrSeriesMissing, fr.Figure.ID, s.Label)
+		}
 	}
-
-	baseRun, err := baseJob.wait()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: returns baseline: %w", err)
-	}
-	base := baseRun.FinalMean()
+	base := fr.Series[0].FinalMean
 	res := &ReturnsResult{
-		Name:         sweep.Name,
+		Name:         fr.Figure.Title,
 		Baseline:     base,
 		KneeIndex:    -1,
 		KneeFraction: kneeFraction,
 	}
 	prevPrevented := 0.0
-	for i, p := range sweep.Points {
-		rs, err := pointJobs[i].wait()
-		if err != nil {
-			return nil, fmt.Errorf("experiment: returns level %q: %w", p.Label, err)
-		}
-		final := rs.FinalMean()
-		prevented := base - final
+	for i, s := range fr.Series[1:] {
+		prevented := base - s.FinalMean
 		pt := ReturnsPoint{
-			Strength:     p.Strength,
-			Label:        p.Label,
-			Final:        final,
+			Label:        s.Label,
+			Final:        s.FinalMean,
 			Prevented:    prevented,
 			MarginalGain: prevented - prevPrevented,
 		}

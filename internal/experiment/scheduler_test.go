@@ -89,14 +89,14 @@ func TestSweepSalvagesPartialFailure(t *testing.T) {
 	}
 }
 
-// RunFigureContext forwards the scheduler's salvage contract: the partial
+// RunFigure forwards the scheduler's salvage contract: the partial
 // FigureResult arrives alongside the joined error instead of being
 // discarded.
-func TestRunFigureContextPartialResult(t *testing.T) {
+func TestRunFigurePartialResult(t *testing.T) {
 	t.Parallel()
 	fig := Figure1(Scale{Factor: 20})
 	fig.Series[0].Config.Population = -1
-	fr, err := RunFigureContext(context.Background(), fig, core.Options{Replications: 2, GridPoints: 20})
+	fr, err := RunFigure(fig, core.Options{Replications: 2, GridPoints: 20})
 	if err == nil {
 		t.Fatal("invalid series reported success")
 	}

@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mms"
-	"repro/internal/pool"
 	"repro/internal/response"
 	"repro/internal/rng"
 	"repro/internal/virus"
@@ -96,12 +94,12 @@ func (c *tradeoffCounts) collect(set *mms.ShardSet) {
 
 // RunMonitorTradeoff sweeps the monitoring threshold and measures both the
 // containment of Virus 3 and the false-positive flags caused by legitimate
-// traffic. All thresholds' replications are flattened onto one worker pool
-// (opts.Parallelism wide); each replication gets a fresh monitor through
-// the ordinary factory path, and a PostRun hook pairs it with its shard
-// set at the horizon via mms.ShardSet.Responses. The PostRun hook makes these
-// configs uncacheable by design — every replication measures its own
-// mechanism state, so memoizing would be wrong.
+// traffic. The thresholds run as the series of one figure on one worker
+// pool (opts.Parallelism wide); each replication gets a fresh monitor
+// through the ordinary factory path, and a PostRun hook pairs it with its
+// shard set at the horizon via mms.ShardSet.Responses. The PostRun hook
+// makes these configs uncacheable by design — every replication measures
+// its own mechanism state, so memoizing would be wrong.
 func RunMonitorTradeoff(tc TradeoffConfig, opts core.Options) ([]TradeoffPoint, error) {
 	if len(tc.Thresholds) == 0 {
 		return nil, fmt.Errorf("experiment: tradeoff needs thresholds")
@@ -109,33 +107,29 @@ func RunMonitorTradeoff(tc TradeoffConfig, opts core.Options) ([]TradeoffPoint, 
 	if tc.Window <= 0 || tc.ForcedWait <= 0 || tc.LegitMeanInterval <= 0 {
 		return nil, fmt.Errorf("experiment: tradeoff timings must be positive")
 	}
-	opts = opts.WithDefaults()
-
-	p := pool.New(opts.Parallelism)
-	defer p.Close()
-	jobs := make([]*seriesJob, len(tc.Thresholds))
-	counts := make([]*tradeoffCounts, len(tc.Thresholds))
+	fig := Figure{ID: "monitor-tradeoff", Title: "Monitoring threshold trade-off (Virus 3)"}
+	counts := make([]tradeoffCounts, len(tc.Thresholds))
 	for ti, threshold := range tc.Thresholds {
-		counts[ti] = &tradeoffCounts{}
 		cfg := tc.Scale.paperConfig(virus.Virus3())
 		cfg.Network.LegitSendInterval = rng.Exponential{MeanD: tc.LegitMeanInterval}
 		cfg.Responses = []mms.ResponseFactory{
 			response.NewMonitorFull(tc.Window, threshold, tc.ForcedWait),
 		}
 		cfg.PostRun = counts[ti].collect
-		jobs[ti] = submitSeries(p, context.Background(), nil, cfg, opts)
+		fig.Series = append(fig.Series, Series{Label: fmt.Sprintf("threshold %d", threshold), Config: cfg})
+	}
+	fr, err := RunFigure(fig, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	points := make([]TradeoffPoint, 0, len(tc.Thresholds))
 	for ti, threshold := range tc.Thresholds {
-		rs, err := jobs[ti].wait()
-		if err != nil {
-			return nil, fmt.Errorf("experiment: tradeoff threshold %d: %w", threshold, err)
-		}
-		n := float64(len(rs.Results))
+		s := fr.Series[ti]
+		n := float64(len(s.RunSet.Results))
 		points = append(points, TradeoffPoint{
 			Threshold:      threshold,
-			FinalInfected:  rs.FinalMean(),
+			FinalInfected:  s.FinalMean,
 			FalsePositives: float64(counts[ti].falsePos) / n,
 			TruePositives:  float64(counts[ti].truePos) / n,
 		})

@@ -65,31 +65,6 @@ func TestCSRMatchesGraphAdjacency(t *testing.T) {
 	}
 }
 
-// Property (satellite): the streaming ring-lattice CSR matches the
-// Watts–Strogatz lattice at beta=0 (which consumes no randomness), across
-// sizes and neighbor counts.
-func TestRingLatticeCSRMatchesWattsStrogatz(t *testing.T) {
-	t.Parallel()
-
-	cases := []struct{ n, k int }{
-		{10, 2}, {64, 4}, {500, 6}, {1000, 8},
-	}
-	for _, tc := range cases {
-		g, err := WattsStrogatz(tc.n, tc.k, 0, rng.New(1))
-		if err != nil {
-			t.Fatalf("WattsStrogatz(%d,%d,0): %v", tc.n, tc.k, err)
-		}
-		c, err := RingLatticeCSR(tc.n, tc.k)
-		if err != nil {
-			t.Fatalf("RingLatticeCSR(%d,%d): %v", tc.n, tc.k, err)
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("lattice CSR invalid (n=%d k=%d): %v", tc.n, tc.k, err)
-		}
-		assertCSRMatchesGraph(t, c, g)
-	}
-}
-
 // FromGraph must preserve the adjacency of arbitrary generated graphs,
 // including the paper's power-law topology.
 func TestFromGraphPreservesAdjacency(t *testing.T) {

@@ -433,31 +433,6 @@ func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) 
 	return nil
 }
 
-// RingLatticeCSR generates the k-regular ring lattice (each node linked to
-// its k nearest ring neighbors, k even) directly in CSR form. It is exactly
-// WattsStrogatz(n, k, 0, src) — beta 0 consumes no randomness — built
-// without materializing per-node adjacency.
-func RingLatticeCSR(n, k int) (*CSR, error) {
-	if n <= 0 {
-		return nil, errors.New("graph: ring lattice needs n > 0")
-	}
-	if k <= 0 || k%2 != 0 || k >= n {
-		return nil, fmt.Errorf("graph: ring lattice needs even 0 < k < n (n=%d, k=%d)", n, k)
-	}
-	b, err := NewCSRBuilder(n, n*k/2)
-	if err != nil {
-		return nil, err
-	}
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			if err := b.AddEdge(u, (u+j)%n); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Finalize()
-}
-
 // WattsStrogatz generates a small-world ring lattice of n nodes, each linked
 // to its k nearest neighbors (k even), with each edge rewired with
 // probability beta.

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Local quality gate: formatting, vet, mvlint, and the full test suite
-# under the race detector. Each step is a Make target so CI can run them
-# as separate, individually visible steps without drifting from this
-# script. Run from the repository root (or let the cd handle it).
+# Local quality gate: formatting, vet, mvlint, the full test suite
+# under the race detector, and every example run to completion. Each
+# step is a Make target so CI can run them as separate, individually
+# visible steps without drifting from this script. Run from the
+# repository root (or let the cd handle it).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,3 +11,4 @@ make fmt-check
 make vet
 make lint
 make race
+make examples
