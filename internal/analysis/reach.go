@@ -24,13 +24,17 @@ var DefaultHotPathRoots = []string{
 	"des.Simulation.ScheduleArgAfter",
 	"des.Simulation.Cancel",
 	// internal/mms: per-message delivery, plus the sharded cross-shard
-	// exchange (outbox drain + canonical sort + injection) and the
-	// barrier detection merge, which run once per window over batches
-	// proportional to traffic.
+	// exchange (outbox bucketing by destination, then each destination's
+	// canonical sort and injection) and the barrier detection merge, which
+	// run once per window over batches proportional to traffic.
+	// ShardSet.inject runs as a pool task submitted as a func value, which
+	// the call graph does not follow from exchange, so it is a root of its
+	// own.
 	"mms.Network.transit",
 	"mms.Network.deliverCopy",
 	"mms.Network.read",
 	"mms.ShardSet.exchange",
+	"mms.ShardSet.inject",
 	"mms.Network.receiveRemote",
 	"mms.ShardSet.mergeDetection",
 }

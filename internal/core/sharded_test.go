@@ -66,6 +66,75 @@ func TestShardedRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestShardSetDriversAgree pins the equivalence perfbench's traced driver
+// relies on: an 8-shard set driven window by window through the serial
+// RunWindow, which injects each destination's copies inline, ends in the
+// same state as Run on 1, 2 or 8 workers, which injects them in parallel.
+// Scan and immunization make the barrier hooks and detection part of the
+// comparison.
+func TestShardSetDriversAgree(t *testing.T) {
+	t.Parallel()
+	type outcome struct {
+		events     []mms.InfectionEvent
+		metrics    mms.Metrics
+		fired      uint64
+		detected   bool
+		detectedAt time.Duration
+	}
+	build := func() *mms.ShardSet {
+		cfg := shardedTestConfig(8, 0)
+		cfg.Responses = []mms.ResponseFactory{
+			response.NewScan(2 * time.Hour),
+			response.NewImmunizer(time.Hour, 2*time.Hour),
+		}
+		sr, err := NewShardedRun(cfg, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr.ShardSet()
+	}
+	collect := func(set *mms.ShardSet) outcome {
+		o := outcome{events: set.InfectionEvents(), metrics: set.Metrics(), fired: set.EventsFired()}
+		o.detectedAt, o.detected = set.Detected()
+		return o
+	}
+	horizon := shardedTestConfig(8, 0).Horizon
+
+	set := build()
+	window := set.Window()
+	for b := window; ; b += window {
+		b = min(b, horizon)
+		set.RunWindow(b, min(b+window, horizon))
+		if b >= horizon {
+			break
+		}
+	}
+	want := collect(set)
+	if len(want.events) <= 6 || !want.detected {
+		t.Fatalf("scenario too quiet: %d infections, detected %v", len(want.events), want.detected)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		set := build()
+		if err := set.Run(context.Background(), horizon, workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := collect(set)
+		if !reflect.DeepEqual(got.events, want.events) {
+			t.Errorf("workers=%d: %d infection events differ from RunWindow's %d", workers, len(got.events), len(want.events))
+		}
+		if got.metrics != want.metrics {
+			t.Errorf("workers=%d: metrics %+v, RunWindow %+v", workers, got.metrics, want.metrics)
+		}
+		if got.fired != want.fired {
+			t.Errorf("workers=%d: %d events fired, RunWindow %d", workers, got.fired, want.fired)
+		}
+		if got.detected != want.detected || got.detectedAt != want.detectedAt {
+			t.Errorf("workers=%d: detection (%v, %v), RunWindow (%v, %v)",
+				workers, got.detected, got.detectedAt, want.detected, want.detectedAt)
+		}
+	}
+}
+
 // TestShardedRunShardCountChangesAreExplicit documents that the shard count
 // is part of the trajectory's identity (it is fingerprinted): different
 // shard counts are allowed to differ.

@@ -85,3 +85,15 @@ func BenchmarkShardExchange(b *testing.B) {
 		op()
 	}
 }
+
+// BenchmarkShardExchangeFanIn times one steady-state window of the
+// all-to-all cross-shard exchange over eight shards (see
+// shardExchangeFanIn).
+func BenchmarkShardExchangeFanIn(b *testing.B) {
+	op, _ := shardExchangeFanIn(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}

@@ -48,11 +48,12 @@ func (b *remoteBuf) reset() {
 	b.target = b.target[:0]
 }
 
-// exchangeBatch is the coordinator's merged view of all outboxes, reused
-// across windows. It implements sort.Interface over the canonical
-// (arrival, sender, target) order; sort.Stable on the stored value sorts
-// the three columns in place without the reflect-based swapper (and the
-// per-window closure) that sort.SliceStable would allocate.
+// exchangeBatch is one destination shard's incoming copies for a barrier:
+// its contiguous range of the bucketed merge batch. It implements
+// sort.Interface over the canonical (arrival, sender, target) order. Each
+// destination's view is preallocated and sorted through a pointer, so
+// neither the interface conversion nor the sort allocates (sort.Slice
+// would allocate a closure and a reflect-based swapper per call).
 type exchangeBatch struct {
 	remoteBuf
 }
@@ -82,17 +83,21 @@ func (b *exchangeBatch) Swap(i, j int) {
 // phone regime splits the population across many shards.
 //
 // With more than one shard, shards run each window in parallel on a worker
-// pool and touch only their owned state plus their private outbox; at each
-// barrier the coordinator drains all outboxes in a canonical sorted order
-// (arrival time, sender, target) and injects the copies into their owner
-// shards, then runs the barrier synchronization that response mechanisms
-// hook (merged gateway detection, patch waves — see response.go). The
-// trajectory is therefore a pure function of (config, seed, shard count,
-// window) — worker count and scheduling cannot perturb it. A cross-shard
-// copy whose delivery latency expires mid-window is clamped to the barrier,
-// and globally merged response state advances only at barriers, so a
-// many-shard trajectory matches the one-shard model only in distribution
-// (DESIGN.md §15).
+// pool and touch only their owned state plus their private outbox. At each
+// barrier the coordinator buckets all outboxes by destination shard; each
+// destination then sorts its own copies into the canonical (arrival,
+// sender, target) order and injects them, one pool task per destination.
+// Injection touches only the destination's state, and the canonical order
+// restricted to one destination is that destination's sort, so the
+// parallel exchange injects exactly what a serial global merge would. The
+// coordinator then runs the barrier synchronization that response
+// mechanisms hook (merged gateway detection, patch waves — see
+// response.go). The trajectory is therefore a pure function of (config,
+// seed, shard count, window) — worker count and scheduling cannot perturb
+// it. A cross-shard copy whose delivery latency expires mid-window is
+// clamped to the barrier, and globally merged response state advances only
+// at barriers, so a many-shard trajectory matches the one-shard model only
+// in distribution (DESIGN.md §15).
 //
 // One shard has no exchange partner: it runs inline on the calling
 // goroutine, keeps the unsharded stream names, reports gateway detection
@@ -108,16 +113,25 @@ type ShardSet struct {
 	// outbox[s] is appended only by shard s's goroutine during a window and
 	// drained only by the coordinator between windows.
 	outbox []remoteBuf
-	// batch is the reused coordinator-side merge buffer for exchange.
-	batch exchangeBatch
+	// Exchange state reused across barriers: batch holds every outbox's
+	// copies bucketed by destination shard, destination d's range being
+	// batch[offsets[d]:offsets[d+1]]; cursor is the bucketing pass's write
+	// position per destination, and views[d] is destination d's range as
+	// a sortable exchangeBatch.
+	batch   remoteBuf
+	offsets []int
+	cursor  []int
+	views   []exchangeBatch
 
 	// Window-loop state reused across windows so Run allocates nothing per
-	// barrier: winFns are the per-shard window thunks submitted to the
-	// pool, reading winBarrier (written by the coordinator before each
-	// submission round, ordered by the pool's queue lock). winBarrier is
-	// also the end of the current window (WindowEnd). A one-shard set runs
-	// inline and has no outboxes, thunks or pool.
+	// barrier: winFns are the per-shard window thunks and injectFns the
+	// per-destination exchange thunks submitted to the pool, reading
+	// winBarrier (written by the coordinator before each submission round,
+	// ordered by the pool's queue lock). winBarrier is also the end of the
+	// current window (WindowEnd). A one-shard set runs inline and has no
+	// outboxes, thunks or pool.
 	winFns     []func()
+	injectFns  []func()
 	winBarrier time.Duration
 	winErrs    []error
 	winWG      sync.WaitGroup
@@ -181,7 +195,11 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 	}
 	if shards > 1 {
 		ss.outbox = make([]remoteBuf, shards)
+		ss.offsets = make([]int, shards+1)
+		ss.cursor = make([]int, shards)
+		ss.views = make([]exchangeBatch, shards)
 		ss.winFns = make([]func(), shards)
+		ss.injectFns = make([]func(), shards)
 		ss.winErrs = make([]error, shards)
 	}
 	for s := 0; s <= shards; s++ {
@@ -207,15 +225,8 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 			net.remote = func(at time.Duration, from, target PhoneID) {
 				ss.outbox[s].push(at, from, target)
 			}
-			ss.winFns[s] = func() {
-				defer ss.winWG.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						ss.winErrs[s] = fmt.Errorf("mms: shard %d panicked at window %v: %v", s, ss.winBarrier, r)
-					}
-				}()
-				sim.RunUntil(ss.winBarrier)
-			}
+			ss.winFns[s] = ss.shardTask(s, "at window", func() { sim.RunUntil(ss.winBarrier) })
+			ss.injectFns[s] = ss.shardTask(s, "injecting at barrier", func() { ss.inject(s) })
 		}
 		if cfg.LegitSendInterval != nil {
 			// Background legitimate traffic is shard-local by construction:
@@ -229,6 +240,21 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 		ss.nets[s] = net
 	}
 	return ss, nil
+}
+
+// shardTask wraps body as one of shard s's pool tasks: it signals winWG when
+// done and turns a panic into a winErrs entry naming the shard, the phase
+// and the barrier, so a crashing task fails the run instead of the process.
+func (ss *ShardSet) shardTask(s int, phase string, body func()) func() {
+	return func() {
+		defer ss.winWG.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				ss.winErrs[s] = fmt.Errorf("mms: shard %d panicked %s %v: %v", s, phase, ss.winBarrier, r)
+			}
+		}()
+		body()
+	}
 }
 
 // Shards returns the per-shard networks, in id order. Virus engines attach
@@ -326,7 +352,9 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 		if next > horizon {
 			next = horizon
 		}
-		ss.barrierStep(t, next)
+		if err := ss.barrierStep(p, t, next); err != nil {
+			return err
+		}
 		if t >= horizon {
 			return nil
 		}
@@ -335,54 +363,117 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 
 // RunWindow advances every shard to barrier serially on the calling
 // goroutine, then performs the same exchange and barrier synchronization
-// Run would: one conservative window without pool scheduling. next is the
-// following barrier (responses use it to commit work landing inside the
-// upcoming window; pass barrier again at the horizon). Benchmarks drive
-// RunWindow directly to meter the exchange hot path; trajectories are
-// identical to Run's because the window protocol is.
+// Run would, running the per-destination exchange tasks inline: one
+// conservative window without pool scheduling. next is the following
+// barrier (responses use it to commit work landing inside the upcoming
+// window; pass barrier again at the horizon). Benchmarks drive RunWindow
+// directly to meter the exchange hot path; trajectories are identical to
+// Run's because the window protocol is. A panic while injecting re-panics
+// with the shard index.
 func (ss *ShardSet) RunWindow(barrier, next time.Duration) {
+	ss.winBarrier = barrier
 	for _, net := range ss.nets {
 		net.sim.RunUntil(barrier)
 	}
-	ss.barrierStep(barrier, next)
+	if err := ss.barrierStep(nil, barrier, next); err != nil {
+		panic(err)
+	}
 }
 
 // barrierStep is everything that happens between windows, in order: drain
-// and inject the cross-shard outboxes, open the next window, then run
-// barrier synchronization (merged detection, response hooks — response.go).
-func (ss *ShardSet) barrierStep(barrier, next time.Duration) {
-	ss.exchange(barrier)
+// and inject the cross-shard outboxes (on p, or inline when p is nil), open
+// the next window, then run barrier synchronization (merged detection,
+// response hooks — response.go).
+func (ss *ShardSet) barrierStep(p *pool.Pool, barrier, next time.Duration) error {
+	if err := ss.exchange(p); err != nil {
+		return err
+	}
 	ss.winBarrier = next
 	ss.barrierSync(barrier, next)
+	return nil
 }
 
 // exchange drains every shard's outbox and injects the copies into their
-// owner shards in canonical (arrival, sender, target) order. It runs on the
-// coordinating goroutine between windows, when no shard event loop is live,
-// so it may touch any shard's state. The merge buffer and the per-shard
-// outboxes are reused across windows and the sort runs on a stored
-// sort.Interface value, so the steady-state exchange performs zero
-// allocations (pinned by TestShardedExchangeAllocationFree).
-func (ss *ShardSet) exchange(barrier time.Duration) {
+// owner shards. Only the bucketing pass runs serially on the coordinator;
+// each destination with incoming copies then sorts and injects its own
+// range as one task, on p or inline when p is nil. It runs between
+// windows, when no shard event loop is live, and the barrier being
+// exchanged is winBarrier. The merge buffer, offsets, views and per-shard
+// outboxes are reused across windows and the thunks are built once, so the
+// steady-state exchange performs zero allocations (pinned by
+// TestShardedExchangeAllocationFree).
+func (ss *ShardSet) exchange(p *pool.Pool) error {
+	if ss.bucket() == 0 {
+		return nil
+	}
+	for d, fn := range ss.injectFns {
+		if ss.offsets[d] == ss.offsets[d+1] {
+			continue
+		}
+		ss.winWG.Add(1)
+		if p == nil {
+			fn()
+		} else {
+			p.Submit(fn)
+		}
+	}
+	ss.winWG.Wait()
+	return errors.Join(ss.winErrs...)
+}
+
+// bucket moves every outbox's copies into batch grouped by destination
+// shard — source-shard order, then push order, within each group — sets
+// offsets to the group bounds, and returns the number of copies moved.
+func (ss *ShardSet) bucket() int {
+	if len(ss.outbox) == 0 {
+		return 0
+	}
+	off := ss.offsets
+	clear(off)
+	for s := range ss.outbox {
+		for _, t := range ss.outbox[s].target {
+			off[ss.ShardOf(PhoneID(t))+1]++
+		}
+	}
+	for d := 1; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
+	total := off[len(off)-1]
+	if total == 0 {
+		return 0
+	}
 	b := &ss.batch
-	b.reset()
+	b.at = slices.Grow(b.at[:0], total)[:total]
+	b.from = slices.Grow(b.from[:0], total)[:total]
+	b.target = slices.Grow(b.target[:0], total)[:total]
+	cur := ss.cursor
+	copy(cur, off)
 	for s := range ss.outbox {
 		o := &ss.outbox[s]
-		b.at = append(b.at, o.at...)
-		b.from = append(b.from, o.from...)
-		b.target = append(b.target, o.target...)
+		for i, t := range o.target {
+			d := ss.ShardOf(PhoneID(t))
+			j := cur[d]
+			cur[d]++
+			b.at[j], b.from[j], b.target[j] = o.at[i], o.from[i], t
+		}
 		o.reset()
 	}
-	if len(b.at) == 0 {
-		return
-	}
-	// Stable canonical order decouples the exchange from shard indexing and
-	// scheduling: two copies with equal arrival times inject in (from,
-	// target) order no matter which shard produced them first.
-	sort.Stable(b)
-	for i := range b.at {
-		target := PhoneID(b.target[i])
-		ss.nets[ss.ShardOf(target)].receiveRemote(b.at[i], PhoneID(b.from[i]), target, barrier)
+	return total
+}
+
+// inject sorts destination shard d's bucketed copies into the canonical
+// (arrival, sender, target) order and applies them on d's network. It
+// touches only d's state — its queue, its trials map and its own phones'
+// population entries — so destinations run in parallel. The sort need not
+// be stable: two copies with equal keys are the same copy.
+func (ss *ShardSet) inject(d int) {
+	lo, hi := ss.offsets[d], ss.offsets[d+1]
+	v := &ss.views[d]
+	v.at, v.from, v.target = ss.batch.at[lo:hi], ss.batch.from[lo:hi], ss.batch.target[lo:hi]
+	sort.Sort(v)
+	net, barrier := ss.nets[d], ss.winBarrier
+	for i := range v.at {
+		net.receiveRemote(v.at[i], PhoneID(v.from[i]), PhoneID(v.target[i]), barrier)
 	}
 }
 

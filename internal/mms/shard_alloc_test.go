@@ -60,8 +60,8 @@ func shardExchange(tb testing.TB) (op func(), ss *ShardSet) {
 
 // TestShardedExchangeAllocationFree pins the cross-shard hot path at zero
 // steady-state allocations: sends queued into the flat SoA outbox, the
-// barrier drain with its canonical stable sort, and owner-shard injection
-// must all run out of reused buffers once warmed. Every send must also be
+// barrier's bucketing by destination, and each destination's canonical
+// sort and injection must all run out of reused buffers once warmed. Every send must also be
 // accepted, so each op moves all 64 copies across the barrier.
 func TestShardedExchangeAllocationFree(t *testing.T) {
 	op, ss := shardExchange(t)
@@ -73,6 +73,73 @@ func TestShardedExchangeAllocationFree(t *testing.T) {
 	// AllocsPerRun adds one warm-up call to the measured runs.
 	if sent := ss.Metrics().MessagesSent - before; sent != 64*(runs+1) {
 		t.Errorf("sent %d messages over %d ops, want 64 per op", sent, runs+1)
+	}
+}
+
+// shardExchangeFanIn builds an eight-shard set and returns one op of an
+// all-to-all exchange: every shard sends perPair virus copies to each of
+// the seven others (448 copies, spread over 8 target phones per
+// destination), then one conservative window runs through the serial
+// RunWindow driver, so every destination's sort-and-inject task has work.
+// Like shardExchange, the set is warmed until its buffers reach
+// steady-state capacity and every target's read cap is saturated.
+func shardExchangeFanIn(tb testing.TB) (op func(), ss *ShardSet) {
+	tb.Helper()
+	const (
+		phones  = 4096
+		shards  = 8
+		perPair = 8
+		targets = 8
+	)
+	root := rng.New(1)
+	topo, err := graph.BarabasiAlbertCSR(phones, 4, root.Stream(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vulnerable := make([]bool, phones)
+	cfg := DefaultConfig()
+	cfg.AllowDuplicateTrials = true
+	ss, err = NewShardSet(topo, vulnerable, cfg, shards, time.Minute, root.Stream(3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tbuf := make([]Target, 1)
+	barrier := time.Duration(0)
+	op = func() {
+		for s, sender := range ss.Shards() {
+			for d := 0; d < shards; d++ {
+				if d == s {
+					continue
+				}
+				for k := 0; k < perPair; k++ {
+					tbuf[0] = ValidTarget(PhoneID(ss.bounds[d] + k%targets))
+					if _, err := sender.Send(PhoneID(ss.bounds[s]+k), tbuf); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+		}
+		barrier += ss.Window()
+		ss.RunWindow(barrier, barrier+ss.Window())
+	}
+	// Each target receives (shards-1)*perPair/targets copies per op.
+	for i := 0; i < 2*readCap*targets/((shards-1)*perPair)+1; i++ {
+		op()
+	}
+	return op, ss
+}
+
+// TestShardedExchangeFanInAllocationFree pins the all-to-all exchange at
+// zero steady-state allocations, with all 448 copies sent per op.
+func TestShardedExchangeFanInAllocationFree(t *testing.T) {
+	op, ss := shardExchangeFanIn(t)
+	const runs = 50
+	before := ss.Metrics().MessagesSent
+	if allocs := testing.AllocsPerRun(runs, op); allocs != 0 {
+		t.Fatalf("fan-in exchange allocated %.1f times per window, want 0", allocs)
+	}
+	if sent := ss.Metrics().MessagesSent - before; sent != 448*(runs+1) {
+		t.Errorf("sent %d messages over %d ops, want 448 per op", sent, runs+1)
 	}
 }
 

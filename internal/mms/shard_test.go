@@ -1,0 +1,131 @@
+package mms
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/rng"
+)
+
+// exchangeTestSet builds an idle set of shards shards over phones phones
+// whose sizes differ (phones is not a multiple of shards), so the
+// destination offsets are uneven.
+func exchangeTestSet(t *testing.T, phones, shards int) *ShardSet {
+	t.Helper()
+	root := rng.New(1)
+	topo, err := graph.BarabasiAlbertCSR(phones, 4, root.Stream(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShardSet(topo, make([]bool, phones), DefaultConfig(), shards, time.Minute, root.Stream(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// pendingPerShard returns each shard queue's pending event count.
+func pendingPerShard(ss *ShardSet) []int {
+	p := make([]int, len(ss.nets))
+	for s, net := range ss.nets {
+		p[s] = net.sim.Pending()
+	}
+	return p
+}
+
+// TestExchangeInjectsEachDestinationInCanonicalOrder pushes copies with
+// one arrival time into one destination from three source shards, each
+// source in reverse order, and checks that the destination injects them in
+// (sender, target) order while every other destination stays untouched.
+func TestExchangeInjectsEachDestinationInCanonicalOrder(t *testing.T) {
+	const dest = 1
+	ss := exchangeTestSet(t, 203, 4)
+	at := 30 * time.Second
+	type copyKey struct{ from, target uint32 }
+	var want []copyKey
+	for _, src := range []int{0, 2, 3} {
+		lo := ss.bounds[src]
+		for k := 0; k < 3; k++ {
+			want = append(want, copyKey{uint32(lo + k), uint32(ss.bounds[dest] + k)})
+		}
+	}
+	// Push from the last source shard to the first, each in reverse, so
+	// neither push order nor source order agrees with the canonical one.
+	for i := len(want) - 1; i >= 0; i-- {
+		c := want[i]
+		ss.outbox[ss.ShardOf(PhoneID(c.from))].push(at, PhoneID(c.from), PhoneID(c.target))
+	}
+	before := pendingPerShard(ss)
+	ss.winBarrier = time.Minute
+	if err := ss.exchange(nil); err != nil {
+		t.Fatal(err)
+	}
+	v := &ss.views[dest]
+	if len(v.at) != len(want) {
+		t.Fatalf("destination %d injected %d copies, want %d", dest, len(v.at), len(want))
+	}
+	for i, c := range want {
+		if got := (copyKey{v.from[i], v.target[i]}); got != c || v.at[i] != at {
+			t.Errorf("copy %d injected as (%v, %d, %d), want (%v, %d, %d)",
+				i, v.at[i], got.from, got.target, at, c.from, c.target)
+		}
+	}
+	after := pendingPerShard(ss)
+	for s := range after {
+		wantAdded := 0
+		if s == dest {
+			wantAdded = len(want)
+		}
+		if added := after[s] - before[s]; added != wantAdded {
+			t.Errorf("shard %d queue gained %d events, want %d", s, added, wantAdded)
+		}
+	}
+	for s := range ss.outbox {
+		if n := len(ss.outbox[s].at); n != 0 {
+			t.Errorf("outbox %d holds %d copies after the exchange, want 0", s, n)
+		}
+	}
+
+	// A destination with no incoming copies is a no-op, whether the
+	// exchange skips it or its task runs anyway.
+	ss.inject(0)
+	if p := ss.nets[0].sim.Pending(); p != before[0] {
+		t.Errorf("empty destination 0 queue holds %d events after inject, want %d", p, before[0])
+	}
+}
+
+// TestExchangeBucketsShardEdges sends one copy to the first and one to the
+// last phone of every shard, each from the next shard over, and checks
+// that each copy lands on its owner's queue: an off-by-one in the
+// destination offsets moves an edge copy to a neighbour.
+func TestExchangeBucketsShardEdges(t *testing.T) {
+	const shards = 5
+	ss := exchangeTestSet(t, 203, shards)
+	for d := 0; d < shards; d++ {
+		src := (d + 1) % shards
+		from := PhoneID(ss.bounds[src])
+		ss.outbox[src].push(10*time.Second, from, PhoneID(ss.bounds[d]))
+		ss.outbox[src].push(20*time.Second, from, PhoneID(ss.bounds[d+1]-1))
+	}
+	before := pendingPerShard(ss)
+	ss.winBarrier = time.Minute
+	if err := ss.exchange(nil); err != nil {
+		t.Fatal(err)
+	}
+	after := pendingPerShard(ss)
+	for d := 0; d < shards; d++ {
+		if lo, hi := ss.offsets[d], ss.offsets[d+1]; hi-lo != 2 {
+			t.Errorf("destination %d bucketed [%d,%d), want 2 copies", d, lo, hi)
+		}
+		v := &ss.views[d]
+		for i, want := range []int{ss.bounds[d], ss.bounds[d+1] - 1} {
+			if i < len(v.target) && int(v.target[i]) != want {
+				t.Errorf("destination %d copy %d targets phone %d, want %d", d, i, v.target[i], want)
+			}
+		}
+		if added := after[d] - before[d]; added != 2 {
+			t.Errorf("shard %d queue gained %d events, want 2", d, added)
+		}
+	}
+}
