@@ -62,6 +62,7 @@ func TestDistributedFlagValidation(t *testing.T) {
 		{"zero workers", []string{"-distributed", "-storedir", t.TempDir(), "-workers", "0"}, "-workers must be >= 1"},
 		{"workers without distributed", []string{"-workers", "3"}, "only applies with -distributed"},
 		{"zero jobs", []string{"-jobs", "0"}, "-jobs must be >= 1"},
+		{"zero seed", []string{"-seed", "0"}, "-seed must be >= 1"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

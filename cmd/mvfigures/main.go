@@ -82,6 +82,9 @@ func run() error {
 	if *jobs < 1 {
 		return fmt.Errorf("-jobs must be >= 1, got %d", *jobs)
 	}
+	if *seed == 0 {
+		return fmt.Errorf("-seed must be >= 1: seed 0 means \"unset\" and would run as seed 1")
+	}
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume needs -storedir: the journal to resume lives in the store directory")
 	}

@@ -76,6 +76,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-scale", "-2"}, "-scale must be >= 1"},
 		{[]string{"-reps", "0"}, "-reps must be >= 1"},
 		{[]string{"-reps", "-1"}, "-reps must be >= 1"},
+		{[]string{"-seed", "0"}, "-seed must be >= 1"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

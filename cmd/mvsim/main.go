@@ -59,7 +59,6 @@ func run(args []string) error {
 		reps       = fs.Int("reps", 10, "replications")
 		seed       = fs.Uint64("seed", 1, "base random seed")
 		population = fs.Int("population", 1000, "number of phones")
-		phones     = fs.Int("phones", 0, "alias of -population (README's scaling quickstart; takes precedence when set)")
 		topology   = fs.String("topology", "powerlaw", "contact topology: powerlaw (paper) or ba (streamed Barabási–Albert, the 10^6-phone path)")
 		baM        = fs.Int("ba-m", 4, "edges each new node attaches with (-topology ba)")
 		shards     = fs.Int("shards", 1, "population shards, each on its own event queue (>1 enables the batched-delivery scale mode)")
@@ -101,6 +100,9 @@ func run(args []string) error {
 	if *reps < 1 {
 		return fmt.Errorf("reps %d must be at least 1", *reps)
 	}
+	if *seed == 0 {
+		return fmt.Errorf("-seed must be >= 1: seed 0 means \"unset\" and would run as seed 1")
+	}
 	if *minReps < 0 || *minReps > *reps {
 		return fmt.Errorf("min-reps %d outside [0,%d]: the salvage quorum cannot exceed -reps", *minReps, *reps)
 	}
@@ -121,9 +123,6 @@ func run(args []string) error {
 	}
 	cfg := core.Default(virus.Scenarios()[*virusNum-1])
 	cfg.Population = *population
-	if *phones > 0 {
-		cfg.Population = *phones
-	}
 	switch *topology {
 	case "powerlaw":
 		if *shards > 1 {

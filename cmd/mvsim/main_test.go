@@ -155,6 +155,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-virus", "5"}, "virus 5 outside 1-4"},
 		{[]string{"-jobs", "0"}, "-jobs must be >= 1"},
 		{[]string{"-reps", "2", "-min-reps", "3"}, "min-reps 3 outside [0,2]"},
+		{[]string{"-seed", "0"}, "-seed must be >= 1"},
 		{[]string{"-detector", "1.5"}, "detector accuracy"},
 		{[]string{"-resume"}, "-resume needs -storedir"},
 		{[]string{"-shards", "2"}, "-shards needs -topology ba"},

@@ -68,11 +68,13 @@ func main() {
 	} {
 		cfg := core.Default(virus.Virus1())
 		cfg.Responses = scenario.responses
+		var tree mms.InfectionTree
+		cfg.PostRun = func(set *mms.ShardSet) { tree = set.BuildInfectionTree() }
 		res, err := core.RunOnce(cfg, 7)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-14s infected=%3d chainDepth=%2d meanOffspring=%.2f\n",
-			scenario.name, res.FinalInfected, res.Tree.MaxDepth, res.Tree.MeanOffspring)
+			scenario.name, res.FinalInfected, tree.MaxDepth, tree.MeanOffspring)
 	}
 }

@@ -15,13 +15,13 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/curve"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/mms"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/virus"
 )
@@ -154,11 +154,9 @@ func (c Config) Validate() error {
 type Result struct {
 	// Infections is the infected-count step curve over [0, Horizon].
 	Infections *curve.Curve
-	// FinalInfected is the infected count at the horizon.
+	// FinalInfected is the infected count at the horizon. Phones never
+	// recover in this model, so it is also the peak.
 	FinalInfected int
-	// PeakInfected equals FinalInfected for this non-recovering model but
-	// is reported separately for forward compatibility.
-	PeakInfected int
 	// Network are the network counters at the horizon.
 	Network mms.Metrics
 	// Engine are the virus-engine counters at the horizon.
@@ -168,8 +166,6 @@ type Result struct {
 	GatewayDetectedAt time.Duration
 	// GatewayDetected reports whether detection occurred.
 	GatewayDetected bool
-	// Tree is the who-infected-whom transmission tree at the horizon.
-	Tree mms.InfectionTree
 }
 
 // RunOnce executes one replication of the scenario with the given seed.
@@ -283,9 +279,6 @@ const defaultWindows = 128
 // counters). Benchmarks use it to read EventsFired and memory footprints.
 func (sr *ShardedRun) ShardSet() *mms.ShardSet { return sr.set }
 
-// Topology returns the CSR contact graph.
-func (sr *ShardedRun) Topology() *graph.CSR { return sr.set.Population().Topology() }
-
 // Horizon returns the configured horizon (convenience for benchmarks that
 // drive Run through a context with their own deadline).
 func (sr *ShardedRun) Horizon() time.Duration { return sr.cfg.Horizon }
@@ -325,10 +318,8 @@ func (sr *ShardedRun) Run(ctx context.Context) (*Result, error) {
 	res := &Result{
 		Infections:    infections,
 		FinalInfected: sr.set.InfectedCount(),
-		PeakInfected:  sr.set.InfectedCount(),
 		Network:       sr.set.Metrics(),
 		Engine:        stats,
-		Tree:          sr.set.BuildInfectionTree(),
 	}
 	res.GatewayDetectedAt, res.GatewayDetected = sr.set.Detected()
 	return res, nil
@@ -451,9 +442,12 @@ type Options struct {
 }
 
 // WithDefaults returns the options with every unset field replaced by its
-// documented default. Run and RunContext apply it internally; external
-// schedulers (internal/experiment's sweep pool) apply it before deriving
-// per-replication seeds so both paths agree on replication counts.
+// documented default. SubmitSeries applies it, so every replicated run
+// (RunContext and experiment.RunSweep alike) derives the same seeds and
+// replication counts from the same Options; code that enumerates a
+// sweep's units without running them (experiment.SweepUnits) applies it
+// too. A zero BaseSeed is "unset" and runs as seed 1, which is why the
+// CLIs reject -seed 0 rather than print a seed that did not run.
 func (o Options) WithDefaults() Options {
 	if o.Replications <= 0 {
 		o.Replications = 10
@@ -502,8 +496,9 @@ func (e *ReplicationError) Unwrap() error { return e.Err }
 const seedStride = 0x9e3779b97f4a7c15
 
 // ReplicationSeed derives the seed of replication i from the base seed.
-// It is the single seed-derivation rule: RunContext and any external
-// scheduler must agree on it for their results to be interchangeable.
+// It is the single seed-derivation rule: SubmitSeries seeds every
+// replication with it, and code that addresses a replication without
+// running it (a store key, a distributed work unit) must use it too.
 func ReplicationSeed(base uint64, i int) uint64 {
 	return base + uint64(i)*seedStride
 }
@@ -523,90 +518,14 @@ func Run(cfg Config, opts Options) (*RunSet, error) {
 // work is never discarded. When opts.MinReplications is positive and at
 // least that many replications succeed, the failures are recorded in
 // RunSet.Failed and the run is reported as a success (salvage policy).
+// It is one series on a pool of its own, opts.Parallelism wide.
 func RunContext(ctx context.Context, cfg Config, opts Options) (*RunSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.WithDefaults()
-	if opts.MinReplications > opts.Replications {
-		return nil, fmt.Errorf("core: salvage quorum %d exceeds %d replications",
-			opts.MinReplications, opts.Replications)
-	}
-
-	results := make([]*Result, opts.Replications)
-	errs := make([]*ReplicationError, opts.Replications)
-	sem := make(chan struct{}, opts.Parallelism)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Replications; i++ {
-		i := i
-		seed := ReplicationSeed(opts.BaseSeed, i)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = RunReplication(ctx, cfg, i, seed)
-		}()
-	}
-	wg.Wait()
-
-	return AssembleRunSet(cfg, opts, results, errs)
-}
-
-// AssembleRunSet aggregates per-replication outcomes into a RunSet with
-// RunContext's exact salvage semantics. results and errs are parallel
-// slices indexed by replication (exactly one of results[i] and errs[i] is
-// non-nil); entry i must have been produced with seed
-// ReplicationSeed(opts.BaseSeed, i). It exists so external schedulers that
-// interleave replications of many scenarios on one worker pool can
-// reassemble each scenario's RunSet byte-identically to a plain RunContext
-// call: survivors aggregate in seed order, all failures are collected with
-// errors.Join alongside the partial RunSet, and a met MinReplications
-// quorum converts failures into RunSet.Failed instead of an error.
-func AssembleRunSet(cfg Config, opts Options, results []*Result, errs []*ReplicationError) (*RunSet, error) {
-	opts = opts.WithDefaults()
-	if opts.MinReplications > len(results) {
-		return nil, fmt.Errorf("core: salvage quorum %d exceeds %d replications",
-			opts.MinReplications, len(results))
-	}
-	rs := &RunSet{Config: cfg}
-	var failed []*ReplicationError
-	for i, r := range results {
-		if errs[i] != nil {
-			failed = append(failed, errs[i])
-			continue
-		}
-		rs.Results = append(rs.Results, r)
-		rs.Seeds = append(rs.Seeds, ReplicationSeed(opts.BaseSeed, i))
-	}
-	if len(rs.Results) > 0 {
-		curves := make([]*curve.Curve, len(rs.Results))
-		for i, r := range rs.Results {
-			curves[i] = r.Infections
-		}
-		band, err := curve.Aggregate(curves, cfg.Horizon, opts.GridPoints)
-		if err != nil {
-			return rs, err
-		}
-		rs.Band = band
-	}
-	if len(failed) == 0 {
-		return rs, nil
-	}
-	if opts.MinReplications > 0 && len(rs.Results) >= opts.MinReplications {
-		// Salvage: enough survivors to aggregate; the failures stay
-		// visible on the RunSet.
-		rs.Failed = failed
-		return rs, nil
-	}
-	joined := make([]error, len(failed))
-	for i, e := range failed {
-		joined[i] = e
-	}
-	return rs, errors.Join(joined...)
+	p := pool.New(opts.Parallelism)
+	defer p.Close()
+	return SubmitSeries(p, ctx, cfg, opts, RunReplication).Wait()
 }
 
 // RunReplication executes one crash-isolated replication: a panic inside

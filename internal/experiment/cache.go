@@ -123,6 +123,19 @@ func (c *ReplicationCache) Stats() CacheStats {
 	return st
 }
 
+// runner returns the per-replication function of one series of cfg
+// through the cache, fingerprinting cfg once for all its replications. A
+// nil cache runs core.RunReplication directly.
+func (c *ReplicationCache) runner(cfg core.Config) core.ReplicationFunc {
+	if c == nil {
+		return core.RunReplication
+	}
+	fp := ConfigFingerprint(cfg)
+	return func(ctx context.Context, cfg core.Config, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
+		return c.run(ctx, cfg, fp, rep, seed)
+	}
+}
+
 // run executes one replication through the cache. A nil cache or an
 // uncacheable fingerprint degrades to a plain core.RunReplication call.
 // The replication index rep is reporting metadata only (it lands in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -14,17 +13,11 @@ import (
 // This file is the sweep scheduler: it flattens every (study, series,
 // replication) unit of the full study matrix into one bounded worker pool,
 // so a slow series no longer serializes behind a fast one and the machine
-// stays saturated from the first replication to the last. Two properties
-// are load-bearing:
-//
-//   - Determinism. Workers race only over which unit runs when; each unit
-//     is a pure function of (config, seed), results land in
-//     replication-indexed slots, and every RunSet is assembled by
-//     core.AssembleRunSet in seed order. Output bytes are therefore
-//     identical for any worker count, with or without the cache.
-//   - Crash isolation. Units run through core.RunReplication, so a panic
-//     becomes a *core.ReplicationError in its slot and series keep
-//     core.RunContext's salvage-quorum semantics exactly.
+// stays saturated from the first replication to the last. Each series is a
+// core.SubmitSeries on that pool, the scheduler core.RunContext uses too,
+// so a series keeps RunContext's determinism and salvage semantics
+// exactly; the cache cannot perturb them because a cached result is the
+// one (config, seed) would simulate.
 
 // SweepOptions tunes the cross-study scheduler.
 type SweepOptions struct {
@@ -76,11 +69,11 @@ func RunSweep(ctx context.Context, figs []Figure, opts core.Options, so SweepOpt
 	// Enqueue everything before waiting on anything: the pool sees the
 	// whole matrix at once, so workers drain replications of study N+1
 	// while study N's stragglers finish.
-	jobs := make([][]*seriesJob, len(figs))
+	jobs := make([][]*core.Series, len(figs))
 	for fi, fig := range figs {
-		jobs[fi] = make([]*seriesJob, len(fig.Series))
+		jobs[fi] = make([]*core.Series, len(fig.Series))
 		for si, s := range fig.Series {
-			jobs[fi][si] = submitSeries(p, ctx, so.Cache, s.Config, opts)
+			jobs[fi][si] = core.SubmitSeries(p, ctx, s.Config, opts, so.Cache.runner(s.Config))
 		}
 	}
 
@@ -93,7 +86,7 @@ func RunSweep(ctx context.Context, figs []Figure, opts core.Options, so SweepOpt
 		fr := &FigureResult{Figure: fig, Series: make([]SeriesResult, 0, len(fig.Series))}
 		var serErrs []error
 		for si, s := range fig.Series {
-			rs, err := jobs[fi][si].wait()
+			rs, err := jobs[fi][si].Wait()
 			if err != nil {
 				serErrs = append(serErrs, fmt.Errorf("experiment: %s / %s: %w", fig.ID, s.Label, err))
 				continue
@@ -116,60 +109,4 @@ func RunSweep(ctx context.Context, figs []Figure, opts core.Options, so SweepOpt
 	out.Cache = so.Cache.Stats()
 	out.Elapsed = timeNow().Sub(start)
 	return out, errors.Join(sweepErrs...)
-}
-
-// seriesJob tracks one scenario's replications through the pool: slots are
-// indexed by replication so assembly order never depends on completion
-// order.
-type seriesJob struct {
-	cfg     core.Config
-	opts    core.Options
-	results []*core.Result
-	errs    []*core.ReplicationError
-	pending sync.WaitGroup
-	// cfgErr short-circuits a config that fails validation before any
-	// replication is enqueued, preserving RunContext's single-error shape.
-	cfgErr error
-}
-
-// submitSeries validates cfg, fingerprints it once, and enqueues one task
-// per replication on the shared worker pool.
-func submitSeries(p *pool.Pool, ctx context.Context, cache *ReplicationCache, cfg core.Config, opts core.Options) *seriesJob {
-	opts = opts.WithDefaults()
-	j := &seriesJob{cfg: cfg, opts: opts}
-	if err := cfg.Validate(); err != nil {
-		j.cfgErr = err
-		return j
-	}
-	if opts.MinReplications > opts.Replications {
-		j.cfgErr = fmt.Errorf("core: salvage quorum %d exceeds %d replications",
-			opts.MinReplications, opts.Replications)
-		return j
-	}
-	var fp Fingerprint // zero value: uncacheable, skips hashing entirely
-	if cache != nil {
-		fp = ConfigFingerprint(cfg)
-	}
-	j.results = make([]*core.Result, opts.Replications)
-	j.errs = make([]*core.ReplicationError, opts.Replications)
-	j.pending.Add(opts.Replications)
-	for i := 0; i < opts.Replications; i++ {
-		i := i
-		seed := core.ReplicationSeed(opts.BaseSeed, i)
-		p.Submit(func() {
-			defer j.pending.Done()
-			j.results[i], j.errs[i] = cache.run(ctx, cfg, fp, i, seed)
-		})
-	}
-	return j
-}
-
-// wait blocks until every replication of the series has run, then
-// assembles the RunSet with core's salvage semantics.
-func (j *seriesJob) wait() (*core.RunSet, error) {
-	if j.cfgErr != nil {
-		return nil, j.cfgErr
-	}
-	j.pending.Wait()
-	return core.AssembleRunSet(j.cfg, j.opts, j.results, j.errs)
 }

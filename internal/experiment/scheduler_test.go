@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pool"
+	"repro/internal/mms"
 	"repro/internal/virus"
 )
 
@@ -128,22 +130,68 @@ func TestSweepCancelledContext(t *testing.T) {
 	}
 }
 
-// An invalid config must fail with RunContext's single-error shape, not one
-// copy per replication.
-func TestSubmitSeriesConfigErrorShape(t *testing.T) {
+// TestRunMatchesRunFigure pins that core.Run and a one-series RunFigure,
+// uncached, return the same RunSet for the same config and options: seeds,
+// per-replication results, band and recorded failures, including a
+// replication that panics under a salvage quorum that still holds.
+func TestRunMatchesRunFigure(t *testing.T) {
 	t.Parallel()
-	p := pool.New(2)
-	defer p.Close()
-	cfg := Scale{Factor: 20}.paperConfig(virus.Virus1())
-	cfg.Population = -1
-	j := submitSeries(p, context.Background(), nil, cfg, core.Options{Replications: 4})
-	if _, err := j.wait(); err == nil {
-		t.Fatal("invalid config accepted")
+	// panicFirst returns a PostRun hook that panics in the first
+	// replication to reach it; Parallelism 1 makes that replication 0.
+	panicFirst := func() func(*mms.ShardSet) {
+		var fired atomic.Bool
+		return func(*mms.ShardSet) {
+			if fired.CompareAndSwap(false, true) {
+				panic("injected replication failure")
+			}
+		}
 	}
-
-	quorum := submitSeries(p, context.Background(), nil, Scale{Factor: 20}.paperConfig(virus.Virus1()),
-		core.Options{Replications: 2, MinReplications: 5})
-	if _, err := quorum.wait(); err == nil || !strings.Contains(err.Error(), "salvage quorum") {
-		t.Fatalf("quorum > replications accepted: %v", err)
+	cases := []struct {
+		name    string
+		postRun func() func(*mms.ShardSet)
+		opts    core.Options
+	}{
+		{"clean", nil, core.Options{Replications: 3, BaseSeed: 5, GridPoints: 20, Parallelism: 2}},
+		{"salvaged panic", panicFirst, core.Options{Replications: 4, GridPoints: 20, Parallelism: 1, MinReplications: 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runCfg := Scale{Factor: 20}.paperConfig(virus.Virus3())
+			figCfg := runCfg
+			if tc.postRun != nil {
+				runCfg.PostRun, figCfg.PostRun = tc.postRun(), tc.postRun()
+			}
+			want, err := core.Run(runCfg, tc.opts)
+			if err != nil {
+				t.Fatalf("core.Run: %v", err)
+			}
+			fr, err := RunFigure(Figure{ID: "match", Series: []Series{{Label: "only", Config: figCfg}}}, tc.opts)
+			if err != nil {
+				t.Fatalf("RunFigure: %v", err)
+			}
+			got := fr.Series[0].RunSet
+			if !reflect.DeepEqual(got.Seeds, want.Seeds) {
+				t.Errorf("seeds %v, core.Run has %v", got.Seeds, want.Seeds)
+			}
+			if !reflect.DeepEqual(got.Results, want.Results) {
+				t.Error("per-replication results differ from core.Run's")
+			}
+			if !reflect.DeepEqual(got.Band, want.Band) {
+				t.Error("band differs from core.Run's")
+			}
+			if len(got.Failed) != len(want.Failed) {
+				t.Fatalf("%d recorded failures, core.Run has %d", len(got.Failed), len(want.Failed))
+			}
+			for i, g := range got.Failed {
+				w := want.Failed[i]
+				if g.Replication != w.Replication || g.Seed != w.Seed || g.Err.Error() != w.Err.Error() ||
+					(len(g.Stack) == 0) != (len(w.Stack) == 0) {
+					t.Errorf("failure %d is %v, core.Run has %v", i, g, w)
+				}
+			}
+			if tc.opts.MinReplications > 0 && len(want.Failed) == 0 {
+				t.Error("the salvage case recorded no failure")
+			}
+		})
 	}
 }

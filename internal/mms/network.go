@@ -294,11 +294,6 @@ func (n *Network) Patched(id PhoneID) bool {
 	return n.pop.valid(id) && n.pop.patched[id]
 }
 
-// Vulnerable reports whether phone id can still be infected.
-func (n *Network) Vulnerable(id PhoneID) bool {
-	return n.pop.valid(id) && n.pop.vulnerable(id)
-}
-
 // InfectedAt returns phone id's infection time (meaningful when State is
 // StateInfected).
 func (n *Network) InfectedAt(id PhoneID) time.Duration {

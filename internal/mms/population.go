@@ -82,9 +82,6 @@ func NewPopulation(topo *graph.CSR, vulnerable []bool, src *rng.Source) (*Popula
 // N returns the population size.
 func (p *Population) N() int { return len(p.state) }
 
-// Topology returns the shared CSR contact graph.
-func (p *Population) Topology() *graph.CSR { return p.topo }
-
 // valid reports whether id indexes a phone.
 func (p *Population) valid(id PhoneID) bool {
 	return id >= 0 && int(id) < len(p.state)

@@ -1,9 +1,10 @@
-// Package pool provides the bounded FIFO worker pool introduced by the
-// sweep scheduler (PR 4) as a reusable primitive. The experiment scheduler
-// drains (study, series, replication) units through it; the sharded
-// million-phone runner drains per-shard event-queue windows through it. Both
-// rely on the same two properties: tasks may be submitted while workers run,
-// and Close drains the queue before joining the workers.
+// Package pool provides a bounded FIFO worker pool. The replication
+// scheduler (core.SubmitSeries) drains replications through it, for one
+// scenario under core.RunContext or the whole study matrix under
+// experiment.RunSweep; the sharded million-phone runner drains per-shard
+// event-queue windows through it. Both rely on the same two properties:
+// tasks may be submitted while workers run, and Close drains the queue
+// before joining the workers.
 package pool
 
 import (

@@ -175,12 +175,6 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// LogNormal returns a log-normally distributed value where the underlying
-// normal has parameters mu and sigma.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Pareto returns a Pareto(alpha, xm) variate: support [xm, inf), density
 // proportional to x^-(alpha+1). alpha and xm must be positive.
 func (s *Source) Pareto(alpha, xm float64) float64 {

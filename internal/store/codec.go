@@ -7,12 +7,10 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/curve"
-	"repro/internal/mms"
 )
 
 // Entry framing. Every stored result is one self-validating frame:
@@ -37,7 +35,7 @@ import (
 // recomputed one.
 const (
 	codecMagic   = "MVR\x01"
-	codecVersion = 1
+	codecVersion = 2
 	headerSize   = 4 + 1 + 4 + 4
 )
 
@@ -63,7 +61,6 @@ func EncodeResult(res *core.Result) ([]byte, error) {
 	var e encoder
 	e.curve(res.Infections)
 	e.varint(int64(res.FinalInfected))
-	e.varint(int64(res.PeakInfected))
 	if err := e.uint64Struct(reflect.ValueOf(res.Network)); err != nil {
 		return nil, err
 	}
@@ -72,7 +69,6 @@ func EncodeResult(res *core.Result) ([]byte, error) {
 	}
 	e.bool(res.GatewayDetected)
 	e.varint(int64(res.GatewayDetectedAt))
-	e.tree(res.Tree)
 
 	payload := e.buf
 	out := make([]byte, 0, headerSize+len(payload))
@@ -117,11 +113,7 @@ func DecodeResult(data []byte) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	peak, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	res.FinalInfected, res.PeakInfected = int(final), int(peak)
+	res.FinalInfected = int(final)
 	if err := d.uint64Struct(reflect.ValueOf(&res.Network).Elem()); err != nil {
 		return nil, err
 	}
@@ -136,9 +128,6 @@ func DecodeResult(data []byte) (*core.Result, error) {
 		return nil, err
 	}
 	res.GatewayDetectedAt = time.Duration(at)
-	if res.Tree, err = d.tree(); err != nil {
-		return nil, err
-	}
 	if len(d.buf) != d.off {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.buf)-d.off)
 	}
@@ -199,31 +188,6 @@ func (e *encoder) uint64Struct(v reflect.Value) error {
 		e.uvarint(f.Uint())
 	}
 	return nil
-}
-
-// tree encodes the transmission tree with parents in sorted order, so the
-// encoding is deterministic despite the map.
-func (e *encoder) tree(t mms.InfectionTree) {
-	e.uvarint(uint64(len(t.Seeds)))
-	for _, s := range t.Seeds {
-		e.varint(int64(s))
-	}
-	parents := make([]mms.PhoneID, 0, len(t.Children))
-	for p := range t.Children {
-		parents = append(parents, p)
-	}
-	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
-	e.uvarint(uint64(len(parents)))
-	for _, p := range parents {
-		kids := t.Children[p]
-		e.varint(int64(p))
-		e.uvarint(uint64(len(kids)))
-		for _, k := range kids {
-			e.varint(int64(k))
-		}
-	}
-	e.varint(int64(t.MaxDepth))
-	e.float(t.MeanOffspring)
 }
 
 // decoder consumes the payload with bounds checks on every read.
@@ -338,65 +302,4 @@ func (d *decoder) uint64Struct(v reflect.Value) error {
 		v.Field(i).SetUint(c)
 	}
 	return nil
-}
-
-func (d *decoder) phoneID() (mms.PhoneID, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: phone id %d outside int32", ErrCorrupt, v)
-	}
-	return mms.PhoneID(v), nil
-}
-
-func (d *decoder) tree() (mms.InfectionTree, error) {
-	var t mms.InfectionTree
-	nSeeds, err := d.count(1)
-	if err != nil {
-		return t, err
-	}
-	if nSeeds > 0 {
-		t.Seeds = make([]mms.PhoneID, nSeeds)
-		for i := range t.Seeds {
-			if t.Seeds[i], err = d.phoneID(); err != nil {
-				return t, err
-			}
-		}
-	}
-	nParents, err := d.count(1 + 1 + 1) // parent + length + one child
-	if err != nil {
-		return t, err
-	}
-	t.Children = make(map[mms.PhoneID][]mms.PhoneID, nParents)
-	for i := 0; i < nParents; i++ {
-		p, err := d.phoneID()
-		if err != nil {
-			return t, err
-		}
-		nKids, err := d.count(1)
-		if err != nil {
-			return t, err
-		}
-		kids := make([]mms.PhoneID, nKids)
-		for j := range kids {
-			if kids[j], err = d.phoneID(); err != nil {
-				return t, err
-			}
-		}
-		if _, dup := t.Children[p]; dup {
-			return t, fmt.Errorf("%w: duplicate tree parent %d", ErrCorrupt, p)
-		}
-		t.Children[p] = kids
-	}
-	depth, err := d.varint()
-	if err != nil {
-		return t, err
-	}
-	t.MaxDepth = int(depth)
-	if t.MeanOffspring, err = d.float(); err != nil {
-		return t, err
-	}
-	return t, nil
 }

@@ -13,8 +13,7 @@ import (
 )
 
 // testResult builds a synthetic but fully populated result: every field
-// the codec must carry, including a multi-parent tree and exact
-// non-integer floats.
+// the codec must carry, including exact non-integer floats.
 func testResult(t *testing.T) *core.Result {
 	t.Helper()
 	c := curve.New(1)
@@ -33,7 +32,6 @@ func testResult(t *testing.T) *core.Result {
 	return &core.Result{
 		Infections:    c,
 		FinalInfected: 7,
-		PeakInfected:  7,
 		Network: mms.Metrics{
 			MessagesSent: 41, Deliveries: 38, Reads: 20, Acceptances: 9,
 			Infections: 6, Patched: 3, LegitSent: 100, PhonePowerCycles: 2,
@@ -44,14 +42,6 @@ func testResult(t *testing.T) *core.Result {
 		},
 		GatewayDetected:   true,
 		GatewayDetectedAt: 90 * time.Minute,
-		Tree: mms.InfectionTree{
-			Seeds: []mms.PhoneID{0},
-			Children: map[mms.PhoneID][]mms.PhoneID{
-				0: {3, 5}, 3: {8, 9, 11}, 5: {2},
-			},
-			MaxDepth:      2,
-			MeanOffspring: 1.5,
-		},
 	}
 }
 
@@ -115,19 +105,19 @@ func TestCodecRoundTripRealReplication(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripPins pins the real replication's frame at 596 bytes,
+// TestCodecRoundTripPins pins the real replication's frame at 502 bytes,
 // so a change to the framing or payload layout shows here before it
-// invalidates on-disk stores, and the round trip at its recorded 39
+// invalidates on-disk stores, and the round trip at its recorded 17
 // allocations.
 func TestCodecRoundTripPins(t *testing.T) {
 	res := realReplication(t)
 	var data []byte
 	allocs := testing.AllocsPerRun(100, func() { data, _ = roundTrip(t, res) })
-	if len(data) != 596 {
-		t.Errorf("encoded %d bytes, want 596", len(data))
+	if len(data) != 502 {
+		t.Errorf("encoded %d bytes, want 502", len(data))
 	}
-	if allocs > 39 {
-		t.Errorf("round trip allocates %.0f times, want at most 39", allocs)
+	if allocs > 17 {
+		t.Errorf("round trip allocates %.0f times, want at most 17", allocs)
 	}
 }
 

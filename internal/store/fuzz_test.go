@@ -68,16 +68,9 @@ func testResultForFuzz() *core.Result {
 	return &core.Result{
 		Infections:        c,
 		FinalInfected:     4,
-		PeakInfected:      4,
 		Network:           mms.Metrics{MessagesSent: 9, Deliveries: 8, Infections: 3},
 		Engine:            virus.Stats{Activations: 3, MessagesSent: 9},
 		GatewayDetected:   true,
 		GatewayDetectedAt: time.Hour,
-		Tree: mms.InfectionTree{
-			Seeds:         []mms.PhoneID{0},
-			Children:      map[mms.PhoneID][]mms.PhoneID{0: {1, 2}, 1: {3}},
-			MaxDepth:      2,
-			MeanOffspring: 1.0,
-		},
 	}
 }
