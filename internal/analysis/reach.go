@@ -27,9 +27,10 @@ var DefaultHotPathRoots = []string{
 	// exchange (outbox bucketing by destination, then each destination's
 	// canonical sort and injection) and the barrier detection merge, which
 	// run once per window over batches proportional to traffic.
-	// ShardSet.inject runs as a pool task submitted as a func value, which
-	// the call graph does not follow from exchange, so it is a root of its
-	// own.
+	// ShardSet.inject and ShardSet.shardHooks, the per-shard barrier-hook
+	// task, run as pool tasks submitted as func values, which the call
+	// graph does not follow from exchange or barrierSync, so each is a
+	// root of its own.
 	"mms.Network.transit",
 	"mms.Network.deliverCopy",
 	"mms.Network.read",
@@ -37,6 +38,11 @@ var DefaultHotPathRoots = []string{
 	"mms.ShardSet.inject",
 	"mms.Network.receiveRemote",
 	"mms.ShardSet.mergeDetection",
+	"mms.ShardSet.shardHooks",
+	// internal/response: the patch wave's per-shard sort and release,
+	// which a shard's barrier hook runs once per window and which
+	// schedules one event per patched phone.
+	"response.Immunizer.release",
 }
 
 // MatchRoot reports whether a call-graph label satisfies a root spec. A

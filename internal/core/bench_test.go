@@ -98,9 +98,14 @@ func BenchmarkPopulation100kResponse(b *testing.B) {
 
 // TestPopulation100kPins pins the population benchmarks' deterministic
 // figures: the seed-1 final infected count, allocations per run (the
-// recorded count plus 0.1% slack, counted at GOMAXPROCS 1 as
+// recorded count plus slack, counted at GOMAXPROCS 1 as
 // testing.AllocsPerRun does), and the per-phone footprint (167.9 B
-// recorded, plus 15% for heap-measurement jitter).
+// recorded, plus 15% for heap-measurement jitter). The response run's
+// count repeats exactly: 1,134, and 1,140 under the race detector, whose
+// runtime adds six. Its bound is the race count plus the usual 0.1%. The
+// bare run's varies by process — 1,723 to 1,779 over 30 runs — because
+// its per-shard trial maps grow large enough that where their tables
+// split depends on the per-process hash seed; its slack is 5%.
 func TestPopulation100kPins(t *testing.T) {
 	const maxBytesPerPhone = 167.9 * 1.15
 	for _, tc := range []struct {
@@ -109,8 +114,8 @@ func TestPopulation100kPins(t *testing.T) {
 		final     int
 		maxAllocs float64
 	}{
-		{"bare", false, 10_387, 8_081 + 8},
-		{"response", true, 1_597, 81_878 + 81},
+		{"bare", false, 10_387, 1_758 + 88},
+		{"response", true, 1_597, 1_140 + 1},
 	} {
 		cfg := populationConfig(tc.responses)
 		var final int

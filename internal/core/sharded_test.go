@@ -68,10 +68,13 @@ func TestShardedRunDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestShardSetDriversAgree pins the equivalence perfbench's traced driver
 // relies on: an 8-shard set driven window by window through the serial
-// RunWindow, which injects each destination's copies inline, ends in the
-// same state as Run on 1, 2 or 8 workers, which injects them in parallel.
-// Scan and immunization make the barrier hooks and detection part of the
-// comparison.
+// RunWindow, which injects each destination's copies and runs each
+// shard's barrier hooks inline, ends in the same state as Run on 1, 2 or
+// 8 workers, which runs both as pool tasks. Scan and immunization make
+// detection and the barrier hooks part of the comparison; two immunizers
+// with different windows share each shard's hook task, and an instant
+// deployment releases a wave whose install times all tie, so every tie
+// breaks by phone id.
 func TestShardSetDriversAgree(t *testing.T) {
 	t.Parallel()
 	type outcome struct {
@@ -81,56 +84,71 @@ func TestShardSetDriversAgree(t *testing.T) {
 		detected   bool
 		detectedAt time.Duration
 	}
-	build := func() *mms.ShardSet {
-		cfg := shardedTestConfig(8, 0)
-		cfg.Responses = []mms.ResponseFactory{
-			response.NewScan(2 * time.Hour),
-			response.NewImmunizer(time.Hour, 2*time.Hour),
-		}
-		sr, err := NewShardedRun(cfg, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sr.ShardSet()
-	}
 	collect := func(set *mms.ShardSet) outcome {
 		o := outcome{events: set.InfectionEvents(), metrics: set.Metrics(), fired: set.EventsFired()}
 		o.detectedAt, o.detected = set.Detected()
 		return o
 	}
 	horizon := shardedTestConfig(8, 0).Horizon
-
-	set := build()
-	window := set.Window()
-	for b := window; ; b += window {
-		b = min(b, horizon)
-		set.RunWindow(b, min(b+window, horizon))
-		if b >= horizon {
-			break
+	for _, tc := range []struct {
+		name      string
+		responses []mms.ResponseFactory
+	}{
+		{"scan+immunize", []mms.ResponseFactory{
+			response.NewScan(2 * time.Hour),
+			response.NewImmunizer(time.Hour, 2*time.Hour),
+		}},
+		{"two-immunizers", []mms.ResponseFactory{
+			response.NewImmunizer(time.Hour, 2*time.Hour),
+			response.NewImmunizer(90*time.Minute, 20*time.Minute),
+		}},
+		{"immunize-instant", []mms.ResponseFactory{
+			response.NewImmunizer(time.Hour, 0),
+		}},
+	} {
+		build := func() *mms.ShardSet {
+			cfg := shardedTestConfig(8, 0)
+			cfg.Responses = tc.responses
+			sr, err := NewShardedRun(cfg, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sr.ShardSet()
 		}
-	}
-	want := collect(set)
-	if len(want.events) <= 6 || !want.detected {
-		t.Fatalf("scenario too quiet: %d infections, detected %v", len(want.events), want.detected)
-	}
-	for _, workers := range []int{1, 2, 8} {
 		set := build()
-		if err := set.Run(context.Background(), horizon, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		window := set.Window()
+		for b := window; ; b += window {
+			b = min(b, horizon)
+			set.RunWindow(b, min(b+window, horizon))
+			if b >= horizon {
+				break
+			}
 		}
-		got := collect(set)
-		if !reflect.DeepEqual(got.events, want.events) {
-			t.Errorf("workers=%d: %d infection events differ from RunWindow's %d", workers, len(got.events), len(want.events))
+		want := collect(set)
+		if len(want.events) <= 6 || !want.detected || want.metrics.Patched == 0 {
+			t.Fatalf("%s: scenario too quiet: %d infections, detected %v, %d patched",
+				tc.name, len(want.events), want.detected, want.metrics.Patched)
 		}
-		if got.metrics != want.metrics {
-			t.Errorf("workers=%d: metrics %+v, RunWindow %+v", workers, got.metrics, want.metrics)
-		}
-		if got.fired != want.fired {
-			t.Errorf("workers=%d: %d events fired, RunWindow %d", workers, got.fired, want.fired)
-		}
-		if got.detected != want.detected || got.detectedAt != want.detectedAt {
-			t.Errorf("workers=%d: detection (%v, %v), RunWindow (%v, %v)",
-				workers, got.detected, got.detectedAt, want.detected, want.detectedAt)
+		for _, workers := range []int{1, 2, 8} {
+			set := build()
+			if err := set.Run(context.Background(), horizon, workers); err != nil {
+				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
+			}
+			got := collect(set)
+			if !reflect.DeepEqual(got.events, want.events) {
+				t.Errorf("%s, workers=%d: %d infection events differ from RunWindow's %d",
+					tc.name, workers, len(got.events), len(want.events))
+			}
+			if got.metrics != want.metrics {
+				t.Errorf("%s, workers=%d: metrics %+v, RunWindow %+v", tc.name, workers, got.metrics, want.metrics)
+			}
+			if got.fired != want.fired {
+				t.Errorf("%s, workers=%d: %d events fired, RunWindow %d", tc.name, workers, got.fired, want.fired)
+			}
+			if got.detected != want.detected || got.detectedAt != want.detectedAt {
+				t.Errorf("%s, workers=%d: detection (%v, %v), RunWindow (%v, %v)",
+					tc.name, workers, got.detected, got.detectedAt, want.detected, want.detectedAt)
+			}
 		}
 	}
 }

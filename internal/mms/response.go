@@ -3,6 +3,7 @@ package mms
 import (
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -19,11 +20,14 @@ import (
 //     blacklist counters, detector verdict caches) — exact partitions,
 //     since every message is filtered on its sending shard.
 //   - Globally shared scalars armed at detection (signature activation
-//     times) that inspections compare against, and work released onto
-//     owner shards window by window (patch waves). With more than one
-//     shard these are written only between windows by the coordinator;
-//     the barrier's pool hand-off orders the writes before the next
-//     window's reads.
+//     times) that inspections compare against. With more than one shard
+//     these are written only between windows by the coordinator; the
+//     barrier's pool hand-off orders the writes before the next window's
+//     reads.
+//   - Work drawn globally at detection and released onto owner shards
+//     window by window (patch waves). The coordinator draws it; each
+//     shard's barrier hook (OnShardBarrier) then orders and schedules its
+//     own share, in parallel with the other shards'.
 type Response interface {
 	// Name identifies the mechanism in reports.
 	Name() string
@@ -101,15 +105,18 @@ func (ss *ShardSet) OnVirusDetected(fn func(at time.Duration)) {
 	ss.onDetected = append(ss.onDetected, fn)
 }
 
-// OnBarrier registers a coordinator-side hook run after every window's
-// exchange (and after any detection callbacks for that barrier), with the
-// barrier just reached and the next barrier. Hooks run on the coordinating
-// goroutine while no shard event loop is live, so they may touch any
-// shard's state; work committed for the upcoming window must be scheduled
-// at times in [barrier, next).
-func (ss *ShardSet) OnBarrier(fn func(barrier, next time.Duration)) {
+// OnShardBarrier registers a per-shard hook run at every barrier after the
+// exchange and the detection callbacks, once per shard with the shard
+// index and the next barrier. Each shard runs its hooks in registration
+// order as one task: on the worker pool under Run, inline under RunWindow
+// and on one shard. A hook may touch only its own shard's queue and
+// phones, and may read state the detection callbacks wrote earlier in the
+// barrier; work committed for the upcoming window must be scheduled before
+// next. With more than one shard, a panicking hook fails Run with an error
+// naming the shard and the next barrier.
+func (ss *ShardSet) OnShardBarrier(fn func(shard int, next time.Duration)) {
 	if fn != nil {
-		ss.onBarrier = append(ss.onBarrier, fn)
+		ss.onShard = append(ss.onShard, fn)
 	}
 }
 
@@ -156,12 +163,13 @@ func (ss *ShardSet) mergeDetection() (time.Duration, bool) {
 	return ss.detScratch[k-1], true
 }
 
-// barrierSync runs the coordinator-side response protocol at a window
-// barrier: merged detection first (so activation times arm before any
-// same-barrier hook reads them), then the registered barrier hooks. Runs
-// with no shard event loop live. Skipped work is genuinely free: a run
-// with no responses attached performs no merge and no hook calls.
-func (ss *ShardSet) barrierSync(barrier, next time.Duration) {
+// barrierSync runs the response protocol at a window barrier: merged
+// detection first on the coordinator (so activation times arm before any
+// same-barrier hook reads them), then each shard's hooks as one task on p
+// (inline when p is nil or there is one shard). Runs with no shard event
+// loop live. Skipped work is genuinely free: a run with no responses
+// attached performs no merge, no hook calls and no task submission.
+func (ss *ShardSet) barrierSync(p *pool.Pool) error {
 	if !ss.detected && len(ss.onDetected) > 0 {
 		if at, ok := ss.mergeDetection(); ok {
 			ss.detected = true
@@ -172,7 +180,24 @@ func (ss *ShardSet) barrierSync(barrier, next time.Duration) {
 			ss.onDetected = nil
 		}
 	}
-	for _, fn := range ss.onBarrier {
-		fn(barrier, next)
+	if len(ss.onShard) == 0 {
+		return nil
+	}
+	if len(ss.nets) == 1 {
+		ss.shardHooks(0)
+		return nil
+	}
+	for _, fn := range ss.hookFns {
+		ss.runTask(p, fn)
+	}
+	return ss.join()
+}
+
+// shardHooks runs shard s's OnShardBarrier hooks in registration order.
+// The next barrier is winBarrier, which barrierStep opened before
+// synchronizing.
+func (ss *ShardSet) shardHooks(s int) {
+	for _, fn := range ss.onShard {
+		fn(s, ss.winBarrier)
 	}
 }

@@ -89,10 +89,12 @@ func (b *exchangeBatch) Swap(i, j int) {
 // sender, target) order and injects them, one pool task per destination.
 // Injection touches only the destination's state, and the canonical order
 // restricted to one destination is that destination's sort, so the
-// parallel exchange injects exactly what a serial global merge would. The
-// coordinator then runs the barrier synchronization that response
-// mechanisms hook (merged gateway detection, patch waves — see
-// response.go). The trajectory is therefore a pure function of (config,
+// parallel exchange injects exactly what a serial global merge would.
+// Barrier synchronization follows (response.go): the coordinator merges
+// gateway detection and runs the serial barrier hooks, then each shard
+// runs its own barrier hooks — patch-wave release, say — as one pool task
+// that touches only that shard's queue and phones, in a fixed order per
+// shard. The trajectory is therefore a pure function of (config,
 // seed, shard count, window) — worker count and scheduling cannot perturb
 // it. A cross-shard copy whose delivery latency expires mid-window is
 // clamped to the barrier, and globally merged response state advances only
@@ -124,14 +126,15 @@ type ShardSet struct {
 	views   []exchangeBatch
 
 	// Window-loop state reused across windows so Run allocates nothing per
-	// barrier: winFns are the per-shard window thunks and injectFns the
-	// per-destination exchange thunks submitted to the pool, reading
-	// winBarrier (written by the coordinator before each submission round,
-	// ordered by the pool's queue lock). winBarrier is also the end of the
-	// current window (WindowEnd). A one-shard set runs inline and has no
-	// outboxes, thunks or pool.
+	// barrier: winFns are the per-shard window thunks, injectFns the
+	// per-destination exchange thunks and hookFns the per-shard barrier-hook
+	// thunks submitted to the pool, reading winBarrier (written by the
+	// coordinator before each submission round, ordered by the pool's queue
+	// lock). winBarrier is also the end of the current window (WindowEnd).
+	// A one-shard set runs inline and has no outboxes, thunks or pool.
 	winFns     []func()
 	injectFns  []func()
+	hookFns    []func()
 	winBarrier time.Duration
 	winErrs    []error
 	winWG      sync.WaitGroup
@@ -140,7 +143,7 @@ type ShardSet struct {
 	// AttachResponse, barrier hooks, and the merged gateway detection view.
 	responses  []Response
 	onDetected []func(at time.Duration)
-	onBarrier  []func(barrier, next time.Duration)
+	onShard    []func(shard int, next time.Duration)
 	detected   bool
 	detectedAt time.Duration
 	detScratch []time.Duration // reused merge buffer for mergeDetection
@@ -200,6 +203,7 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 		ss.views = make([]exchangeBatch, shards)
 		ss.winFns = make([]func(), shards)
 		ss.injectFns = make([]func(), shards)
+		ss.hookFns = make([]func(), shards)
 		ss.winErrs = make([]error, shards)
 	}
 	for s := 0; s <= shards; s++ {
@@ -227,6 +231,7 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 			}
 			ss.winFns[s] = ss.shardTask(s, "at window", func() { sim.RunUntil(ss.winBarrier) })
 			ss.injectFns[s] = ss.shardTask(s, "injecting at barrier", func() { ss.inject(s) })
+			ss.hookFns[s] = ss.shardTask(s, "in barrier hooks before", func() { ss.shardHooks(s) })
 		}
 		if cfg.LegitSendInterval != nil {
 			// Background legitimate traffic is shard-local by construction:
@@ -257,6 +262,23 @@ func (ss *ShardSet) shardTask(s int, phase string, body func()) func() {
 	}
 }
 
+// runTask runs one prebuilt shardTask thunk on p, or inline when p is nil;
+// join waits for every task run since the last join and returns their
+// errors.
+func (ss *ShardSet) runTask(p *pool.Pool, fn func()) {
+	ss.winWG.Add(1)
+	if p == nil {
+		fn()
+	} else {
+		p.Submit(fn)
+	}
+}
+
+func (ss *ShardSet) join() error {
+	ss.winWG.Wait()
+	return errors.Join(ss.winErrs...)
+}
+
 // Shards returns the per-shard networks, in id order. Virus engines attach
 // to each shard's network; infection callbacks fire on the owner shard.
 func (ss *ShardSet) Shards() []*Network { return ss.nets }
@@ -272,7 +294,7 @@ func (ss *ShardSet) Window() time.Duration { return ss.window }
 
 // WindowEnd returns the barrier that closes the current window. Work a
 // mechanism commits now may be scheduled before it; work landing later
-// waits for an OnBarrier hook. During barrier synchronization the current
+// waits for an OnShardBarrier hook. During barrier synchronization the current
 // window is the upcoming one. A set that no Run or RunWindow call drives —
 // a network from NewCSR advanced through its own Sim — has one unbounded
 // window.
@@ -339,12 +361,10 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 		if p == nil {
 			ss.nets[0].sim.RunUntil(t)
 		} else {
-			ss.winWG.Add(len(ss.nets))
-			for s := range ss.winFns {
-				p.Submit(ss.winFns[s])
+			for _, fn := range ss.winFns {
+				ss.runTask(p, fn)
 			}
-			ss.winWG.Wait()
-			if err := errors.Join(ss.winErrs...); err != nil {
+			if err := ss.join(); err != nil {
 				return err
 			}
 		}
@@ -352,7 +372,7 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 		if next > horizon {
 			next = horizon
 		}
-		if err := ss.barrierStep(p, t, next); err != nil {
+		if err := ss.barrierStep(p, next); err != nil {
 			return err
 		}
 		if t >= horizon {
@@ -363,34 +383,35 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 
 // RunWindow advances every shard to barrier serially on the calling
 // goroutine, then performs the same exchange and barrier synchronization
-// Run would, running the per-destination exchange tasks inline: one
-// conservative window without pool scheduling. next is the following
-// barrier (responses use it to commit work landing inside the upcoming
-// window; pass barrier again at the horizon). Benchmarks drive RunWindow
-// directly to meter the exchange hot path; trajectories are identical to
-// Run's because the window protocol is. A panic while injecting re-panics
-// with the shard index.
+// Run would, running the per-destination exchange tasks and the per-shard
+// barrier-hook tasks inline: one conservative window without pool
+// scheduling. next is the following barrier (responses use it to commit
+// work landing inside the upcoming window; pass barrier again at the
+// horizon). Benchmarks drive RunWindow directly to meter the exchange hot
+// path; trajectories are identical to Run's because the window protocol
+// is. A panic while injecting or in a per-shard hook re-panics with the
+// shard index.
 func (ss *ShardSet) RunWindow(barrier, next time.Duration) {
 	ss.winBarrier = barrier
 	for _, net := range ss.nets {
 		net.sim.RunUntil(barrier)
 	}
-	if err := ss.barrierStep(nil, barrier, next); err != nil {
+	if err := ss.barrierStep(nil, next); err != nil {
 		panic(err)
 	}
 }
 
 // barrierStep is everything that happens between windows, in order: drain
-// and inject the cross-shard outboxes (on p, or inline when p is nil), open
-// the next window, then run barrier synchronization (merged detection,
-// response hooks — response.go).
-func (ss *ShardSet) barrierStep(p *pool.Pool, barrier, next time.Duration) error {
+// and inject the cross-shard outboxes, open the window ending at next,
+// then run barrier synchronization (merged detection, response hooks —
+// response.go). Per-destination and per-shard tasks run on p, or inline
+// when p is nil.
+func (ss *ShardSet) barrierStep(p *pool.Pool, next time.Duration) error {
 	if err := ss.exchange(p); err != nil {
 		return err
 	}
 	ss.winBarrier = next
-	ss.barrierSync(barrier, next)
-	return nil
+	return ss.barrierSync(p)
 }
 
 // exchange drains every shard's outbox and injects the copies into their
@@ -407,18 +428,11 @@ func (ss *ShardSet) exchange(p *pool.Pool) error {
 		return nil
 	}
 	for d, fn := range ss.injectFns {
-		if ss.offsets[d] == ss.offsets[d+1] {
-			continue
-		}
-		ss.winWG.Add(1)
-		if p == nil {
-			fn()
-		} else {
-			p.Submit(fn)
+		if ss.offsets[d] != ss.offsets[d+1] {
+			ss.runTask(p, fn)
 		}
 	}
-	ss.winWG.Wait()
-	return errors.Join(ss.winErrs...)
+	return ss.join()
 }
 
 // bucket moves every outbox's copies into batch grouped by destination

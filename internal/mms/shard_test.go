@@ -1,6 +1,9 @@
 package mms
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,4 +131,73 @@ func TestExchangeBucketsShardEdges(t *testing.T) {
 			t.Errorf("shard %d queue gained %d events, want 2", d, added)
 		}
 	}
+}
+
+// TestShardBarrierHooksRunLastInRegistrationOrder checks where the
+// per-shard barrier hooks sit in a barrier, under both drivers: each
+// shard's hooks see the copies the exchange injected into its queue, and
+// run in registration order with the next barrier.
+func TestShardBarrierHooksRunLastInRegistrationOrder(t *testing.T) {
+	const shards = 4
+	for _, driver := range []string{"RunWindow", "Run"} {
+		ss := exchangeTestSet(t, 203, shards)
+		// One copy into every shard, from the next shard over.
+		for d := 0; d < shards; d++ {
+			src := (d + 1) % shards
+			ss.outbox[src].push(10*time.Second, PhoneID(ss.bounds[src]), PhoneID(ss.bounds[d]))
+		}
+		before := pendingPerShard(ss)
+		logs := make([][]string, shards)
+		for _, name := range []string{"first", "second"} {
+			ss.OnShardBarrier(func(s int, next time.Duration) {
+				if len(logs[s]) < 2 { // the first barrier, which injects the copies
+					if added := ss.nets[s].sim.Pending() - before[s]; added != 1 {
+						t.Errorf("%s: shard %d hook %s sees %d injected copies, want 1", driver, s, name, added)
+					}
+				}
+				logs[s] = append(logs[s], fmt.Sprintf("%s, next %v", name, next))
+			})
+		}
+		want := []string{"first, next 2m0s", "second, next 2m0s"}
+		if driver == "RunWindow" {
+			ss.RunWindow(time.Minute, 2*time.Minute)
+		} else {
+			if err := ss.Run(context.Background(), 2*time.Minute, 2); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, want...)
+		}
+		for s, got := range logs {
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: shard %d hooks ran %q, want %q", driver, s, got, want)
+			}
+		}
+	}
+}
+
+// TestShardBarrierHookPanicNamesShard checks that a panicking per-shard
+// hook fails Run with an error naming the shard and the next barrier, and
+// that RunWindow re-panics with the same error.
+func TestShardBarrierHookPanicNamesShard(t *testing.T) {
+	const want = "mms: shard 2 panicked in barrier hooks before 2m0s: boom"
+	panicking := func() *ShardSet {
+		ss := exchangeTestSet(t, 203, 4)
+		ss.OnShardBarrier(func(s int, _ time.Duration) {
+			if s == 2 {
+				panic("boom")
+			}
+		})
+		return ss
+	}
+	if err := panicking().Run(context.Background(), 3*time.Minute, 2); err == nil || err.Error() != want {
+		t.Errorf("Run: error %v, want %q", err, want)
+	}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); err == nil || err.Error() != want {
+				t.Errorf("RunWindow: panicked with %v, want %q", err, want)
+			}
+		}()
+		panicking().RunWindow(time.Minute, 2*time.Minute)
+	}()
 }

@@ -15,6 +15,7 @@ PAIRS=10 SLOWER=9 THRESHOLD=1.15 BENCHTIME=200ms
 # One package per line: its directory, then a regexp of its benchmarks.
 SET='internal/des ^Benchmark(ScheduleAndFireWarm|SelfPerpetuatingChain|ScheduleCancel)$
 internal/mms ^BenchmarkShardExchange(FanIn)?$
+internal/response ^BenchmarkImmunizerWave$
 internal/store ^BenchmarkCodecRoundTrip$
 . ^BenchmarkFigure1Baselines$
 internal/experiment ^BenchmarkSweep(Reduced|Distributed)$
