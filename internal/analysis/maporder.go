@@ -108,7 +108,7 @@ func orderSensitive(info *types.Info, file *ast.File, rs *ast.RangeStmt) string 
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
 				switch sel.Sel.Name {
-				case "Schedule", "ScheduleAt":
+				case "ScheduleArgAt", "ScheduleArgAfter":
 					why = "schedules DES events"
 					return false
 				}

@@ -18,8 +18,6 @@ var DefaultHotPathRoots = []string{
 	// internal/des: the event loop proper and every scheduling operation
 	// the loop's handlers perform per event.
 	"des.Simulation.step",
-	"des.Simulation.ScheduleAt",
-	"des.Simulation.ScheduleAfter",
 	"des.Simulation.ScheduleArgAt",
 	"des.Simulation.ScheduleArgAfter",
 	"des.Simulation.Cancel",

@@ -11,16 +11,26 @@ import (
 	"repro/internal/rng"
 )
 
-// Sim is a stand-in for a DES scheduler.
+// Sim is a stand-in for the des kernel's scheduler.
 type Sim struct{}
 
-// Schedule matches the scheduler method the rule looks for.
-func (Sim) Schedule(d time.Duration, f func()) {}
+// ScheduleArgAt matches a scheduler method the rule looks for.
+func (Sim) ScheduleArgAt(at time.Duration, h func(uint64), arg uint64) {}
 
-// Schedules fires DES events in map order.
-func Schedules(sim Sim, pending map[int]time.Duration) {
-	for _, d := range pending { // want `\[maporder\] range over map schedules DES events`
-		sim.Schedule(d, func() {})
+// ScheduleArgAfter matches the other scheduler method the rule looks for.
+func (Sim) ScheduleArgAfter(d time.Duration, h func(uint64), arg uint64) {}
+
+// Schedules fires DES events at absolute times in map order.
+func Schedules(sim Sim, pending map[int]time.Duration, h func(uint64)) {
+	for id, at := range pending { // want `\[maporder\] range over map schedules DES events`
+		sim.ScheduleArgAt(at, h, uint64(id))
+	}
+}
+
+// SchedulesAfter fires DES events after delays in map order.
+func SchedulesAfter(sim Sim, pending map[int]time.Duration, h func(uint64)) {
+	for id, d := range pending { // want `\[maporder\] range over map schedules DES events`
+		sim.ScheduleArgAfter(d, h, uint64(id))
 	}
 }
 

@@ -7,21 +7,21 @@ import (
 
 // TestAllocsSteadyStateScheduleFire pins the arena design's core promise:
 // once the arena has grown to the working-set size, a schedule/fire cycle
-// performs zero heap allocations.
+// through one long-lived handler performs zero heap allocations — the
+// property the mms delivery path relies on.
 func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 	sim := New()
-	noop := func(*Simulation) {}
 	const batch = 512
 	// Warm the arena and the heap backing array to the working-set size.
 	for i := 0; i < batch; i++ {
-		if _, err := sim.ScheduleAfter(time.Duration(i)*time.Millisecond, noop); err != nil {
+		if _, err := sim.ScheduleArgAfter(time.Duration(i)*time.Millisecond, noop, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Run()
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < batch; i++ {
-			if _, err := sim.ScheduleAfter(time.Duration(i)*time.Millisecond, noop); err != nil {
+			if _, err := sim.ScheduleArgAfter(time.Duration(i)*time.Millisecond, noop, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -36,14 +36,13 @@ func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 // round trip once the free list is primed.
 func TestAllocsScheduleCancel(t *testing.T) {
 	sim := New()
-	noop := func(*Simulation) {}
-	h, err := sim.ScheduleAfter(time.Hour, noop)
+	h, err := sim.ScheduleArgAfter(time.Hour, noop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Cancel(h)
 	allocs := testing.AllocsPerRun(100, func() {
-		h, err := sim.ScheduleAfter(time.Hour, noop)
+		h, err := sim.ScheduleArgAfter(time.Hour, noop, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,19 +59,19 @@ func TestAllocsScheduleCancel(t *testing.T) {
 // the dominant simulator pattern: each event scheduling its successor.
 func TestAllocsSelfPerpetuatingChain(t *testing.T) {
 	sim := New()
-	var tick Handler
+	var tick ArgHandler
 	remaining := 0
-	tick = func(s *Simulation) {
+	tick = func(s *Simulation, _ uint64) {
 		remaining--
 		if remaining > 0 {
-			if _, err := s.ScheduleAfter(time.Millisecond, tick); err != nil {
+			if _, err := s.ScheduleArgAfter(time.Millisecond, tick, 0); err != nil {
 				panic(err)
 			}
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		remaining = 100
-		if _, err := sim.ScheduleAfter(0, tick); err != nil {
+		if _, err := sim.ScheduleArgAfter(0, tick, 0); err != nil {
 			t.Fatal(err)
 		}
 		sim.Run()
@@ -89,14 +88,14 @@ func TestStaleHandleAfterFireIsInert(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	stale, err := sim.ScheduleAt(time.Second, func(*Simulation) {})
+	stale, err := sim.ScheduleArgAt(time.Second, noop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
 	// The freed slot is recycled by the next schedule.
 	fired := false
-	fresh, err := sim.ScheduleAt(2*time.Second, func(*Simulation) { fired = true })
+	fresh, err := sim.ScheduleArgAt(2*time.Second, func(*Simulation, uint64) { fired = true }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestStaleHandleAfterCancelIsInert(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	stale, err := sim.ScheduleAt(time.Second, func(*Simulation) { t.Error("cancelled event fired") })
+	stale, err := sim.ScheduleArgAt(time.Second, func(*Simulation, uint64) { t.Error("cancelled event fired") }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestStaleHandleAfterCancelIsInert(t *testing.T) {
 		t.Fatal("first cancel failed")
 	}
 	fired := false
-	if _, err := sim.ScheduleAt(time.Second, func(*Simulation) { fired = true }); err != nil {
+	if _, err := sim.ScheduleArgAt(time.Second, func(*Simulation, uint64) { fired = true }, 0); err != nil {
 		t.Fatal(err)
 	}
 	if sim.Cancel(stale) {
@@ -146,12 +145,12 @@ func TestCancelDuringOwnHandler(t *testing.T) {
 	sim := New()
 	var self Handle
 	ran := false
-	h, err := sim.ScheduleAt(time.Second, func(s *Simulation) {
+	h, err := sim.ScheduleArgAt(time.Second, func(s *Simulation, _ uint64) {
 		ran = true
 		if s.Cancel(self) {
 			t.Error("handler cancelled its own already-firing event")
 		}
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +171,10 @@ func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 	sim := New()
 	const n = 200
 	var fired []int
+	record := func(_ *Simulation, arg uint64) { fired = append(fired, int(arg)) }
 	handles := make([]Handle, n)
 	for i := 0; i < n; i++ {
-		i := i
-		h, err := sim.ScheduleAt(time.Second, func(*Simulation) {
-			fired = append(fired, i)
-		})
+		h, err := sim.ScheduleArgAt(time.Second, record, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +191,7 @@ func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 		cancelled++
 	}
 	for i := 0; i < cancelled; i++ {
-		i := i
-		if _, err := sim.ScheduleAt(time.Second, func(*Simulation) {
-			fired = append(fired, n+i)
-		}); err != nil {
+		if _, err := sim.ScheduleArgAt(time.Second, record, uint64(n+i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,11 +8,10 @@ import (
 // BenchmarkScheduleAndFire measures raw event throughput: schedule and
 // execute batches of 1,000 no-op events.
 func BenchmarkScheduleAndFire(b *testing.B) {
-	noop := func(*Simulation) {}
 	for i := 0; i < b.N; i++ {
 		sim := New()
 		for j := 0; j < 1000; j++ {
-			if _, err := sim.ScheduleAt(time.Duration(j)*time.Millisecond, noop); err != nil {
+			if _, err := sim.ScheduleArgAt(time.Duration(j)*time.Millisecond, noop, uint64(j)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -25,11 +24,10 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 // allocator growth) serves every schedule. This is the regime replications
 // run in after their first few events.
 func BenchmarkScheduleAndFireWarm(b *testing.B) {
-	noop := func(*Simulation) {}
 	sim := New()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 1000; j++ {
-			if _, err := sim.ScheduleAfter(time.Duration(j)*time.Millisecond, noop); err != nil {
+			if _, err := sim.ScheduleArgAfter(time.Duration(j)*time.Millisecond, noop, uint64(j)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -40,9 +38,8 @@ func BenchmarkScheduleAndFireWarm(b *testing.B) {
 // BenchmarkScheduleCancel measures schedule+cancel round trips.
 func BenchmarkScheduleCancel(b *testing.B) {
 	sim := New()
-	noop := func(*Simulation) {}
 	for i := 0; i < b.N; i++ {
-		h, err := sim.ScheduleAt(time.Hour, noop)
+		h, err := sim.ScheduleArgAt(time.Hour, noop, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,16 +52,16 @@ func BenchmarkScheduleCancel(b *testing.B) {
 func BenchmarkSelfPerpetuatingChain(b *testing.B) {
 	sim := New()
 	count := 0
-	var tick Handler
-	tick = func(s *Simulation) {
+	var tick ArgHandler
+	tick = func(s *Simulation, _ uint64) {
 		count++
 		if count < b.N {
-			if _, err := s.ScheduleAfter(time.Millisecond, tick); err != nil {
+			if _, err := s.ScheduleArgAfter(time.Millisecond, tick, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	if _, err := sim.ScheduleAt(0, tick); err != nil {
+	if _, err := sim.ScheduleArgAt(0, tick, 0); err != nil {
 		b.Fatal(err)
 	}
 	sim.Run()

@@ -14,6 +14,11 @@
 // therefore performs zero allocations, and handles carry a generation
 // counter so a handle that outlives its event (fired, cancelled, or the
 // slot since reused) is inert rather than aliasing the new occupant.
+//
+// There is one event type: an ArgHandler plus a uint64 argument. Models
+// create one long-lived handler per event kind and pack the per-event
+// state (phone ids, attempt counters, queue slots) into the argument, so
+// no event allocates a closure and the event stays 40 bytes.
 package des
 
 import (
@@ -22,16 +27,8 @@ import (
 	"time"
 )
 
-// Handler is the callback executed when an event fires. The simulation
-// passes itself so handlers can schedule follow-up events.
-type Handler func(sim *Simulation)
-
-// ArgHandler is a Handler that also receives the uint64 argument the event
-// was scheduled with (ScheduleArgAt). Hot paths that would otherwise
-// allocate a fresh capturing closure per event — one read event per
-// delivered MMS copy, say — instead create one long-lived ArgHandler and
-// pack the per-event state (phone ids, attempt counters) into the argument,
-// making steady-state scheduling allocation-free end to end.
+// ArgHandler is the callback executed when an event fires. It receives the
+// simulation, to schedule follow-up events, and the event's argument.
 type ArgHandler func(sim *Simulation, arg uint64)
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
@@ -49,16 +46,14 @@ type Handle struct {
 func (h Handle) Valid() bool { return h.slot != 0 }
 
 // event is one arena slot. Slots are recycled: gen increments every time
-// the slot is released, invalidating outstanding handles. Exactly one of
-// handler/argHandler is set; arg is meaningful only with argHandler.
+// the slot is released, invalidating outstanding handles.
 type event struct {
-	at         time.Duration
-	seq        uint64 // schedule order; breaks ties FIFO
-	arg        uint64 // payload passed to argHandler
-	heapIdx    int32  // index into Simulation.heap, -1 when not queued
-	gen        uint32
-	handler    Handler
-	argHandler ArgHandler
+	at      time.Duration
+	seq     uint64 // schedule order; breaks ties FIFO
+	arg     uint64 // payload passed to handler
+	heapIdx int32  // index into Simulation.heap, -1 when not queued
+	gen     uint32
+	handler ArgHandler
 }
 
 // Simulation is a single-threaded discrete-event simulation. It is not safe
@@ -90,24 +85,8 @@ func (s *Simulation) Pending() int { return len(s.heap) }
 // virtual time.
 var ErrPastEvent = errors.New("des: event scheduled in the past")
 
-// ScheduleAt schedules h to fire at absolute virtual time at.
-// It returns an error if at precedes the current time.
-func (s *Simulation) ScheduleAt(at time.Duration, h Handler) (Handle, error) {
-	if h == nil {
-		return Handle{}, errors.New("des: nil handler")
-	}
-	if at < s.now {
-		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
-	}
-	slot, ev := s.acquire(at)
-	ev.handler = h
-	return Handle{slot: slot + 1, gen: ev.gen}, nil
-}
-
 // ScheduleArgAt schedules h to fire at absolute virtual time at, carrying
-// arg. It orders identically to ScheduleAt — the handler flavour is
-// invisible to the calendar — so converting a closure-based schedule to an
-// argument-based one cannot perturb any trajectory.
+// arg. It returns an error if at precedes the current time.
 func (s *Simulation) ScheduleArgAt(at time.Duration, h ArgHandler, arg uint64) (Handle, error) {
 	if h == nil {
 		return Handle{}, errors.New("des: nil handler")
@@ -115,24 +94,6 @@ func (s *Simulation) ScheduleArgAt(at time.Duration, h ArgHandler, arg uint64) (
 	if at < s.now {
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
 	}
-	slot, ev := s.acquire(at)
-	ev.argHandler = h
-	ev.arg = arg
-	return Handle{slot: slot + 1, gen: ev.gen}, nil
-}
-
-// ScheduleArgAfter schedules h to fire delay after the current time,
-// carrying arg. Negative delays are clamped to zero like ScheduleAfter.
-func (s *Simulation) ScheduleArgAfter(delay time.Duration, h ArgHandler, arg uint64) (Handle, error) {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleArgAt(s.now+delay, h, arg)
-}
-
-// acquire reserves an arena slot for a new event at time at and enqueues
-// it. The caller fills in the handler flavour.
-func (s *Simulation) acquire(at time.Duration) (uint32, *event) {
 	var slot uint32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -145,19 +106,19 @@ func (s *Simulation) acquire(at time.Duration) (uint32, *event) {
 	ev := &s.arena[slot]
 	ev.at = at
 	ev.seq = s.nextSeq
+	ev.arg = arg
+	ev.handler = h
 	ev.heapIdx = int32(len(s.heap))
 	s.heap = append(s.heap, slot)
 	s.siftUp(len(s.heap) - 1)
-	return slot, ev
+	return Handle{slot: slot + 1, gen: ev.gen}, nil
 }
 
-// ScheduleAfter schedules h to fire delay after the current time. Negative
-// delays are clamped to zero (fire "now", after currently executing events).
-func (s *Simulation) ScheduleAfter(delay time.Duration, h Handler) (Handle, error) {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleAt(s.now+delay, h)
+// ScheduleArgAfter schedules h to fire delay after the current time,
+// carrying arg. Negative delays are clamped to zero (fire "now", after
+// currently executing events).
+func (s *Simulation) ScheduleArgAfter(delay time.Duration, h ArgHandler, arg uint64) (Handle, error) {
+	return s.ScheduleArgAt(s.now+max(delay, 0), h, arg)
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
@@ -187,7 +148,6 @@ func (s *Simulation) release(slot uint32) {
 	ev := &s.arena[slot]
 	ev.gen++
 	ev.handler = nil
-	ev.argHandler = nil
 	ev.heapIdx = -1
 	s.free = append(s.free, slot)
 }
@@ -200,7 +160,7 @@ func (s *Simulation) step() bool {
 	slot := s.heap[0]
 	ev := &s.arena[slot]
 	at := ev.at
-	h, argH, arg := ev.handler, ev.argHandler, ev.arg
+	h, arg := ev.handler, ev.arg
 	s.removeAt(0)
 	// Release before running the handler: by the time user code executes,
 	// the handle is stale and the slot is reusable, so a handler that
@@ -208,11 +168,7 @@ func (s *Simulation) step() bool {
 	s.release(slot)
 	s.now = at
 	s.fired++
-	if argH != nil {
-		argH(s, arg)
-	} else {
-		h(s)
-	}
+	h(s, arg)
 	return true
 }
 

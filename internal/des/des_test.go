@@ -2,11 +2,27 @@ package des
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// noop is an event handler that does nothing.
+func noop(*Simulation, uint64) {}
+
+// TestEventSize pins the arena slot at 40 bytes: one handler, its argument,
+// the (at, seq) key, the heap index and the generation. The heap's sift
+// loops walk this arena, so a larger event costs cache footprint on every
+// comparison.
+func TestEventSize(t *testing.T) {
+	t.Parallel()
+
+	if got := reflect.TypeOf(event{}).Size(); got != 40 {
+		t.Errorf("event is %d bytes, want 40", got)
+	}
+}
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	t.Parallel()
@@ -14,11 +30,9 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	sim := New()
 	var fired []time.Duration
 	times := []time.Duration{5, 1, 9, 3, 3, 7, 0, 2}
+	record := func(s *Simulation, _ uint64) { fired = append(fired, s.Now()) }
 	for _, at := range times {
-		at := at
-		if _, err := sim.ScheduleAt(at, func(s *Simulation) {
-			fired = append(fired, s.Now())
-		}); err != nil {
+		if _, err := sim.ScheduleArgAt(at, record, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,18 +52,16 @@ func TestFIFOTieBreak(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	var order []int
+	var order []uint64
+	record := func(_ *Simulation, arg uint64) { order = append(order, arg) }
 	for i := 0; i < 10; i++ {
-		i := i
-		if _, err := sim.ScheduleAt(time.Second, func(*Simulation) {
-			order = append(order, i)
-		}); err != nil {
+		if _, err := sim.ScheduleArgAt(time.Second, record, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Run()
 	for i, v := range order {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("tie-break order %v, want scheduling order", order)
 		}
 	}
@@ -59,14 +71,14 @@ func TestSchedulePastRejected(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	if _, err := sim.ScheduleAt(time.Second, func(*Simulation) {}); err != nil {
+	if _, err := sim.ScheduleArgAt(time.Second, noop, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
 	if sim.Now() != time.Second {
 		t.Fatalf("Now = %v, want 1s", sim.Now())
 	}
-	_, err := sim.ScheduleAt(500*time.Millisecond, func(*Simulation) {})
+	_, err := sim.ScheduleArgAt(500*time.Millisecond, noop, 0)
 	if !errors.Is(err, ErrPastEvent) {
 		t.Errorf("scheduling in the past returned %v, want ErrPastEvent", err)
 	}
@@ -76,7 +88,7 @@ func TestNilHandlerRejected(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	if _, err := sim.ScheduleAt(0, nil); err == nil {
+	if _, err := sim.ScheduleArgAt(0, nil, 0); err == nil {
 		t.Error("nil handler accepted")
 	}
 }
@@ -86,7 +98,7 @@ func TestScheduleAfterNegativeClamps(t *testing.T) {
 
 	sim := New()
 	fired := false
-	if _, err := sim.ScheduleAfter(-time.Second, func(*Simulation) { fired = true }); err != nil {
+	if _, err := sim.ScheduleArgAfter(-time.Second, func(*Simulation, uint64) { fired = true }, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
@@ -103,7 +115,7 @@ func TestCancel(t *testing.T) {
 
 	sim := New()
 	fired := false
-	h, err := sim.ScheduleAt(time.Second, func(*Simulation) { fired = true })
+	h, err := sim.ScheduleArgAt(time.Second, func(*Simulation, uint64) { fired = true }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestCancelAfterFire(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	h, err := sim.ScheduleAt(0, func(*Simulation) {})
+	h, err := sim.ScheduleArgAt(0, noop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +162,11 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
-	var fired []int
+	var fired []uint64
+	record := func(_ *Simulation, arg uint64) { fired = append(fired, arg) }
 	handles := make([]Handle, 0, 20)
 	for i := 0; i < 20; i++ {
-		i := i
-		h, err := sim.ScheduleAt(time.Duration(i)*time.Second, func(*Simulation) {
-			fired = append(fired, i)
-		})
+		h, err := sim.ScheduleArgAt(time.Duration(i)*time.Second, record, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +194,9 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 
 	sim := New()
 	fired := 0
+	count := func(*Simulation, uint64) { fired++ }
 	for _, at := range []time.Duration{time.Second, 2 * time.Second, 10 * time.Second} {
-		if _, err := sim.ScheduleAt(at, func(*Simulation) { fired++ }); err != nil {
+		if _, err := sim.ScheduleArgAt(at, count, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +221,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 
 	sim := New()
 	fired := false
-	if _, err := sim.ScheduleAt(5*time.Second, func(*Simulation) { fired = true }); err != nil {
+	if _, err := sim.ScheduleArgAt(5*time.Second, func(*Simulation, uint64) { fired = true }, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunUntil(5 * time.Second)
@@ -224,16 +235,16 @@ func TestHandlerSchedulesFollowUps(t *testing.T) {
 
 	sim := New()
 	count := 0
-	var tick Handler
-	tick = func(s *Simulation) {
+	var tick ArgHandler
+	tick = func(s *Simulation, _ uint64) {
 		count++
 		if count < 100 {
-			if _, err := s.ScheduleAfter(time.Minute, tick); err != nil {
+			if _, err := s.ScheduleArgAfter(time.Minute, tick, 0); err != nil {
 				t.Errorf("reschedule: %v", err)
 			}
 		}
 	}
-	if _, err := sim.ScheduleAt(0, tick); err != nil {
+	if _, err := sim.ScheduleArgAt(0, tick, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
@@ -253,11 +264,9 @@ func TestQuickExecutionOrderSorted(t *testing.T) {
 	f := func(offsets []uint16) bool {
 		sim := New()
 		var fired []time.Duration
+		record := func(s *Simulation, _ uint64) { fired = append(fired, s.Now()) }
 		for _, o := range offsets {
-			at := time.Duration(o) * time.Millisecond
-			if _, err := sim.ScheduleAt(at, func(s *Simulation) {
-				fired = append(fired, s.Now())
-			}); err != nil {
+			if _, err := sim.ScheduleArgAt(time.Duration(o)*time.Millisecond, record, 0); err != nil {
 				return false
 			}
 		}
@@ -280,12 +289,10 @@ func TestQuickCancelSubset(t *testing.T) {
 		count := int(n%32) + 1
 		sim := New()
 		fired := make([]bool, count)
+		mark := func(_ *Simulation, arg uint64) { fired[arg] = true }
 		handles := make([]Handle, count)
 		for i := 0; i < count; i++ {
-			i := i
-			h, err := sim.ScheduleAt(time.Duration(i)*time.Second, func(*Simulation) {
-				fired[i] = true
-			})
+			h, err := sim.ScheduleArgAt(time.Duration(i)*time.Second, mark, uint64(i))
 			if err != nil {
 				return false
 			}
@@ -310,37 +317,38 @@ func TestQuickCancelSubset(t *testing.T) {
 	}
 }
 
-// TestArgHandlerOrderingAndPayload checks that argument-carrying events
-// interleave with closure events in exact (at, seq) order and
-// deliver their payloads verbatim.
+// TestArgHandlerOrderingAndPayload checks that events fire in exact
+// (at, seq) order, FIFO among equal times even across distinct handlers,
+// and deliver their payloads verbatim.
 func TestArgHandlerOrderingAndPayload(t *testing.T) {
 	t.Parallel()
 
 	sim := New()
 	var order []uint64
-	argH := func(_ *Simulation, arg uint64) { order = append(order, arg) }
-	if _, err := sim.ScheduleArgAt(2*time.Second, argH, 2); err != nil {
-		t.Fatal(err)
+	record := func(_ *Simulation, arg uint64) { order = append(order, arg) }
+	recordHigh := func(_ *Simulation, arg uint64) { order = append(order, arg<<32) }
+	schedule := []struct {
+		at  time.Duration
+		h   ArgHandler
+		arg uint64
+	}{
+		{2 * time.Second, record, 2},
+		{1 * time.Second, record, 1},
+		// Equal times: the event scheduled first wins the FIFO tie,
+		// whichever handler either carries.
+		{3 * time.Second, recordHigh, 3},
+		{3 * time.Second, record, 4},
+		{4 * time.Second, record, 5},
+		{4 * time.Second, recordHigh, 6},
+		{5 * time.Second, record, 1<<64 - 1},
 	}
-	if _, err := sim.ScheduleAt(1*time.Second, func(*Simulation) { order = append(order, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	// Equal time: the closure scheduled first wins the FIFO tie.
-	if _, err := sim.ScheduleAt(3*time.Second, func(*Simulation) { order = append(order, 3) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.ScheduleArgAt(3*time.Second, argH, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Equal time the other way round: the arg event scheduled first wins.
-	if _, err := sim.ScheduleArgAt(4*time.Second, argH, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.ScheduleAt(4*time.Second, func(*Simulation) { order = append(order, 6) }); err != nil {
-		t.Fatal(err)
+	for _, e := range schedule {
+		if _, err := sim.ScheduleArgAt(e.at, e.h, e.arg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sim.Run()
-	want := []uint64{1, 2, 3, 4, 5, 6}
+	want := []uint64{1, 2, 3 << 32, 4, 5, 6 << 32, 1<<64 - 1}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -375,33 +383,5 @@ func TestArgHandlerCancelAndValidation(t *testing.T) {
 	sim.RunUntil(time.Minute)
 	if _, err := sim.ScheduleArgAt(time.Second, func(*Simulation, uint64) {}, 0); !errors.Is(err, ErrPastEvent) {
 		t.Fatalf("past arg event: got %v, want ErrPastEvent", err)
-	}
-}
-
-// TestArgHandlerSchedulingIsAllocationFree pins the property the mms
-// delivery path relies on: scheduling through one long-lived ArgHandler
-// performs zero steady-state allocations (arena slots are recycled and no
-// per-event closure exists).
-func TestArgHandlerSchedulingIsAllocationFree(t *testing.T) {
-	sim := New()
-	var sum uint64
-	h := ArgHandler(func(_ *Simulation, arg uint64) { sum += arg })
-	// Warm the arena and free list.
-	for i := 0; i < 64; i++ {
-		if _, err := sim.ScheduleArgAfter(time.Millisecond, h, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			if _, err := sim.ScheduleArgAfter(time.Millisecond, h, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sim.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ArgHandler scheduling allocates %.1f/run, want 0", allocs)
 	}
 }

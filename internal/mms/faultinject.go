@@ -109,9 +109,12 @@ func (n *Network) attachFaults(src *rng.Source) {
 	}
 	n.faults = n.cfg.Faults
 	src.StreamInto(&n.faultSrc, 0x666c74) // "flt"
+	n.drainH = func(_ *des.Simulation, arg uint64) { n.drain(uint32(arg)) }
 	if !n.faults.Churn.Enabled() {
 		return
 	}
+	n.powerOffH = func(_ *des.Simulation, arg uint64) { n.powerOff(PhoneID(arg)) }
+	n.powerOnH = func(_ *des.Simulation, arg uint64) { n.powerOn(PhoneID(arg)) }
 	phones := n.pop.N()
 	n.churnSrc = make([]rng.Source, phones)
 	n.churnOff = make([]bool, phones)
@@ -120,6 +123,43 @@ func (n *Network) attachFaults(src *rng.Source) {
 		src.StreamInto(&n.churnSrc[i], churnStreamName(i))
 	}
 	n.startChurn()
+}
+
+// heldMessage is one message held in the MMSC store-and-forward queue.
+type heldMessage struct {
+	from    PhoneID
+	targets []Target
+}
+
+// hold queues a copy of the message in a held slot and schedules its drain
+// after delay. DrainSpread makes drains fire out of queue order, so slots
+// are recycled by index through heldFree rather than FIFO; a drained slot's
+// targets slice is reused, since transit keeps none of it.
+func (n *Network) hold(from PhoneID, targets []Target, delay time.Duration) error {
+	slot := uint32(len(n.held))
+	if k := len(n.heldFree); k > 0 {
+		slot, n.heldFree = n.heldFree[k-1], n.heldFree[:k-1]
+	} else {
+		n.held = append(n.held, heldMessage{})
+	}
+	m := &n.held[slot]
+	m.from = from
+	m.targets = append(m.targets[:0], targets...)
+	if _, err := n.sim.ScheduleArgAfter(delay, n.drainH, uint64(slot)); err != nil {
+		n.heldFree = append(n.heldFree, slot)
+		return err
+	}
+	return nil
+}
+
+// drain transits the message held in slot once its fault window has
+// closed, then frees the slot.
+func (n *Network) drain(slot uint32) {
+	m := n.held[slot]
+	n.metrics.OutageDrained++
+	n.fireFault(FaultEvent{Kind: FaultOutageDrained, At: n.sim.Now(), Phone: m.from, Recipients: len(m.targets)})
+	n.transit(m.from, m.targets)
+	n.heldFree = append(n.heldFree, slot)
 }
 
 // churnStreamName derives the per-phone churn stream name ("chr" | id); the
@@ -146,11 +186,7 @@ func (n *Network) schedulePowerOff(id PhoneID) {
 	if up < churnFloor {
 		up = churnFloor
 	}
-	if _, err := n.sim.ScheduleAfter(up, func(*des.Simulation) {
-		n.powerOff(id)
-	}); err != nil {
-		return
-	}
+	_, _ = n.sim.ScheduleArgAfter(up, n.powerOffH, uint64(uint32(id))) // cannot fail: up > 0
 }
 
 func (n *Network) powerOff(id PhoneID) {
@@ -163,9 +199,7 @@ func (n *Network) powerOff(id PhoneID) {
 	n.churnOn[id] = now + down
 	n.metrics.PhonePowerCycles++
 	n.fireFault(FaultEvent{Kind: FaultPhoneOff, At: now, Phone: id})
-	if _, err := n.sim.ScheduleAt(n.churnOn[id], func(*des.Simulation) {
-		n.powerOn(id)
-	}); err != nil {
+	if _, err := n.sim.ScheduleArgAt(n.churnOn[id], n.powerOnH, uint64(uint32(id))); err != nil {
 		// Unreachable (the power-on time is in the future), but a failed
 		// schedule must not leave the phone off forever.
 		n.churnOff[id] = false

@@ -176,13 +176,13 @@ func TestChurnDefersSendsWhileOff(t *testing.T) {
 		t.Fatal("phone 0 not powered on at start")
 	}
 	var res SendResult
-	if _, err := sim.ScheduleAt(90*time.Minute-time.Second, func(*des.Simulation) {
+	if _, err := sim.ScheduleArgAt(90*time.Minute-time.Second, func(*des.Simulation, uint64) {
 		r, err := net.Send(0, []Target{ValidTarget(1)})
 		if err != nil {
 			t.Error(err)
 		}
 		res = r
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunUntil(90 * time.Minute)
@@ -214,11 +214,11 @@ func TestChurnHoldsReadsUntilPowerOn(t *testing.T) {
 	// Send just before the population powers off at 1h; the read lands at
 	// send+2s, inside the off window, and must wait until 1h30m.
 	sendAt := time.Hour - time.Second
-	if _, err := sim.ScheduleAt(sendAt, func(*des.Simulation) {
+	if _, err := sim.ScheduleArgAt(sendAt, func(*des.Simulation, uint64) {
 		if _, err := net.Send(0, []Target{ValidTarget(1)}); err != nil {
 			t.Error(err)
 		}
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.RunUntil(2 * time.Hour)
@@ -253,18 +253,18 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		cfg.DeliveryLossProb = 0.4
 		cfg.Faults = schedule
 		net, sim := buildFaultNet(t, 4, cfg, seed)
-		var tick func(*des.Simulation)
-		tick = func(*des.Simulation) {
+		var tick des.ArgHandler
+		tick = func(*des.Simulation, uint64) {
 			if _, err := net.Send(0, []Target{ValidTarget(1), ValidTarget(2), ValidTarget(3)}); err != nil {
 				t.Error(err)
 			}
 			if sim.Now() < 3*time.Hour {
-				if _, err := sim.ScheduleAfter(time.Minute, tick); err != nil {
+				if _, err := sim.ScheduleArgAfter(time.Minute, tick, 0); err != nil {
 					t.Error(err)
 				}
 			}
 		}
-		if _, err := sim.ScheduleAt(0, tick); err != nil {
+		if _, err := sim.ScheduleArgAt(0, tick, 0); err != nil {
 			t.Fatal(err)
 		}
 		sim.RunUntil(4 * time.Hour)
@@ -329,7 +329,7 @@ func TestDeferredRetryRoundTrip(t *testing.T) {
 		t.Fatalf("RetryAt = %v, want 15m", res.RetryAt)
 	}
 	// Retry exactly when the verdict allows, as the virus engine does.
-	if _, err := sim.ScheduleAt(res.RetryAt, func(*des.Simulation) {
+	if _, err := sim.ScheduleArgAt(res.RetryAt, func(*des.Simulation, uint64) {
 		r, err := net.Send(0, []Target{ValidTarget(1)})
 		if err != nil {
 			t.Error(err)
@@ -338,7 +338,7 @@ func TestDeferredRetryRoundTrip(t *testing.T) {
 		if r.Outcome != OutcomeSent || r.Delivered != 1 {
 			t.Errorf("retried attempt: %+v, want sent with one delivery", r)
 		}
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
@@ -375,3 +375,143 @@ func (d *deferOnceController) OnSendAttempt(p PhoneID, now time.Duration) SendVe
 }
 
 func (d *deferOnceController) OnSent(PhoneID, time.Duration, int) {}
+
+// TestOutageDrainConservesMessages holds three messages whose drains fire
+// out of queue order, the third reusing the slot of whichever first
+// message drained while the other is still held. Every held message must
+// drain exactly once with its own sender and recipient count, and every
+// copy must reach the recipients it was addressed to.
+func TestOutageDrainConservesMessages(t *testing.T) {
+	t.Parallel()
+
+	cfg := instantConfig()
+	cfg.Faults = &faults.Schedule{
+		Outages: []faults.Window{
+			{Start: 0, End: time.Hour},
+			{Start: time.Hour, End: 10 * time.Hour},
+		},
+		DrainSpread: 2 * time.Hour,
+	}
+	net, sim := buildFaultNet(t, 8, cfg, 2)
+	messages := []struct {
+		from PhoneID
+		to   []PhoneID
+	}{
+		{0, []PhoneID{1, 2}},
+		{3, []PhoneID{4}},
+		{5, []PhoneID{6, 7}},
+	}
+	send := func(m int) {
+		targets := make([]Target, len(messages[m].to))
+		for i, id := range messages[m].to {
+			targets[i] = ValidTarget(id)
+		}
+		res, err := net.Send(messages[m].from, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Queued {
+			t.Fatalf("message %d not queued: %+v", m, res)
+		}
+	}
+	type held struct {
+		phone      PhoneID
+		recipients int
+	}
+	queued := map[held]int{}
+	drained := map[held]int{}
+	var drainOrder []PhoneID
+	net.OnFault(func(ev FaultEvent) {
+		switch ev.Kind {
+		case FaultOutageQueued:
+			queued[held{ev.Phone, ev.Recipients}]++
+		case FaultOutageDrained:
+			drained[held{ev.Phone, ev.Recipients}]++
+			drainOrder = append(drainOrder, ev.Phone)
+			if len(drainOrder) == 1 {
+				// Queue the third message inside the second window, once
+				// one slot is free and the other still held.
+				if _, err := sim.ScheduleArgAfter(time.Second, func(*des.Simulation, uint64) { send(2) }, 0); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	})
+	send(0)
+	send(1)
+	sim.RunUntil(48 * time.Hour)
+
+	// The premises: drains left queue order, and a slot was reused.
+	if len(drainOrder) == 0 || drainOrder[0] != 3 {
+		t.Fatalf("drain order %v, want the second message to drain first (pick another seed)", drainOrder)
+	}
+	if len(net.held) != 2 {
+		t.Errorf("%d held slots for 3 messages, want 2 (one reused)", len(net.held))
+	}
+	if len(queued) != 3 || len(drained) != len(queued) {
+		t.Fatalf("queued %v, drained %v", queued, drained)
+	}
+	for k, c := range queued {
+		if drained[k] != c {
+			t.Errorf("message %+v queued %d times, drained %d", k, c, drained[k])
+		}
+	}
+	recipients := map[PhoneID]PhoneID{}
+	for _, m := range messages {
+		for _, id := range m.to {
+			recipients[id] = m.from
+		}
+	}
+	for id := PhoneID(0); id < 8; id++ {
+		from, addressed := recipients[id]
+		got := net.ReceivedInfected(id)
+		switch {
+		case addressed && got != 1:
+			t.Errorf("recipient %d received %d copies, want 1", id, got)
+		case addressed && net.Infector(id) != from:
+			t.Errorf("recipient %d infected by %d, want %d", id, net.Infector(id), from)
+		case !addressed && got != 0:
+			t.Errorf("phone %d received %d copies, addressed none", id, got)
+		}
+	}
+	if m := net.Metrics(); m.OutageQueued != 3 || m.OutageDrained != 3 || m.Deliveries != 5 {
+		t.Errorf("metrics = %+v, want 3 queued, 3 drained, 5 deliveries", m)
+	}
+}
+
+// TestOutageDrainAllocationFree pins the store-and-forward path at zero
+// allocations once the held queue is warm: queueing a message under an
+// outage, then draining and transiting it, reuses a held slot, its target
+// slice and an arena slot.
+func TestOutageDrainAllocationFree(t *testing.T) {
+	const cycles = 60
+	outages := make([]faults.Window, cycles)
+	for i := range outages {
+		start := time.Duration(2*i) * time.Hour
+		outages[i] = faults.Window{Start: start, End: start + time.Hour}
+	}
+	cfg := instantConfig()
+	cfg.AllowDuplicateTrials = true
+	cfg.Faults = &faults.Schedule{Outages: outages, DrainSpread: time.Minute}
+	net, sim := buildFaultNet(t, 4, cfg, 1)
+	targets := []Target{ValidTarget(1), ValidTarget(2), ValidTarget(3)}
+	cycle := 0
+	op := func() {
+		start := outages[cycle].Start
+		cycle++
+		sim.RunUntil(start)
+		if res, err := net.Send(0, targets); err != nil || !res.Queued {
+			t.Fatalf("send at %v: %+v, %v; want queued", start, res, err)
+		}
+		sim.RunUntil(start + 2*time.Hour - time.Nanosecond)
+	}
+	op() // warm the held queue, the arena and the read path
+	const runs = 40
+	if allocs := testing.AllocsPerRun(runs, op); allocs != 0 {
+		t.Fatalf("outage queue and drain allocated %.1f times per message, want 0", allocs)
+	}
+	// The warm-up, and AllocsPerRun's own warm-up call, add two cycles.
+	if m := net.Metrics(); m.OutageDrained != runs+2 || len(net.held) != 1 {
+		t.Errorf("drained %d messages through %d held slots, want %d through 1", m.OutageDrained, len(net.held), runs+2)
+	}
+}

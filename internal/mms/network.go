@@ -129,14 +129,15 @@ type Network struct {
 	netSrc      rng.Source // delivery jitter stream
 	controllers []SendController
 
-	// Long-lived des.ArgHandlers for the per-copy event flavours. One read
-	// event fires per delivered MMS copy at million-phone scale; routing
-	// them through a shared handler with the phone ids packed into the
-	// event argument keeps the delivery hot path free of per-event closure
-	// allocations (the pre-PR-10 design allocated one closure per copy).
-	readH  des.ArgHandler // arg = packArg(target, from, 0)
-	retryH des.ArgHandler // arg = packArg(from, target, attempt)
-	legitH des.ArgHandler // arg = phone id
+	// Long-lived des.ArgHandlers, one per event kind, with the per-event
+	// state packed into the event argument. attachFaults sets the fault
+	// handlers, and only when the schedule uses them.
+	readH     des.ArgHandler // arg = packArg(target, from, 0)
+	retryH    des.ArgHandler // arg = packArg(from, target, attempt)
+	legitH    des.ArgHandler // arg = phone id
+	drainH    des.ArgHandler // arg = held slot
+	powerOffH des.ArgHandler // arg = phone id
+	powerOnH  des.ArgHandler // arg = phone id
 
 	// remote, when non-nil, receives recipient copies addressed outside the
 	// owned range instead of local delivery (many-shard sets batch them at
@@ -149,6 +150,8 @@ type Network struct {
 	churnSrc []rng.Source    // per-phone power-cycle stream
 	churnOff []bool          // phone currently powered off
 	churnOn  []time.Duration // next power-on time, valid while off
+	held     []heldMessage   // MMSC store-and-forward queue, by slot
+	heldFree []uint32        // drained held slots awaiting reuse
 
 	onInfection []func(id PhoneID, at time.Duration)
 	onPatched   []func(id PhoneID, at time.Duration)
@@ -466,12 +469,7 @@ func (n *Network) Send(from PhoneID, targets []Target) (SendResult, error) {
 		if n.faults.DrainSpread > 0 {
 			delay += time.Duration(n.faultSrc.Exp(float64(n.faults.DrainSpread)))
 		}
-		held := append([]Target(nil), targets...)
-		if _, err := n.sim.ScheduleAfter(delay, func(*des.Simulation) {
-			n.metrics.OutageDrained++
-			n.fireFault(FaultEvent{Kind: FaultOutageDrained, At: n.sim.Now(), Phone: from, Recipients: len(held)})
-			n.transit(from, held)
-		}); err != nil {
+		if err := n.hold(from, targets, delay); err != nil {
 			return SendResult{}, fmt.Errorf("mms: queue message for drain: %w", err)
 		}
 		return SendResult{Outcome: OutcomeSent, Queued: true}, nil

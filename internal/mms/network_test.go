@@ -515,9 +515,9 @@ func TestDeterministicReplay(t *testing.T) {
 		net.OnInfection(func(id PhoneID, at time.Duration) {
 			for _, c := range net.Contacts(id) {
 				target := PhoneID(c)
-				if _, err := sim.ScheduleAfter(time.Minute, func(*des.Simulation) {
+				if _, err := sim.ScheduleArgAfter(time.Minute, func(*des.Simulation, uint64) {
 					_, _ = net.Send(id, []Target{ValidTarget(target)})
-				}); err != nil {
+				}, 0); err != nil {
 					t.Error(err)
 				}
 			}

@@ -157,168 +157,179 @@ type Result struct {
 	Patched int
 }
 
+// run is one replication's state. Its cfg is private to the run, with the
+// education acceptance factor and the default detect count resolved. Each
+// event kind has one long-lived handler; the event argument is the phone
+// id, and a transfer packs its source and target as i<<32 | target.
+// Scheduling cannot fail here (every handler is set, no event is due in the
+// past), so where a failed schedule would skip nothing more, its error is
+// discarded.
+type run struct {
+	cfg          Config
+	sim          *des.Simulation
+	phones       []phone
+	res          *Result // FinalInfected counts infections as they happen
+	patchSrc     *rng.Source
+	patchStarted bool
+
+	waypointH, scanH, transferH, patchH des.ArgHandler
+}
+
 // Run executes one replication with the given seed.
 func Run(cfg Config, seed uint64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	root := rng.New(seed)
-	sim := des.New()
-	phones := make([]phone, cfg.Population)
-	maskSrc := root.Stream(1)
-	perm := maskSrc.Perm(cfg.Population)
+	r := &run{
+		cfg:    cfg,
+		sim:    des.New(),
+		phones: make([]phone, cfg.Population),
+		res:    &Result{Infections: curve.New(0)},
+	}
+	r.waypointH = func(_ *des.Simulation, arg uint64) { r.scheduleWaypoint(int(arg)) }
+	r.scanH = func(_ *des.Simulation, arg uint64) { r.scan(int(arg)) }
+	r.transferH = func(_ *des.Simulation, arg uint64) { r.transfer(int(arg>>32), int(uint32(arg))) }
+	r.patchH = func(_ *des.Simulation, arg uint64) { r.patch(int(arg)) }
+
+	perm := root.Stream(1).Perm(cfg.Population)
 	k := int(cfg.SusceptibleFraction*float64(cfg.Population) + 0.5)
-	for i := range phones {
-		phones[i].state = mms.StateNotVulnerable
-		phones[i].src = root.Stream(0x6274<<32 | uint64(i)) // "bt" | id
-		phones[i].x0 = phones[i].src.Uniform(0, cfg.ArenaSize)
-		phones[i].y0 = phones[i].src.Uniform(0, cfg.ArenaSize)
-		phones[i].x1, phones[i].y1 = phones[i].x0, phones[i].y0
+	for i := range r.phones {
+		r.phones[i].state = mms.StateNotVulnerable
+		r.phones[i].src = root.Stream(0x6274<<32 | uint64(i)) // "bt" | id
+		// The start position is the end of a zero-length first leg.
+		r.phones[i].x1 = r.phones[i].src.Uniform(0, cfg.ArenaSize)
+		r.phones[i].y1 = r.phones[i].src.Uniform(0, cfg.ArenaSize)
 	}
 	for i := 0; i < k; i++ {
-		phones[perm[i]].state = mms.StateSusceptible
+		r.phones[perm[i]].state = mms.StateSusceptible
 	}
 
-	acceptanceFactor := cfg.AcceptanceFactor
 	if cfg.EducationAcceptance > 0 {
 		af, err := mms.SolveAcceptanceFactor(cfg.EducationAcceptance)
 		if err != nil {
 			return nil, fmt.Errorf("proximity: education: %w", err)
 		}
-		acceptanceFactor = af
+		r.cfg.AcceptanceFactor = af
 	}
-
-	res := &Result{Infections: curve.New(0)}
-	infected := 0
-	patchSrc := root.Stream(2)
-	patchStarted := false
-	detectCount := cfg.PatchDetectCount
-	if detectCount == 0 {
-		detectCount = 3
-	}
-	startPatching := func() {
-		for j := range phones {
-			j := j
-			offset := cfg.PatchDevelopment
-			if cfg.PatchDeployment > 0 {
-				offset += time.Duration(patchSrc.Uniform(0, float64(cfg.PatchDeployment)))
-			}
-			if _, err := sim.ScheduleAfter(offset, func(*des.Simulation) {
-				if !phones[j].patched {
-					phones[j].patched = true
-					res.Patched++
-					if phones[j].state == mms.StateSusceptible {
-						phones[j].state = mms.StateImmune
-					}
-				}
-			}); err != nil {
-				return
-			}
-		}
-	}
-	infect := func(i int, at time.Duration) {
-		phones[i].state = mms.StateInfected
-		infected++
-		// Infection times are non-decreasing within a run.
-		_ = res.Infections.Append(at, float64(infected))
-		if !patchStarted && cfg.PatchDevelopment > 0 && infected >= detectCount {
-			patchStarted = true
-			startPatching()
-		}
+	r.patchSrc = root.Stream(2)
+	if r.cfg.PatchDetectCount == 0 {
+		r.cfg.PatchDetectCount = 3
 	}
 
 	// Waypoint movement: each phone perpetually picks a destination,
 	// travels, pauses, repeats.
-	var scheduleWaypoint func(i int)
-	scheduleWaypoint = func(i int) {
-		p := &phones[i]
-		now := sim.Now()
-		pause := time.Duration(p.src.Exp(float64(cfg.PauseMean)))
-		depart := now + pause
-		destX := p.src.Uniform(0, cfg.ArenaSize)
-		destY := p.src.Uniform(0, cfg.ArenaSize)
-		speed := p.src.Uniform(cfg.SpeedMin, cfg.SpeedMax)
-		dist := math.Hypot(destX-p.x0, destY-p.y0)
-		travel := time.Duration(dist / speed * float64(time.Second))
-		p.x1, p.y1 = destX, destY
-		p.t0, p.t1 = depart, depart+travel
-		if _, err := sim.ScheduleAt(p.t1, func(*des.Simulation) {
-			p.x0, p.y0 = p.x1, p.y1
-			scheduleWaypoint(i)
-		}); err != nil {
-			return
-		}
+	for i := range r.phones {
+		r.scheduleWaypoint(i)
 	}
-	for i := range phones {
-		scheduleWaypoint(i)
-	}
-
-	// Infected phones scan periodically and push to one in-range target.
-	rangeSq := cfg.Range * cfg.Range
-	var scan func(i int)
-	scan = func(i int) {
-		p := &phones[i]
-		if p.patched {
-			return // the patch halts further dissemination
-		}
-		now := sim.Now()
-		x, y := p.pos(now)
-		for j := range phones {
-			if j == i || phones[j].state != mms.StateSusceptible {
-				continue
-			}
-			tx, ty := phones[j].pos(now)
-			dx, dy := tx-x, ty-y
-			if dx*dx+dy*dy > rangeSq {
-				continue
-			}
-			res.Encounters++
-			target := j
-			if _, err := sim.ScheduleAfter(cfg.TransferTime, func(*des.Simulation) {
-				// The transfer completes only if still in range.
-				end := sim.Now()
-				ax, ay := phones[i].pos(end)
-				bx, by := phones[target].pos(end)
-				ddx, ddy := bx-ax, by-ay
-				if ddx*ddx+ddy*ddy > rangeSq {
-					return
-				}
-				res.Transfers++
-				tp := &phones[target]
-				if tp.state != mms.StateSusceptible || tp.patched {
-					return
-				}
-				tp.received++
-				if tp.src.Bool(mms.AcceptanceProbability(acceptanceFactor, tp.received)) {
-					infect(target, end)
-					scheduleScanLoop(sim, cfg, scan, target)
-				}
-			}); err != nil {
-				return
-			}
-			break // one push per scan
-		}
-		if _, err := sim.ScheduleAfter(cfg.ScanInterval, func(*des.Simulation) {
-			scan(i)
-		}); err != nil {
-			return
-		}
-	}
-
 	// Seed: the first susceptible phone.
-	infect(perm[0], 0)
-	scheduleScanLoop(sim, cfg, scan, perm[0])
+	r.infect(perm[0], 0)
+	_, _ = r.sim.ScheduleArgAfter(cfg.ScanInterval, r.scanH, uint64(perm[0]))
 
-	sim.RunUntil(cfg.Horizon)
-	res.FinalInfected = infected
-	return res, nil
+	r.sim.RunUntil(cfg.Horizon)
+	return r.res, nil
 }
 
-// scheduleScanLoop starts the periodic scanning of a newly infected phone.
-func scheduleScanLoop(sim *des.Simulation, cfg Config, scan func(int), i int) {
-	if _, err := sim.ScheduleAfter(cfg.ScanInterval, func(*des.Simulation) {
-		scan(i)
-	}); err != nil {
+// infect marks phone i infected at time at and starts the patch campaign
+// once the detection count is reached.
+func (r *run) infect(i int, at time.Duration) {
+	r.phones[i].state = mms.StateInfected
+	r.res.FinalInfected++
+	// Infection times are non-decreasing within a run.
+	_ = r.res.Infections.Append(at, float64(r.res.FinalInfected))
+	if !r.patchStarted && r.cfg.PatchDevelopment > 0 && r.res.FinalInfected >= r.cfg.PatchDetectCount {
+		r.patchStarted = true
+		r.startPatching()
+	}
+}
+
+// startPatching schedules every phone's patch: after the development time,
+// spread uniformly over the deployment window.
+func (r *run) startPatching() {
+	for j := range r.phones {
+		offset := r.cfg.PatchDevelopment
+		if r.cfg.PatchDeployment > 0 {
+			offset += time.Duration(r.patchSrc.Uniform(0, float64(r.cfg.PatchDeployment)))
+		}
+		if _, err := r.sim.ScheduleArgAfter(offset, r.patchH, uint64(j)); err != nil {
+			return
+		}
+	}
+}
+
+// patch immunizes phone j, or stops it transferring if already infected.
+func (r *run) patch(j int) {
+	if p := &r.phones[j]; !p.patched {
+		p.patched = true
+		r.res.Patched++
+		if p.state == mms.StateSusceptible {
+			p.state = mms.StateImmune
+		}
+	}
+}
+
+// scheduleWaypoint ends phone i's leg at its destination, draws the pause,
+// destination and speed of its next leg, and schedules its arrival.
+func (r *run) scheduleWaypoint(i int) {
+	p := &r.phones[i]
+	p.x0, p.y0 = p.x1, p.y1
+	depart := r.sim.Now() + time.Duration(p.src.Exp(float64(r.cfg.PauseMean)))
+	destX := p.src.Uniform(0, r.cfg.ArenaSize)
+	destY := p.src.Uniform(0, r.cfg.ArenaSize)
+	speed := p.src.Uniform(r.cfg.SpeedMin, r.cfg.SpeedMax)
+	dist := math.Hypot(destX-p.x0, destY-p.y0)
+	travel := time.Duration(dist / speed * float64(time.Second))
+	p.x1, p.y1 = destX, destY
+	p.t0, p.t1 = depart, depart+travel
+	_, _ = r.sim.ScheduleArgAt(p.t1, r.waypointH, uint64(i))
+}
+
+// scan looks for a susceptible phone within range of infected phone i and
+// starts a push to the first one found, then rescans.
+func (r *run) scan(i int) {
+	p := &r.phones[i]
+	if p.patched {
+		return // the patch halts further dissemination
+	}
+	now := r.sim.Now()
+	x, y := p.pos(now)
+	rangeSq := r.cfg.Range * r.cfg.Range
+	for j := range r.phones {
+		if j == i || r.phones[j].state != mms.StateSusceptible {
+			continue
+		}
+		tx, ty := r.phones[j].pos(now)
+		dx, dy := tx-x, ty-y
+		if dx*dx+dy*dy > rangeSq {
+			continue
+		}
+		r.res.Encounters++
+		if _, err := r.sim.ScheduleArgAfter(r.cfg.TransferTime, r.transferH, uint64(i)<<32|uint64(j)); err != nil {
+			return
+		}
+		break // one push per scan
+	}
+	_, _ = r.sim.ScheduleArgAfter(r.cfg.ScanInterval, r.scanH, uint64(i))
+}
+
+// transfer completes a push from phone i to target, if the pair is still
+// in range, and applies the consent model.
+func (r *run) transfer(i, target int) {
+	end := r.sim.Now()
+	ax, ay := r.phones[i].pos(end)
+	bx, by := r.phones[target].pos(end)
+	dx, dy := bx-ax, by-ay
+	if dx*dx+dy*dy > r.cfg.Range*r.cfg.Range {
 		return
+	}
+	r.res.Transfers++
+	tp := &r.phones[target]
+	if tp.state != mms.StateSusceptible || tp.patched {
+		return
+	}
+	tp.received++
+	if tp.src.Bool(mms.AcceptanceProbability(r.cfg.AcceptanceFactor, tp.received)) {
+		r.infect(target, end)
+		_, _ = r.sim.ScheduleArgAfter(r.cfg.ScanInterval, r.scanH, uint64(target))
 	}
 }

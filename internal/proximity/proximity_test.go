@@ -1,9 +1,14 @@
 package proximity
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/curve"
 	"repro/internal/mms"
 )
 
@@ -241,5 +246,59 @@ func TestProximityDefenseValidation(t *testing.T) {
 	cfg.PatchDetectCount = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative detect count accepted")
+	}
+}
+
+// curveDigest hashes every infection-curve point with hex-exact values.
+func curveDigest(c *curve.Curve) string {
+	var b strings.Builder
+	for _, p := range c.Points() {
+		fmt.Fprintf(&b, "%d %x\n", p.T, p.V)
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestRunPinned pins whole trajectories to recorded values, so a change to
+// the model's event plumbing that reorders any event or RNG draw fails here
+// even when two runs in one process still agree with each other.
+func TestRunPinned(t *testing.T) {
+	t.Parallel()
+
+	defended := DefaultConfig()
+	defended.EducationAcceptance = 0.3
+	defended.PatchDevelopment = 6 * time.Hour
+	defended.PatchDeployment = 2 * time.Hour
+	defended.PatchDetectCount = 2
+	tests := []struct {
+		name                  string
+		cfg                   Config
+		seed                  uint64
+		final                 int
+		encounters, transfers uint64
+		patched               int
+		digest                string
+	}{
+		{"default/1", DefaultConfig(), 1, 59, 14969, 1536, 0, "0e143509ac04d4b1"},
+		{"default/2", DefaultConfig(), 2, 63, 18044, 1929, 0, "ba7ba0af898dbbb9"},
+		{"defended/1", defended, 1, 6, 325, 24, 200, "10bfb1de108aca68"},
+		{"defended/2", defended, 2, 9, 457, 39, 200, "08e694abfea12b4d"},
+	}
+	for _, tt := range tests {
+		tt := tt
+		t.Run(tt.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(tt.cfg, tt.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("final %d encounters %d transfers %d patched %d curve %s",
+				res.FinalInfected, res.Encounters, res.Transfers, res.Patched, curveDigest(res.Infections))
+			want := fmt.Sprintf("final %d encounters %d transfers %d patched %d curve %s",
+				tt.final, tt.encounters, tt.transfers, tt.patched, tt.digest)
+			if got != want {
+				t.Errorf("trajectory drifted:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

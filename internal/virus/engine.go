@@ -179,7 +179,7 @@ func (e *Engine) scheduleSend(id mms.PhoneID, delay time.Duration) {
 	}
 	h, err := e.sim.ScheduleArgAfter(delay, e.sendH, uint64(uint32(id)))
 	if err != nil {
-		// ScheduleAfter clamps negative delays; this is unreachable, but a
+		// ScheduleArgAfter clamps negative delays; this is unreachable, but a
 		// failed schedule must not leave a stale handle.
 		st.pending = des.Handle{}
 		return
