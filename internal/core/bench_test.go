@@ -101,7 +101,7 @@ func BenchmarkPopulation100kResponse(b *testing.B) {
 // recorded count plus slack, counted at GOMAXPROCS 1 as
 // testing.AllocsPerRun does), and the per-phone footprint (167.9 B
 // recorded, plus 15% for heap-measurement jitter). The response run's
-// count repeats exactly: 1,142, and 1,148 under the race detector, whose
+// count repeats exactly: 1,139, and 1,145 under the race detector, whose
 // runtime adds six. Its bound is the race count plus the usual 0.1%. The
 // bare run's varies by process — 1,723 to 1,779 over 30 runs — because
 // its per-shard trial maps grow large enough that where their tables
@@ -115,7 +115,7 @@ func TestPopulation100kPins(t *testing.T) {
 		maxAllocs float64
 	}{
 		{"bare", false, 10_387, 1_758 + 88},
-		{"response", true, 1_597, 1_148 + 1},
+		{"response", true, 1_597, 1_145 + 1},
 	} {
 		cfg := populationConfig(tc.responses)
 		var final int

@@ -56,3 +56,15 @@ func BenchmarkHasEdge(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkBarabasiAlbertCSR measures streaming a 10^5-node, m=4
+// preferential-attachment topology straight into CSR form: the edge stream
+// and CSRBuilder.Finalize, the construction step of every scale replication.
+func BenchmarkBarabasiAlbertCSR(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BarabasiAlbertCSR(100_000, 4, rng.New(uint64(i)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

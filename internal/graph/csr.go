@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -11,8 +12,9 @@ import (
 // sorted neighbor list is targets[offsets[u]:offsets[u+1]]. Two flat uint32
 // slices hold the entire topology — no per-node slice headers, maps, or
 // pointers — so a million-phone contact graph is two allocations and stays
-// cache-friendly when the simulator walks contact lists. Rows are sorted by
-// construction (see CSRBuilder.Finalize); no post-hoc sort ever runs on them.
+// cache-friendly when the simulator walks contact lists. Rows are strictly
+// ascending; CSRBuilder.Finalize sorts only the rows an edge stream delivers
+// out of order.
 type CSR struct {
 	offsets []uint32
 	targets []uint32
@@ -150,62 +152,38 @@ func (b *CSRBuilder) AddEdge(u, v int) error {
 	return nil
 }
 
-// Finalize builds the CSR. Rows come out sorted by construction: the 2M
-// directed edges go through two stable counting-sort passes — first by
-// target, then by source — so each node's row is filled in ascending target
-// order without any comparison sort touching the adjacency. Duplicate edges
-// surface as adjacent equal targets and are rejected.
+// Finalize builds the CSR with one scatter: degrees are prefix-summed into
+// the offsets, then each edge is written into its two rows in emission
+// order. A row that arrives out of order is sorted in place;
+// a stream that emits each node's neighbors ascending, as
+// barabasiAlbertStream does, never reaches that sort. Duplicate edges surface
+// as adjacent equal targets and are rejected.
 func (b *CSRBuilder) Finalize() (*CSR, error) {
 	n := b.n
-	m := len(b.us)
-
-	// Pass 1: stable counting sort of all directed edges by target.
-	cnt := make([]uint32, n+1)
-	for i := 0; i < m; i++ {
-		cnt[b.vs[i]]++ // directed (u -> v)
-		cnt[b.us[i]]++ // directed (v -> u)
-	}
-	pos := make([]uint32, n)
-	var acc uint32
-	for t := 0; t < n; t++ {
-		pos[t] = acc
-		acc += cnt[t]
-	}
-	srcByT := make([]uint32, 2*m)
-	tgtByT := make([]uint32, 2*m)
-	for i := 0; i < m; i++ {
-		u, v := b.us[i], b.vs[i]
-		p := pos[v]
-		pos[v]++
-		srcByT[p], tgtByT[p] = u, v
-		p = pos[u]
-		pos[u]++
-		srcByT[p], tgtByT[p] = v, u
-	}
-
-	// Pass 2: stable counting sort by source. The prefix sums are the CSR
-	// offsets; scanning the target-ordered list fills each row in ascending
-	// target order.
 	offsets := make([]uint32, n+1)
-	for i := 0; i < m; i++ {
+	for i := range b.us {
 		offsets[b.us[i]+1]++
 		offsets[b.vs[i]+1]++
 	}
 	for u := 0; u < n; u++ {
 		offsets[u+1] += offsets[u]
 	}
-	fill := make([]uint32, n)
-	copy(fill, offsets[:n])
-	targets := make([]uint32, 2*m)
-	for j := 0; j < 2*m; j++ {
-		s := srcByT[j]
-		targets[fill[s]] = tgtByT[j]
-		fill[s]++
+	fill := slices.Clone(offsets[:n])
+	targets := make([]uint32, 2*len(b.us))
+	for i, u := range b.us {
+		v := b.vs[i]
+		targets[fill[u]] = v
+		fill[u]++
+		targets[fill[v]] = u
+		fill[v]++
 	}
 
 	// Sorted rows make duplicate detection a single adjacency scan.
 	for u := 0; u < n; u++ {
 		row := targets[offsets[u]:offsets[u+1]]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
 		for i := 1; i < len(row); i++ {
 			if row[i] == row[i-1] {
 				return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", u, row[i])

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -81,10 +85,10 @@ func TestFromGraphPreservesAdjacency(t *testing.T) {
 	assertCSRMatchesGraph(t, c, g)
 }
 
-// Pin (satellite fix): CSR rows are sorted by construction. Edges are fed to
-// the builder in adversarial order — descending, interleaved, shuffled — and
-// the finalized rows must come out strictly ascending with no sorting step
-// ever having touched them.
+// Pin: CSR rows come out strictly ascending whatever order the edges arrive
+// in. Edges are fed to the builder in adversarial order — descending,
+// larger endpoint first — so every row arrives out of order and goes through
+// Finalize's per-row sort.
 func TestCSRRowsSortedByConstruction(t *testing.T) {
 	t.Parallel()
 
@@ -140,14 +144,29 @@ func TestCSRBuilderRejectsInvalidEdges(t *testing.T) {
 	if err := b.AddEdge(-1, 2); err == nil {
 		t.Error("negative endpoint accepted")
 	}
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(1, 0); err != nil {
-		t.Fatal(err) // duplicate in reversed orientation: caught at Finalize
-	}
-	if _, err := b.Finalize(); err == nil {
-		t.Error("duplicate edge survived Finalize")
+
+	// Duplicates surface at Finalize, whether the duplicated rows arrive
+	// ordered or only sorting brings the copies together.
+	for _, tc := range []struct {
+		name  string
+		edges [][2]int
+	}{
+		{"reversed orientation", [][2]int{{0, 1}, {1, 0}}},
+		{"same orientation in an ordered stream", [][2]int{{0, 1}, {0, 2}, {0, 1}}},
+		{"only unordered rows reveal it", [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 0}}},
+	} {
+		b, err := NewCSRBuilder(4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tc.edges {
+			if err := b.AddEdge(e[0], e[1]); err != nil {
+				t.Fatalf("%s: AddEdge%v: %v", tc.name, e, err)
+			}
+		}
+		if _, err := b.Finalize(); err == nil || !strings.Contains(err.Error(), "duplicate edge") {
+			t.Errorf("%s: Finalize error %v, want a duplicate edge", tc.name, err)
+		}
 	}
 }
 
@@ -189,6 +208,93 @@ func TestCSRHasEdge(t *testing.T) {
 			if c.HasEdge(u, v) != g.HasEdge(u, v) {
 				t.Fatalf("HasEdge(%d,%d): CSR %v, Graph %v", u, v, c.HasEdge(u, v), g.HasEdge(u, v))
 			}
+		}
+	}
+}
+
+// csrDigest is a SHA-256 over a CSR's offsets and targets, each uint32
+// little-endian, offsets first.
+func csrDigest(c *CSR) string {
+	h := sha256.New()
+	var buf [4]byte
+	for _, s := range [][]uint32{c.offsets, c.targets} {
+		for _, x := range s {
+			binary.LittleEndian.PutUint32(buf[:], x)
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Pin: BarabasiAlbertCSR's exact bytes and its RNG consumption. The digest
+// covers every offset and target; the next draw after the build shows the
+// generator consumed exactly the recorded draws. TestCSRMatchesGraphAdjacency
+// cannot catch draw drift, because both of its builders share one stream.
+func TestBarabasiAlbertCSRPinned(t *testing.T) {
+	t.Parallel()
+
+	cases := []struct {
+		n, m int
+		seed uint64
+		sum  string
+		next uint64
+	}{
+		{100_000, 4, 1, "b7891b6d80d49607c27a29f11ed848d260cf05459200e9acddfde8647f1e4072", 0xbf5d51ab5cffec1},
+		{100_000, 4, 2, "b982a36d5d8006979224248710e581c74578c1429f5d443cfea3ebf6f1cde8d3", 0xa63ff0b11c8f96be},
+		{1000, 1, 3, "a56e879ddc18e26a9c2af9fc6a7383a72558b46656b59f134a2ccd6d73a3fef6", 0x8859509f5ad6f04},
+		{1000, 8, 11, "0a87f9bc8caf01dfb9fa1bc6ecd59e95e53d0688808229598630e5004069b741", 0x4de1791384dfa226},
+	}
+	for _, tc := range cases {
+		src := rng.New(tc.seed)
+		c, err := BarabasiAlbertCSR(tc.n, tc.m, src)
+		if err != nil {
+			t.Fatalf("BarabasiAlbertCSR(%d,%d,%d): %v", tc.n, tc.m, tc.seed, err)
+		}
+		sum, next := csrDigest(c), src.Uint64()
+		if sum != tc.sum || next != tc.next {
+			t.Errorf("BarabasiAlbertCSR(%d,%d,%d): digest %s, next draw %#x; want %s, %#x",
+				tc.n, tc.m, tc.seed, sum, next, tc.sum, tc.next)
+		}
+	}
+}
+
+// Pin: the order invariant that keeps BarabasiAlbertCSR off Finalize's
+// per-row sort. Every node receives its neighbors from the stream strictly
+// ascending, in whichever orientation each edge is emitted.
+func TestBarabasiAlbertStreamRowOrdered(t *testing.T) {
+	t.Parallel()
+
+	cases := []struct {
+		n, m int
+		seed uint64
+	}{
+		{5, 4, 1},
+		{50, 1, 2},
+		{300, 3, 3},
+		{2000, 4, 7},
+		{2000, 8, 11},
+	}
+	for _, tc := range cases {
+		last := make([]int, tc.n)
+		for i := range last {
+			last[i] = -1
+		}
+		edges := 0
+		emit := func(u, v int) error {
+			for _, e := range [][2]int{{u, v}, {v, u}} {
+				if e[1] <= last[e[0]] {
+					t.Fatalf("n=%d m=%d seed=%d: node %d receives %d after %d", tc.n, tc.m, tc.seed, e[0], e[1], last[e[0]])
+				}
+				last[e[0]] = e[1]
+			}
+			edges++
+			return nil
+		}
+		if err := barabasiAlbertStream(tc.n, tc.m, rng.New(tc.seed), emit); err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.m*(tc.m+1)/2 + (tc.n-tc.m-1)*tc.m; edges != want {
+			t.Errorf("n=%d m=%d seed=%d: %d edges, want %d", tc.n, tc.m, tc.seed, edges, want)
 		}
 	}
 }

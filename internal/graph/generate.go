@@ -394,7 +394,8 @@ func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) 
 		}
 	}
 	// Repeated-endpoint list implements preferential attachment in O(1);
-	// every clique node starts with degree m.
+	// every clique node starts with degree m. It holds only nodes before u
+	// while u draws, so a draw never picks u itself.
 	endpoints := make([]int32, 0, 2*m*n)
 	for u := 0; u <= m; u++ {
 		for i := 0; i < m; i++ {
@@ -404,24 +405,22 @@ func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) 
 	// chosen is kept as a small sorted slice: membership tests draw the same
 	// verdicts a set would, and iterating it yields the ascending attach
 	// order directly — no post-hoc sort, and no map iteration order anywhere
-	// near the RNG stream.
+	// near the RNG stream. A node's first m draws always happen, so picks
+	// loads all their endpoints before any is tested and the loads overlap;
+	// the rejection loop then resumes at guard = m, with the same draws in
+	// the same order.
 	chosen := make([]int32, 0, m)
+	picks := make([]int32, m)
 	for u := m + 1; u < n; u++ {
+		for i := range picks {
+			picks[i] = endpoints[src.Intn(len(endpoints))]
+		}
 		chosen = chosen[:0]
-		guard := 0
-		for len(chosen) < m && guard < 100*m {
-			guard++
-			v := endpoints[src.Intn(len(endpoints))]
-			if int(v) == u {
-				continue
-			}
-			i := sort.Search(len(chosen), func(i int) bool { return chosen[i] >= v })
-			if i < len(chosen) && chosen[i] == v {
-				continue
-			}
-			chosen = append(chosen, 0)
-			copy(chosen[i+1:], chosen[i:])
-			chosen[i] = v
+		for _, v := range picks {
+			chosen = insertNew(chosen, v)
+		}
+		for guard := m; len(chosen) < m && guard < 100*m; guard++ {
+			chosen = insertNew(chosen, endpoints[src.Intn(len(endpoints))])
 		}
 		for _, v := range chosen {
 			if err := emit(u, int(v)); err != nil {
@@ -431,6 +430,23 @@ func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) 
 		}
 	}
 	return nil
+}
+
+// insertNew inserts v into the ascending slice chosen unless it is already
+// present. chosen holds at most m entries, so a linear scan beats a binary
+// search.
+func insertNew(chosen []int32, v int32) []int32 {
+	i := 0
+	for i < len(chosen) && chosen[i] < v {
+		i++
+	}
+	if i < len(chosen) && chosen[i] == v {
+		return chosen
+	}
+	chosen = append(chosen, 0)
+	copy(chosen[i+1:], chosen[i:])
+	chosen[i] = v
+	return chosen
 }
 
 // WattsStrogatz generates a small-world ring lattice of n nodes, each linked

@@ -14,6 +14,7 @@ parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
 PAIRS=10 SLOWER=9 THRESHOLD=1.15 BENCHTIME=200ms
 # One package per line: its directory, then a regexp of its benchmarks.
 SET='internal/des ^Benchmark(ScheduleAndFireWarm|SelfPerpetuatingChain|ScheduleCancel)$
+internal/graph ^BenchmarkBarabasiAlbertCSR$
 internal/mms ^BenchmarkShardExchange(FanIn)?$
 internal/response ^BenchmarkImmunizerWave$
 internal/store ^BenchmarkCodecRoundTrip$
