@@ -5,7 +5,7 @@ package main
 // work-queue manifest inside -storedir, spawns -workers local worker
 // processes (re-executions of this binary in -workermode, running exactly
 // the cmd/mvworker loop), supervises them — restarting any that crash —
-// and, once every unit is acknowledged or dead-lettered, assembles the
+// and, once every unit is stored or dead-lettered, assembles the
 // CSVs through the ordinary sweep path with the persistent cache. Assembly
 // therefore consumes only store reads for distributed units, so output
 // bytes are independent of worker count, crashes, restarts, and scheduling
@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/store"
 	"repro/internal/workq"
 )
 
@@ -69,8 +69,8 @@ func runWorkerMode(storeDir string) error {
 // unit census and the number of worker restarts. An error from this phase
 // is fatal only when the queue could not even be set up; worker-side
 // failures degrade to local recomputation at assembly.
-func runDistributed(storeDir string, spec workq.Spec, units []workq.Unit, nWorkers int, resume bool) (workq.Progress, int, error) {
-	q, err := workq.OpenQueue(experiment.QueueDir(storeDir), workq.QueueOptions{WorkerID: "coordinator"})
+func runDistributed(ds *store.DiskStore, spec workq.Spec, units []workq.Unit, nWorkers int, resume bool) (workq.Progress, int, error) {
+	q, err := workq.OpenQueue(ds, workq.QueueOptions{WorkerID: "coordinator"})
 	if err != nil {
 		return workq.Progress{}, 0, err
 	}
@@ -109,7 +109,7 @@ func runDistributed(storeDir string, spec workq.Spec, units []workq.Unit, nWorke
 				if isDrained() {
 					return
 				}
-				cmd := exec.Command(exe, "-workermode", "-storedir", storeDir)
+				cmd := exec.Command(exe, "-workermode", "-storedir", ds.Dir())
 				cmd.Stderr = os.Stderr
 				if err := cmd.Start(); err != nil {
 					fmt.Printf("worker %d failed to start: %v\n", slot, err)
@@ -170,20 +170,16 @@ func runDistributed(storeDir string, spec workq.Spec, units []workq.Unit, nWorke
 }
 
 // prepareQueue makes the queue match this sweep: under -resume an existing
-// complete manifest for the same spec is kept (acks and attempt logs
-// preserved, so finished units stay finished); anything else — fresh run,
-// torn manifest from a killed coordinator, different spec — resets the
-// queue state and writes the manifest anew. Store objects are never
-// touched: content-addressed results are valid regardless of which sweep
-// produced them.
+// manifest for the same spec is kept (attempt logs and dead letters
+// preserved); anything else — fresh run, unreadable manifest, different
+// spec — resets the queue state and publishes the manifest anew. Either
+// way, units whose results the store holds are already complete: store
+// objects are never touched, because content-addressed results are valid
+// regardless of which sweep produced them.
 func prepareQueue(q *workq.Queue, spec workq.Spec, units []workq.Unit, resume bool) error {
 	if resume {
-		m, err := q.LoadManifest()
-		if err == nil && m.Complete && m.Spec == spec {
+		if m, err := q.LoadManifest(); err == nil && m.Spec == spec {
 			return nil
-		}
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("read manifest for resume: %w", err)
 		}
 	}
 	if err := q.Reset(); err != nil {

@@ -63,6 +63,11 @@ func TestDistributedFlagValidation(t *testing.T) {
 		{"workers without distributed", []string{"-workers", "3"}, "only applies with -distributed"},
 		{"zero jobs", []string{"-jobs", "0"}, "-jobs must be >= 1"},
 		{"zero seed", []string{"-seed", "0"}, "-seed must be >= 1"},
+		{"zero reps", []string{"-reps", "0"}, "-reps must be >= 1"},
+		{"negative reps", []string{"-reps", "-3"}, "-reps must be >= 1"},
+		{"zero grid", []string{"-grid", "0"}, "-grid must be >= 1"},
+		{"zero scale", []string{"-scale", "0"}, "-scale must be >= 1"},
+		{"negative scale", []string{"-scale", "-5"}, "-scale must be >= 1"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,18 +140,17 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 	}()
 
 	// Kill the most recently observed not-yet-killed worker each time the
-	// ack count crosses a threshold, so the SIGKILLs land mid-sweep with
-	// units both durable and in flight.
-	acksDir := filepath.Join(storeDir, "workq", "acks")
-	ackCount := func() int {
-		acks, _ := filepath.Glob(filepath.Join(acksDir, "*.ack"))
-		return len(acks)
+	// count of stored entries crosses a threshold, so the SIGKILLs land
+	// mid-sweep with units both durable and in flight.
+	storedCount := func() int {
+		entries, _ := filepath.Glob(filepath.Join(storeDir, "objects", "*", "*.mvr"))
+		return len(entries)
 	}
 	killed := map[int]bool{}
-	killNext := func(minAcks int) bool {
+	killNext := func(minStored int) bool {
 		deadline := time.Now().Add(2 * time.Minute)
 		for time.Now().Before(deadline) {
-			if ackCount() >= minAcks {
+			if storedCount() >= minStored {
 				mu.Lock()
 				var victim int
 				for i := len(pids) - 1; i >= 0; i-- {
@@ -158,7 +162,7 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 				mu.Unlock()
 				if victim != 0 && syscall.Kill(victim, syscall.SIGKILL) == nil {
 					killed[victim] = true
-					t.Logf("SIGKILLed worker pid=%d at %d acks", victim, ackCount())
+					t.Logf("SIGKILLed worker pid=%d at %d stored entries", victim, storedCount())
 					return true
 				}
 			}
@@ -170,7 +174,7 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 	if killNext(1) {
 		kills++
 	}
-	if killNext(ackCount() + 2) {
+	if killNext(storedCount() + 2) {
 		kills++
 	}
 
@@ -192,7 +196,7 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 
 	// Every unit terminal: the summary reports no unit left open, and no
 	// unit was dead-lettered (crashes leave stale claims, not failures).
-	summary := regexp.MustCompile(`distributed: (\d+) acked, (\d+) dead-lettered, \d+ retried, (\d+) open, (\d+) worker restarts`)
+	summary := regexp.MustCompile(`distributed: (\d+) done, (\d+) dead-lettered, \d+ retried, (\d+) open, (\d+) worker restarts`)
 	m := summary.FindStringSubmatch(out)
 	if m == nil {
 		t.Fatal("coordinator printed no distributed summary")

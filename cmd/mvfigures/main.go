@@ -29,9 +29,10 @@
 // With -distributed the sweep's cacheable units are additionally published
 // as a filesystem work queue inside -storedir, and -workers local worker
 // processes (plus any mvworker processes attached to the same directory)
-// drain it before assembly; crashed workers are restarted and their stale
-// claims taken over, so the CSVs stay byte-identical to a serial run no
-// matter how many workers die.
+// drain it before assembly. A unit is done once its result is in the
+// store; crashed workers are restarted and their stale claims taken over,
+// so the CSVs stay byte-identical to a serial run no matter how many
+// workers die.
 package main
 
 import (
@@ -82,6 +83,15 @@ func run() error {
 	if *jobs < 1 {
 		return fmt.Errorf("-jobs must be >= 1, got %d", *jobs)
 	}
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be >= 1, got %d", *reps)
+	}
+	if *grid < 1 {
+		return fmt.Errorf("-grid must be >= 1, got %d", *grid)
+	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be >= 1, got %d", *scale)
+	}
 	if *seed == 0 {
 		return fmt.Errorf("-seed must be >= 1: seed 0 means \"unset\" and would run as seed 1")
 	}
@@ -120,9 +130,10 @@ func run() error {
 	}
 
 	so := experiment.SweepOptions{Jobs: *jobs}
+	var ps *experiment.PersistentSweep
 	switch {
 	case *storeDir != "":
-		ps, err := experiment.OpenPersistentSweep(*storeDir, *resume)
+		ps, err = experiment.OpenPersistentSweep(*storeDir, *resume)
 		if err != nil {
 			return err
 		}
@@ -139,12 +150,12 @@ func run() error {
 		units, uncacheable := experiment.SweepUnits(figures, opts)
 		fmt.Printf("distributed: %d units across %d worker processes (%d uncacheable series computed locally)\n",
 			len(units), *workers, uncacheable)
-		prog, restarts, err := runDistributed(*storeDir, spec, units, *workers, *resume)
+		prog, restarts, err := runDistributed(ps.Store, spec, units, *workers, *resume)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("distributed: %d acked, %d dead-lettered, %d retried, %d open, %d worker restarts\n",
-			prog.Acked, prog.Dead, prog.Retried, prog.Open, restarts)
+		fmt.Printf("distributed: %d done, %d dead-lettered, %d retried, %d open, %d worker restarts\n",
+			prog.Done, prog.Dead, prog.Retried, prog.Open, restarts)
 	}
 	sr, sweepErr := experiment.RunSweep(context.Background(), figures, opts, so)
 	if sr == nil {

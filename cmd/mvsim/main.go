@@ -100,6 +100,9 @@ func run(args []string) error {
 	if *reps < 1 {
 		return fmt.Errorf("reps %d must be at least 1", *reps)
 	}
+	if *grid < 1 {
+		return fmt.Errorf("-grid must be >= 1, got %d", *grid)
+	}
 	if *seed == 0 {
 		return fmt.Errorf("-seed must be >= 1: seed 0 means \"unset\" and would run as seed 1")
 	}
@@ -125,9 +128,6 @@ func run(args []string) error {
 	cfg.Population = *population
 	switch *topology {
 	case "powerlaw":
-		if *shards > 1 {
-			return fmt.Errorf("-shards needs -topology ba: the power-law generator materializes per-node maps and defeats the scale mode's memory budget")
-		}
 	case "ba":
 		if *baM < 1 {
 			return fmt.Errorf("-ba-m %d must be >= 1", *baM)

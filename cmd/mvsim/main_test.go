@@ -158,7 +158,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-seed", "0"}, "-seed must be >= 1"},
 		{[]string{"-detector", "1.5"}, "detector accuracy"},
 		{[]string{"-resume"}, "-resume needs -storedir"},
-		{[]string{"-shards", "2"}, "-shards needs -topology ba"},
+		{[]string{"-grid", "0"}, "-grid must be >= 1"},
 		{[]string{"-trace", "t.jsonl", "-topology", "ba", "-shards", "2"}, "-trace needs a one-shard run"},
 		{[]string{"-outage", "nope"}, "outage"},
 		{[]string{"-outage", "0s,6h", "-topology", "ba", "-shards", "2"}, "fault injection"},
@@ -168,5 +168,10 @@ func TestFlagValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
+	}
+	// The power-law topology runs sharded like any other.
+	accepted := []string{"-shards", "2", "-population", "200", "-reps", "1", "-hours", "2"}
+	if err := run(accepted); err != nil {
+		t.Errorf("run(%q) = %v, want success", accepted, err)
 	}
 }

@@ -1,8 +1,8 @@
 // Command mvworker is a standalone sweep worker: it attaches to the work
 // queue a distributed mvfigures coordinator wrote into a shared -storedir,
-// claims (fingerprint, seed) replication units, simulates them, publishes
-// results into the crash-safe store, and acknowledges each unit with an
-// atomic rename. Any number of workers — in other terminals, or on other
+// claims (fingerprint, seed) replication units, simulates them, and
+// publishes results into the crash-safe store, whose entry is what marks a
+// unit done. Any number of workers — in other terminals, or on other
 // hosts sharing the directory — drain the same queue; a worker killed at
 // any instant loses at most its in-flight unit, which another worker
 // recomputes after taking over its stale claim.
@@ -44,12 +44,12 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("mvworker", flag.ContinueOnError)
 	var (
 		storeDir  = fs.String("storedir", "", "shared store directory holding the work queue (required)")
-		id        = fs.String("id", "", "worker name written into claims and acks (default pid-<pid>)")
+		id        = fs.String("id", "", "worker name written into claims and failure logs (default pid-<pid>)")
 		ttl       = fs.Duration("ttl", 30*time.Second, "claim TTL: how stale a heartbeat may grow before takeover")
 		heartbeat = fs.Duration("heartbeat", 0, "claim renewal interval (default ttl/3)")
 		attempts  = fs.Int("attempts", 3, "per-unit attempt budget before dead-lettering")
 		poll      = fs.Duration("poll", 200*time.Millisecond, "rescan delay when all open units are claimed elsewhere")
-		wait      = fs.Duration("wait", 30*time.Second, "how long to wait for a complete manifest before giving up")
+		wait      = fs.Duration("wait", 30*time.Second, "how long to wait for a readable manifest before giving up")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/workq"
 )
 
@@ -57,7 +58,11 @@ func sweepDistributed(tb testing.TB) func() (workq.Progress, *SweepResult) {
 				tb.Error(err)
 			}
 		}()
-		coord, err := workq.OpenQueue(QueueDir(storeDir), workq.QueueOptions{WorkerID: "coord"})
+		st, err := store.Open(storeDir, store.DiskOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		coord, err := workq.OpenQueue(st, workq.QueueOptions{WorkerID: "coord"})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -133,7 +138,7 @@ func TestSweepReducedPins(t *testing.T) {
 
 // TestSweepDistributedPins pins the distributed sweep's allocations per
 // run (recorded count plus 0.1% slack), that no unit needed a retry, and
-// its last final mean. That every unit is acked and assembly recomputes
+// its last final mean. That every unit is stored and assembly recomputes
 // nothing is TestDistributedSweepAssemblesIdenticalCSV's check. The
 // allocation count is compared only without the race detector: this
 // workload's JSON, fmt and file paths allocate through sync.Pool, whose
@@ -144,8 +149,8 @@ func TestSweepDistributedPins(t *testing.T) {
 	var sr *SweepResult
 	allocs := testing.AllocsPerRun(1, func() { prog, sr = op() })
 	t.Logf("%.0f allocs, progress %+v", allocs, prog)
-	if !raceEnabled && allocs > 8_175+8 {
-		t.Errorf("%.0f allocs per distributed sweep, want at most %d", allocs, 8_175+8)
+	if !raceEnabled && allocs > 7_490+7 {
+		t.Errorf("%.0f allocs per distributed sweep, want at most %d", allocs, 7_490+7)
 	}
 	if prog.Retried != 0 {
 		t.Errorf("%d units retried, want 0", prog.Retried)

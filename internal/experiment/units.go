@@ -74,7 +74,8 @@ func SweepUnits(figs []Figure, opts core.Options) (units []workq.Unit, uncacheab
 // UnitRunner returns the workq callback that executes one manifest unit:
 // resolve the unit's fingerprint to a config from this binary's study
 // matrix, skip if the store already holds the result (another worker, or a
-// previous run), otherwise simulate, publish atomically, and journal. Any
+// previous run), otherwise simulate, publish atomically, and journal. The
+// published entry is what completes the unit. Any
 // error — unknown fingerprint, simulation failure, store I/O — surfaces to
 // workq's retry/dead-letter policy.
 func UnitRunner(st store.Store, j *store.Journal, figs []Figure) workq.RunFunc {
@@ -100,7 +101,7 @@ func UnitRunner(st store.Store, j *store.Journal, figs []Figure) workq.RunFunc {
 			return err
 		}
 		if res, ok, err := st.Get(ctx, key); err == nil && ok && res != nil {
-			return nil // already durable: ack without recomputing
+			return nil // already durable: complete without recomputing
 		}
 		res, repErr := core.RunReplication(ctx, cfg, u.Rep, u.Seed)
 		if repErr != nil {

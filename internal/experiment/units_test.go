@@ -183,7 +183,7 @@ func TestDistributedSweepAssemblesIdenticalCSV(t *testing.T) {
 	if uncacheable != 0 || len(units) == 0 {
 		t.Fatalf("units=%d uncacheable=%d", len(units), uncacheable)
 	}
-	q, err := workq.OpenQueue(QueueDir(storeDir), workq.QueueOptions{WorkerID: "coord"})
+	q, err := workq.OpenQueue(ds(t, storeDir), workq.QueueOptions{WorkerID: "coord"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDistributedSweepAssemblesIdenticalCSV(t *testing.T) {
 	if st.Completed != uint64(len(units)) {
 		t.Errorf("worker completed %d of %d units", st.Completed, len(units))
 	}
-	if prog := q.Census(units); prog.Acked != len(units) || prog.Open != 0 || prog.Dead != 0 {
+	if prog := q.Census(units); prog.Done != len(units) || prog.Open != 0 || prog.Dead != 0 {
 		t.Fatalf("census after drain = %+v", prog)
 	}
 

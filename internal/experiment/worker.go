@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"repro/internal/store"
@@ -19,13 +18,14 @@ type WorkerConfig struct {
 	// StoreDir is the shared store directory; the queue lives under
 	// StoreDir/workq.
 	StoreDir string
-	// ID names the worker in claims and acks; empty derives from the pid.
+	// ID names the worker in claims and failure logs; empty derives from
+	// the pid.
 	ID string
 	// TTL, Heartbeat, Poll, MaxAttempts, Backoff tune the queue protocol;
 	// zero values take workq's defaults.
 	TTL, Heartbeat, Poll, Backoff time.Duration
 	MaxAttempts                   int
-	// ManifestWait bounds how long the worker waits for a complete
+	// ManifestWait bounds how long the worker waits for a readable
 	// manifest to appear before giving up (default 30s).
 	ManifestWait time.Duration
 	// Drain, when closed, finishes the unit in hand and exits cleanly —
@@ -34,9 +34,6 @@ type WorkerConfig struct {
 	// Log, when non-nil, receives one-line progress notes.
 	Log io.Writer
 }
-
-// QueueDir returns the work-queue directory inside a store directory.
-func QueueDir(storeDir string) string { return filepath.Join(storeDir, "workq") }
 
 // RunSweepWorker is the pull-execute-publish loop: open the shared store,
 // wait for the coordinator's manifest, rebuild the study matrix from its
@@ -64,7 +61,7 @@ func RunSweepWorker(ctx context.Context, wc WorkerConfig) (workq.WorkerStats, er
 	}
 	defer func() { _ = j.Close() }()
 
-	q, err := workq.OpenQueue(QueueDir(wc.StoreDir), workq.QueueOptions{
+	q, err := workq.OpenQueue(ds, workq.QueueOptions{
 		TTL:      wc.TTL,
 		WorkerID: wc.ID,
 	})

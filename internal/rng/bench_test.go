@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
@@ -46,14 +43,4 @@ func BenchmarkStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = s.Stream(uint64(i))
 	}
-}
-
-func BenchmarkShiftedSample(b *testing.B) {
-	s := New(1)
-	d := Shifted{Min: 30 * time.Minute, Extra: Exponential{MeanD: 10 * time.Minute}}
-	var sink time.Duration
-	for i := 0; i < b.N; i++ {
-		sink = d.Sample(s)
-	}
-	_ = sink
 }

@@ -1,11 +1,7 @@
 package rng
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -70,109 +66,3 @@ func (u UniformDist) Sample(src *Source) time.Duration {
 func (u UniformDist) Mean() time.Duration { return (u.Lo + u.Hi) / 2 }
 
 func (u UniformDist) String() string { return fmt.Sprintf("uniform[%v,%v)", u.Lo, u.Hi) }
-
-// Shifted adds a fixed minimum to another distribution. It models the
-// paper's "waits at least 30 minutes between consecutive infected messages":
-// Shifted{Min: 30min, Extra: Exponential{...}}.
-type Shifted struct {
-	Min   time.Duration
-	Extra Dist
-}
-
-var _ Dist = Shifted{}
-
-// Sample implements Dist.
-func (s Shifted) Sample(src *Source) time.Duration {
-	v := s.Min
-	if s.Extra != nil {
-		v += s.Extra.Sample(src)
-	}
-	return v
-}
-
-// Mean implements Dist.
-func (s Shifted) Mean() time.Duration {
-	v := s.Min
-	if s.Extra != nil {
-		v += s.Extra.Mean()
-	}
-	return v
-}
-
-func (s Shifted) String() string {
-	if s.Extra == nil {
-		return fmt.Sprintf("const(%v)", s.Min)
-	}
-	return fmt.Sprintf("%v+%v", s.Min, s.Extra)
-}
-
-// Empirical draws from a finite set of values with the given weights.
-type Empirical struct {
-	Values  []time.Duration
-	Weights []float64
-
-	cum []float64
-}
-
-// NewEmpirical builds an Empirical distribution; weights must be
-// non-negative with a positive sum and match values in length.
-func NewEmpirical(values []time.Duration, weights []float64) (*Empirical, error) {
-	if len(values) == 0 {
-		return nil, errors.New("rng: empirical distribution needs at least one value")
-	}
-	if len(values) != len(weights) {
-		return nil, fmt.Errorf("rng: empirical values/weights length mismatch: %d vs %d", len(values), len(weights))
-	}
-	total := 0.0
-	cum := make([]float64, len(weights))
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("rng: empirical weight %d is negative or NaN", i)
-		}
-		total += w
-		cum[i] = total
-	}
-	if total <= 0 {
-		return nil, errors.New("rng: empirical weights sum to zero")
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	e := &Empirical{
-		Values:  append([]time.Duration(nil), values...),
-		Weights: append([]float64(nil), weights...),
-		cum:     cum,
-	}
-	return e, nil
-}
-
-var _ Dist = (*Empirical)(nil)
-
-// Sample implements Dist.
-func (e *Empirical) Sample(src *Source) time.Duration {
-	u := src.Float64()
-	i := sort.SearchFloat64s(e.cum, u)
-	if i >= len(e.Values) {
-		i = len(e.Values) - 1
-	}
-	return e.Values[i]
-}
-
-// Mean implements Dist.
-func (e *Empirical) Mean() time.Duration {
-	total := 0.0
-	mean := 0.0
-	for i, w := range e.Weights {
-		total += w
-		mean += w * float64(e.Values[i])
-	}
-	return time.Duration(mean / total)
-}
-
-func (e *Empirical) String() string {
-	parts := make([]string, len(e.Values))
-	for i := range e.Values {
-		parts[i] = fmt.Sprintf("%v:%.3g", e.Values[i], e.Weights[i])
-	}
-	return "empirical{" + strings.Join(parts, ",") + "}"
-}

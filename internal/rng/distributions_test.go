@@ -81,121 +81,6 @@ func TestUniformDistDegenerate(t *testing.T) {
 	}
 }
 
-func TestShiftedDist(t *testing.T) {
-	t.Parallel()
-
-	d := Shifted{Min: 30 * time.Minute, Extra: Exponential{MeanD: 10 * time.Minute}}
-	s := New(4)
-	var sum time.Duration
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := d.Sample(s)
-		if v < 30*time.Minute {
-			t.Fatalf("shifted sample %v below minimum", v)
-		}
-		sum += v
-	}
-	mean := time.Duration(float64(sum) / n)
-	if mean < 39*time.Minute || mean > 41*time.Minute {
-		t.Errorf("shifted mean %v, want ~40m", mean)
-	}
-	if d.Mean() != 40*time.Minute {
-		t.Errorf("Mean() = %v", d.Mean())
-	}
-}
-
-func TestShiftedNilExtra(t *testing.T) {
-	t.Parallel()
-
-	d := Shifted{Min: time.Minute}
-	if got := d.Sample(New(1)); got != time.Minute {
-		t.Errorf("Shifted with nil Extra sample = %v", got)
-	}
-	if d.Mean() != time.Minute {
-		t.Errorf("Mean() = %v", d.Mean())
-	}
-}
-
-func TestEmpiricalValidation(t *testing.T) {
-	t.Parallel()
-
-	tests := []struct {
-		name    string
-		values  []time.Duration
-		weights []float64
-		wantErr bool
-	}{
-		{"empty", nil, nil, true},
-		{"mismatch", []time.Duration{1}, []float64{1, 2}, true},
-		{"negative weight", []time.Duration{1, 2}, []float64{1, -1}, true},
-		{"zero sum", []time.Duration{1, 2}, []float64{0, 0}, true},
-		{"nan weight", []time.Duration{1}, []float64{math.NaN()}, true},
-		{"valid", []time.Duration{1, 2}, []float64{1, 3}, false},
-	}
-	for _, tt := range tests {
-		tt := tt
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			_, err := NewEmpirical(tt.values, tt.weights)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("NewEmpirical error = %v, wantErr %v", err, tt.wantErr)
-			}
-		})
-	}
-}
-
-func TestEmpiricalFrequencies(t *testing.T) {
-	t.Parallel()
-
-	d, err := NewEmpirical(
-		[]time.Duration{time.Second, 2 * time.Second, 3 * time.Second},
-		[]float64{1, 2, 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(5)
-	counts := map[time.Duration]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[d.Sample(s)]++
-	}
-	checks := map[time.Duration]float64{
-		time.Second:     0.25,
-		2 * time.Second: 0.5,
-		3 * time.Second: 0.25,
-	}
-	for v, want := range checks {
-		frac := float64(counts[v]) / n
-		if math.Abs(frac-want) > 0.01 {
-			t.Errorf("value %v frequency %v, want ~%v", v, frac, want)
-		}
-	}
-	if got, want := d.Mean(), 2*time.Second; got != want {
-		t.Errorf("Mean() = %v, want %v", got, want)
-	}
-	if d.String() == "" {
-		t.Error("String() empty")
-	}
-}
-
-// Property: Shifted samples never fall below the minimum.
-func TestQuickShiftedMinimum(t *testing.T) {
-	t.Parallel()
-
-	s := New(6)
-	f := func(minMinutes uint8, meanMinutes uint8) bool {
-		d := Shifted{
-			Min:   time.Duration(minMinutes) * time.Minute,
-			Extra: Exponential{MeanD: time.Duration(meanMinutes) * time.Minute},
-		}
-		return d.Sample(s) >= d.Min
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: exponential samples are never negative.
 func TestQuickExponentialNonNegative(t *testing.T) {
 	t.Parallel()

@@ -165,70 +165,6 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation, via the Box–Muller transform.
-func (s *Source) Normal(mean, stddev float64) float64 {
-	// Draw u1 in (0,1] to keep Log finite.
-	u1 := 1 - s.Float64()
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Pareto returns a Pareto(alpha, xm) variate: support [xm, inf), density
-// proportional to x^-(alpha+1). alpha and xm must be positive.
-func (s *Source) Pareto(alpha, xm float64) float64 {
-	u := 1 - s.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, i.e. a geometric variate with support {0, 1, 2, ...}. p must be
-// in (0, 1].
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric called with non-positive p")
-	}
-	u := 1 - s.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
-// Poisson returns a Poisson variate with the given mean using inversion by
-// sequential search for small means and normal approximation for large ones.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		// Normal approximation with continuity correction keeps this O(1)
-		// for large means; the simulator only uses large means in tests.
-		v := s.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

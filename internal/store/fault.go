@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"sync"
 )
@@ -159,6 +160,8 @@ func (f *FaultFS) ReadFile(path string) ([]byte, error) {
 	}
 	return data, nil
 }
+
+func (f *FaultFS) Open(path string) (io.ReadCloser, error) { return f.inner.Open(path) }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	f.mu.Lock()

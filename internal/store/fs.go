@@ -31,8 +31,8 @@ type File interface {
 	Name() string
 }
 
-// FS is the filesystem seam: the five mutating operations plus the three
-// reads the store performs, small enough to wrap with failpoints. The
+// FS is the filesystem seam: the mutating operations and the reads the
+// store performs, small enough to wrap with failpoints. The
 // production implementation is OS; FaultFS (fault.go) decorates any FS
 // with deterministic failures.
 type FS interface {
@@ -50,6 +50,8 @@ type FS interface {
 	OpenAppend(path string) (File, error)
 	// ReadFile returns the full contents of path.
 	ReadFile(path string) ([]byte, error)
+	// Open opens path for reading, for reads that need only a prefix.
+	Open(path string) (io.ReadCloser, error)
 	// Rename atomically moves oldpath to newpath (same filesystem).
 	Rename(oldpath, newpath string) error
 	// Remove deletes path.
@@ -94,6 +96,14 @@ func (osFS) OpenAppend(path string) (File, error) {
 }
 
 func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+func (osFS) Open(path string) (io.ReadCloser, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"sync/atomic"
@@ -212,6 +213,26 @@ func (s *DiskStore) Get(ctx context.Context, k Key) (*core.Result, bool, error) 
 	s.diskHits.Add(1)
 	return res, true, nil
 }
+
+// Has reports whether k holds an entry of this codec version. It reads
+// only the entry's frame header, so it neither validates the payload nor
+// moves a counter nor quarantines anything: a corrupt entry it reports is
+// caught by the Get that reads it.
+func (s *DiskStore) Has(k Key) bool {
+	f, err := s.fsys.Open(s.objectPath(k))
+	if err != nil {
+		return false
+	}
+	defer func() { _ = f.Close() }()
+	var h [headerSize]byte
+	if _, err := io.ReadFull(f, h[:]); err != nil {
+		return false
+	}
+	return string(h[:4]) == codecMagic && h[4] == codecVersion
+}
+
+// FS returns the filesystem the store performs its I/O through.
+func (s *DiskStore) FS() FS { return s.fsys }
 
 // quarantine moves a corrupt entry into corrupt/ (falling back to
 // deletion) so it cannot be re-read every sweep and stays available for

@@ -185,6 +185,58 @@ func TestDiskStoreVersionMismatchIsPlainMiss(t *testing.T) {
 	}
 }
 
+// TestDiskStoreHasReadsOnlyTheHeader: Has is true exactly for an entry of
+// this codec version. It judges the frame header alone, so a payload
+// bit-flip still reads as present, and it moves no counter and
+// quarantines nothing; the Get that later reads the entry catches it.
+func TestDiskStoreHasReadsOnlyTheHeader(t *testing.T) {
+	t.Parallel()
+
+	s := openTestStore(t, DiskOptions{})
+	ctx := context.Background()
+	k := testKey("cfg", 5)
+	if s.Has(k) {
+		t.Fatal("Has true for an absent key")
+	}
+	if err := s.Put(ctx, k, testResult(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Has(k) {
+		t.Fatal("Has false after Put")
+	}
+	path := s.objectPath(k)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Has(k) {
+		t.Error("Has false for a payload bit-flip: it should read only the header")
+	}
+	data[4] = codecVersion + 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has(k) {
+		t.Error("Has true for an entry of another codec version")
+	}
+	if err := os.WriteFile(path, data[:headerSize-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has(k) {
+		t.Error("Has true for an entry shorter than its header")
+	}
+	if st := s.Stats(); st != (Stats{Puts: 1}) {
+		t.Errorf("stats after Has calls = %+v, want only the one put", st)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("Has moved the entry: %v", err)
+	}
+}
+
 // TestDiskStorePutFaultsLeaveNoPartialEntry drives each write-path fault
 // through Put: the put fails, the key reads as a miss (never a torn
 // frame), and WriteErrors counts it.

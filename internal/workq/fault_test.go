@@ -1,7 +1,7 @@
 package workq
 
 // Fault-injection tests: every failpoint store.FaultFS can fire on queue
-// I/O — failed claim creates, refused appends, failed ack renames, torn
+// I/O — failed claim creates, refused appends, failed result puts, torn
 // and corrupted manifest reads — must degrade to recomputation or a
 // skipped pass, never to a wrong, duplicated, or lost unit. Each test
 // drives one fault and then asserts the queue converges to the same
@@ -10,10 +10,13 @@ package workq
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -22,11 +25,7 @@ import (
 func faultQueue(t *testing.T, dir string) (*Queue, *store.FaultFS) {
 	t.Helper()
 	ffs := store.NewFaultFS(store.OS)
-	q, err := OpenQueue(dir, QueueOptions{FS: ffs, WorkerID: "faulty"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q, ffs
+	return openTestQueue(t, dir, ffs, QueueOptions{WorkerID: "faulty"}), ffs
 }
 
 // fastOpts keeps retry/poll delays out of the test's wall clock.
@@ -34,10 +33,10 @@ func fastOpts() WorkerOptions {
 	return WorkerOptions{Poll: time.Millisecond, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond}
 }
 
-// TestAckRenameFaultDegradesToRetry: the ack's atomic rename fails; the
-// unit is retried (the rerun is idempotent) and ends acked exactly once,
-// with the retry visible in the ack record.
-func TestAckRenameFaultDegradesToRetry(t *testing.T) {
+// TestPutFaultLeavesUnitOpenWithOneFailure: the result's atomic rename
+// into the store fails. Until the retry, the unit is open with exactly one
+// failure line; the retry stores it, and the census counts it as retried.
+func TestPutFaultLeavesUnitOpenWithOneFailure(t *testing.T) {
 	t.Parallel()
 
 	q, ffs := faultQueue(t, t.TempDir())
@@ -53,17 +52,18 @@ func TestAckRenameFaultDegradesToRetry(t *testing.T) {
 	st, err := RunWorker(context.Background(), q, m, func(ctx context.Context, u Unit) error {
 		mu.Lock()
 		runs++
+		if runs == 2 && (q.Complete(u) || q.Attempts(u) != 1) {
+			t.Errorf("after the failed put: complete=%v attempts=%d, want open with 1 failure line",
+				q.Complete(u), q.Attempts(u))
+		}
 		mu.Unlock()
-		return nil
+		return storeUnit(ctx, q, u)
 	}, fastOpts())
 	if err != nil {
 		t.Fatalf("run worker: %v", err)
 	}
-	if !q.Acked(units[0]) {
-		t.Fatal("unit not acked after ack-rename fault")
-	}
-	if q.Dead(units[0]) {
-		t.Fatal("unit dead-lettered by a transient ack fault")
+	if !q.Complete(units[0]) || q.Dead(units[0]) {
+		t.Fatal("unit not complete after a transient put fault")
 	}
 	if runs != 2 {
 		t.Errorf("unit executed %d times, want 2 (original + post-fault retry)", runs)
@@ -71,9 +71,80 @@ func TestAckRenameFaultDegradesToRetry(t *testing.T) {
 	if st.Completed != 1 || st.Retried != 1 {
 		t.Errorf("stats = %+v, want 1 completed, 1 retried", st)
 	}
-	p := q.Census(units)
-	if p.Acked != 1 || p.Retried != 1 {
-		t.Errorf("census = %+v, want the retry recorded in the ack", p)
+	if p := q.Census(units); p.Done != 1 || p.Retried != 1 {
+		t.Errorf("census = %+v, want one retried completion", p)
+	}
+}
+
+// TestStoredUnitIsNeverClaimed: a unit whose entry the store already
+// holds is complete before any worker looks at it, so no worker creates a
+// claim for it. The armed claim failpoint proves no OpenExcl happened: it
+// still fires on the first claim after the drain.
+func TestStoredUnitIsNeverClaimed(t *testing.T) {
+	t.Parallel()
+
+	q, ffs := faultQueue(t, t.TempDir())
+	units := testUnits(2)
+	if err := q.WriteManifest(testSpec(), units[:1]); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := q.LoadManifest()
+	if err := storeUnit(context.Background(), q, units[0]); err != nil {
+		t.Fatal(err)
+	}
+	ffs.FailOpenExclIn(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := RunWorker(ctx, q, m, func(ctx context.Context, u Unit) error {
+		t.Errorf("executed stored unit %s", u.ID())
+		cancel()
+		return nil
+	}, fastOpts())
+	if err != nil || st != (WorkerStats{}) {
+		t.Fatalf("drain of a stored unit: stats=%+v err=%v, want no work at all", st, err)
+	}
+	if claims, _ := filepath.Glob(filepath.Join(q.Dir(), "claims", "*")); len(claims) != 0 {
+		t.Errorf("claims left behind: %v", claims)
+	}
+	if _, err := q.TryClaim(units[1]); !errors.Is(err, store.ErrInjected) {
+		t.Errorf("claim failpoint already spent (next claim err = %v): the stored unit was claimed", err)
+	}
+}
+
+// TestOtherCodecVersionEntryIsOpen: an entry from another codec version is
+// not this binary's result. The unit stays open, is recomputed, and the
+// overwrite completes it.
+func TestOtherCodecVersionEntryIsOpen(t *testing.T) {
+	t.Parallel()
+
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{WorkerID: "w"})
+	units := testUnits(1)
+	if err := q.WriteManifest(testSpec(), units); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := q.LoadManifest()
+	data, err := store.EncodeResult(&core.Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4]++ // the codec version byte
+	id := units[0].ID()
+	path := filepath.Join(q.st.Dir(), "objects", id[:2], id+".mvr")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if q.Complete(units[0]) {
+		t.Fatal("entry of another codec version counts as complete")
+	}
+	if p := q.Census(units); p.Open != 1 {
+		t.Errorf("census = %+v, want the unit open", p)
+	}
+	st, err := RunWorker(context.Background(), q, m, publish(q), fastOpts())
+	if err != nil || st.Completed != 1 || !q.Complete(units[0]) {
+		t.Fatalf("recompute over the old entry: stats=%+v err=%v complete=%v", st, err, q.Complete(units[0]))
 	}
 }
 
@@ -91,9 +162,7 @@ func TestClaimOpenFaultSkipsThenRecovers(t *testing.T) {
 	m, _ := q.LoadManifest()
 
 	ffs.FailOpenExclIn(1)
-	st, err := RunWorker(context.Background(), q, m, func(ctx context.Context, u Unit) error {
-		return nil
-	}, fastOpts())
+	st, err := RunWorker(context.Background(), q, m, publish(q), fastOpts())
 	if err != nil {
 		t.Fatalf("run worker: %v", err)
 	}
@@ -104,8 +173,8 @@ func TestClaimOpenFaultSkipsThenRecovers(t *testing.T) {
 		t.Errorf("queue errors = %d, want 1 (the injected claim failure)", st.QueueErrors)
 	}
 	for _, u := range units {
-		if !q.Acked(u) {
-			t.Errorf("unit %s not acked after claim fault", u.ID())
+		if !q.Complete(u) {
+			t.Errorf("unit %s not complete after claim fault", u.ID())
 		}
 	}
 }
@@ -133,12 +202,12 @@ func TestFailureLogAppendFaultKeepsUnitOpen(t *testing.T) {
 		if runs == 1 {
 			return errors.New("transient compute failure")
 		}
-		return nil
+		return storeUnit(ctx, q, u)
 	}, fastOpts())
 	if err != nil {
 		t.Fatalf("run worker: %v", err)
 	}
-	if !q.Acked(units[0]) || q.Dead(units[0]) {
+	if !q.Complete(units[0]) || q.Dead(units[0]) {
 		t.Fatal("unit lost after failure-log append fault")
 	}
 	if runs != 2 {
@@ -149,8 +218,9 @@ func TestFailureLogAppendFaultKeepsUnitOpen(t *testing.T) {
 	}
 }
 
-// TestManifestTornReadDegradesToIncomplete: a torn read of a good manifest
-// yields an incomplete (never wrong) parse; the next read recovers fully.
+// TestManifestTornReadDegradesToIncomplete: a torn read of a good
+// manifest is an error, never a shorter unit list; workers treat it as no
+// manifest yet, and the next read recovers fully.
 func TestManifestTornReadDegradesToIncomplete(t *testing.T) {
 	t.Parallel()
 
@@ -161,54 +231,18 @@ func TestManifestTornReadDegradesToIncomplete(t *testing.T) {
 	}
 
 	ffs.TruncateReadIn(1)
+	if m, err := q.LoadManifest(); err == nil {
+		t.Fatalf("torn manifest read loaded %d units", len(m.Units))
+	}
 	m, err := q.LoadManifest()
-	if err != nil {
-		t.Fatalf("torn read surfaced an error: %v", err)
-	}
-	if m.Complete {
-		t.Fatal("torn manifest read reported Complete")
-	}
-	for i, u := range m.Units {
-		if u != units[i] {
-			t.Fatalf("torn read produced wrong unit %d: %+v", i, u)
-		}
-	}
-
-	m, err = q.LoadManifest()
-	if err != nil || !m.Complete || len(m.Units) != len(units) {
-		t.Fatalf("clean re-read: complete=%v units=%d err=%v", m.Complete, len(m.Units), err)
-	}
-}
-
-// TestManifestCorruptReadDegradesToIncomplete: a bit-flip mid-manifest
-// fails that line's CRC; the parse stops at the last good record.
-func TestManifestCorruptReadDegradesToIncomplete(t *testing.T) {
-	t.Parallel()
-
-	q, ffs := faultQueue(t, t.TempDir())
-	units := testUnits(6)
-	if err := q.WriteManifest(testSpec(), units); err != nil {
-		t.Fatal(err)
-	}
-
-	ffs.CorruptReadIn(1)
-	m, err := q.LoadManifest()
-	if err != nil {
-		t.Fatalf("corrupt read surfaced an error: %v", err)
-	}
-	if m.Complete {
-		t.Fatal("corrupted manifest read reported Complete")
-	}
-	for i, u := range m.Units {
-		if u != units[i] {
-			t.Fatalf("corrupt read produced wrong unit %d: %+v", i, u)
-		}
+	if err != nil || len(m.Units) != len(units) {
+		t.Fatalf("clean re-read: %v", err)
 	}
 }
 
 // TestWorkerWaitsOutTornManifest: a worker that reads the manifest while
-// torn keeps waiting and starts once a complete one is in place — the
-// coordinator-crashed-mid-write scenario, end to end.
+// torn keeps waiting and starts once it reads whole — the same wait a
+// coordinator still publishing the manifest causes.
 func TestWorkerWaitsOutTornManifest(t *testing.T) {
 	t.Parallel()
 
@@ -218,17 +252,17 @@ func TestWorkerWaitsOutTornManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ffs.TruncateReadIn(1) // first load sees the torn tail
+	ffs.TruncateReadIn(1) // first load sees a torn document
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	m, err := WaitManifest(ctx, q, time.Millisecond)
 	if err != nil {
 		t.Fatalf("wait manifest: %v", err)
 	}
-	if !m.Complete || len(m.Units) != len(units) {
-		t.Fatalf("manifest after recovery: complete=%v units=%d", m.Complete, len(m.Units))
+	if len(m.Units) != len(units) {
+		t.Fatalf("manifest after recovery: %d units, want %d", len(m.Units), len(units))
 	}
-	st, err := RunWorker(ctx, q, m, func(ctx context.Context, u Unit) error { return nil }, fastOpts())
+	st, err := RunWorker(ctx, q, m, publish(q), fastOpts())
 	if err != nil || st.Completed != uint64(len(units)) {
 		t.Fatalf("drain after torn-manifest wait: stats=%+v err=%v", st, err)
 	}

@@ -1,8 +1,6 @@
 package workq
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -16,33 +14,32 @@ import (
 	"repro/internal/store"
 )
 
-// Queue is one worker's (or the coordinator's) handle on a work-queue
-// directory. The on-disk protocol under dir:
+// Queue is one worker's (or the coordinator's) handle on the work queue
+// that lives inside a result store. The on-disk protocol under
+// <storedir>/workq:
 //
-//	manifest.jsonl        append-only sweep manifest (workq.go)
+//	manifest.json         write-once sweep manifest (workq.go)
 //	claims/<unit>.claim   O_CREATE|O_EXCL lease; mtime renewed by heartbeat
-//	acks/<unit>.ack       atomic-rename commit of a completed unit
 //	failed/<unit>         append-only attempt log, one line per failure
 //	dead/<unit>           dead-letter: the failure log, renamed after the
 //	                      attempt budget is exhausted
 //
-// Each transition commits with exactly one atomic filesystem operation:
-// claim by exclusive create, ack and dead-letter by rename. A SIGKILL at
-// any instant therefore leaves every unit in exactly one of the states
-// open, claimed (stale-able), acked, or dead — never in two, never in a
-// torn intermediate.
+// A unit is complete when the store holds its entry (Complete); the queue
+// keeps no record of its own. Each transition commits with exactly one
+// atomic filesystem operation: claim by exclusive create, completion by
+// the store's rename of the entry, dead-letter by rename. A SIGKILL at
+// any instant therefore leaves every unit open, claimed (stale-able),
+// complete, or dead, never in a torn intermediate.
 type Queue struct {
 	dir    string
+	st     *store.DiskStore
 	fsys   store.FS
 	leases *store.Leases
 	worker string
 }
 
-// QueueOptions configures Open.
+// QueueOptions configures OpenQueue.
 type QueueOptions struct {
-	// FS is the filesystem; nil means the real one. Tests inject a
-	// *store.FaultFS here, extending the store's failpoints to queue I/O.
-	FS store.FS
 	// Clock, Alive and Hostname configure the claim leases as in
 	// store.LeaseOptions.
 	Clock    clock.Clock
@@ -52,30 +49,25 @@ type QueueOptions struct {
 	// it regardless of owner (default 30s). Heartbeats renew the mtime, so
 	// the TTL only fires for workers that stopped heartbeating.
 	TTL time.Duration
-	// WorkerID names this worker in claims and acks, for humans reading a
-	// crashed sweep's directory. Empty means "pid-<pid>".
+	// WorkerID names this worker in claims and failure logs, for humans
+	// reading a crashed sweep's directory. Empty means "pid-<pid>".
 	WorkerID string
 }
 
-// OpenQueue prepares a queue handle rooted at dir, creating the directory
-// tree as needed.
-func OpenQueue(dir string, o QueueOptions) (*Queue, error) {
-	if dir == "" {
-		return nil, errors.New("workq: empty queue directory")
-	}
-	q := &Queue{dir: dir, fsys: o.FS, worker: o.WorkerID}
-	if q.fsys == nil {
-		q.fsys = store.OS
-	}
+// OpenQueue prepares the handle on st's work queue, rooted at
+// <st.Dir()>/workq and doing its I/O through st's filesystem, creating the
+// directory tree as needed.
+func OpenQueue(st *store.DiskStore, o QueueOptions) (*Queue, error) {
+	q := &Queue{dir: filepath.Join(st.Dir(), "workq"), st: st, fsys: st.FS(), worker: o.WorkerID}
 	if q.worker == "" {
 		q.worker = "pid-" + strconv.Itoa(os.Getpid())
 	}
 	q.leases = store.NewLeases(q.fsys, 30*time.Second, store.LeaseOptions{
 		Clock: o.Clock, TTL: o.TTL, Alive: o.Alive, Hostname: o.Hostname, Owner: q.worker,
 	})
-	for _, sub := range []string{"claims", "acks", "failed", "dead"} {
-		if err := q.fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
-			return nil, fmt.Errorf("workq: init %s: %w", dir, err)
+	for _, sub := range []string{"claims", "failed", "dead"} {
+		if err := q.fsys.MkdirAll(filepath.Join(q.dir, sub)); err != nil {
+			return nil, fmt.Errorf("workq: init %s: %w", q.dir, err)
 		}
 	}
 	return q, nil
@@ -84,28 +76,15 @@ func OpenQueue(dir string, o QueueOptions) (*Queue, error) {
 // Dir returns the queue's root directory.
 func (q *Queue) Dir() string { return q.dir }
 
-// WorkerID returns the identity this handle writes into claims and acks.
+// WorkerID returns the identity this handle writes into claims and
+// failure logs.
 func (q *Queue) WorkerID() string { return q.worker }
 
 // ManifestPath returns the manifest's conventional location.
-func (q *Queue) ManifestPath() string { return filepath.Join(q.dir, "manifest.jsonl") }
-
-// LoadManifest reads this queue's manifest (see LoadManifest).
-func (q *Queue) LoadManifest() (*Manifest, error) {
-	return LoadManifest(q.fsys, q.ManifestPath())
-}
-
-// WriteManifest (re)writes this queue's manifest (see WriteManifest).
-func (q *Queue) WriteManifest(spec Spec, units []Unit) error {
-	return WriteManifest(q.fsys, q.ManifestPath(), spec, units)
-}
+func (q *Queue) ManifestPath() string { return filepath.Join(q.dir, "manifest.json") }
 
 func (q *Queue) claimPath(u Unit) string {
 	return filepath.Join(q.dir, "claims", u.ID()+".claim")
-}
-
-func (q *Queue) ackPath(u Unit) string {
-	return filepath.Join(q.dir, "acks", u.ID()+".ack")
 }
 
 func (q *Queue) failedPath(u Unit) string {
@@ -137,32 +116,12 @@ func (q *Queue) Release(u Unit) {
 	q.leases.Release(q.claimPath(u))
 }
 
-// ackRecord is the JSON body of an ack file.
-type ackRecord struct {
-	Unit     string `json:"unit"`
-	Worker   string `json:"worker"`
-	Attempts int    `json:"attempts"`
-}
-
-// Ack acknowledges u as complete: the result is durable in the store and
-// the unit leaves the open set. The ack commits via atomic rename, so a
-// crash mid-ack leaves the unit claimable — one redundant store read,
-// never a lost unit. attempts records how many executions the unit took.
-func (q *Queue) Ack(ctx context.Context, u Unit, attempts int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	data, err := json.Marshal(ackRecord{Unit: u.ID(), Worker: q.worker, Attempts: attempts})
-	if err != nil {
-		return err
-	}
-	return store.WriteFileAtomic(q.fsys, q.ackPath(u), append(data, '\n'))
-}
-
-// Acked reports whether u has been acknowledged by any worker.
-func (q *Queue) Acked(u Unit) bool {
-	_, err := q.fsys.Stat(q.ackPath(u))
-	return err == nil
+// Complete reports whether the store holds u's result in this codec
+// version: the one record that a unit is done. An entry of another codec
+// version leaves the unit open, so it is recomputed and overwritten.
+func (q *Queue) Complete(u Unit) bool {
+	k, err := u.Key()
+	return err == nil && q.st.Has(k)
 }
 
 // Dead reports whether u has been dead-lettered.
@@ -232,27 +191,24 @@ func (q *Queue) DeadLetter(u Unit, cause error) error {
 
 // Progress is a point-in-time census of a unit list.
 type Progress struct {
-	// Acked and Dead count terminal units; Open is the remainder.
-	Acked, Dead, Open int
-	// Retried counts acked units that took more than one execution,
-	// read back from the ack records.
+	// Done and Dead count terminal units; Open is the remainder.
+	Done, Dead, Open int
+	// Retried counts complete units that still have a failure log: they
+	// failed at least once before a later execution stored them.
 	Retried int
 }
 
-// Census scans the queue state of every unit. Acked wins over Dead when
-// both exist (a unit that dead-lettered on one worker and later succeeded
-// on another is complete, and its result is in the store).
+// Census scans the queue state of every unit. Complete wins over Dead
+// when both hold (a unit that dead-lettered on one worker and later
+// succeeded on another is done, and its result is in the store).
 func (q *Queue) Census(units []Unit) Progress {
 	var p Progress
 	for _, u := range units {
 		switch {
-		case q.Acked(u):
-			p.Acked++
-			if data, err := q.fsys.ReadFile(q.ackPath(u)); err == nil {
-				var rec ackRecord
-				if json.Unmarshal(trimNL(data), &rec) == nil && rec.Attempts > 1 {
-					p.Retried++
-				}
+		case q.Complete(u):
+			p.Done++
+			if _, err := q.fsys.Stat(q.failedPath(u)); err == nil {
+				p.Retried++
 			}
 		case q.Dead(u):
 			p.Dead++
@@ -263,15 +219,16 @@ func (q *Queue) Census(units []Unit) Progress {
 	return p
 }
 
-// Reset discards all queue state — manifest, claims, acks, failure logs,
-// dead letters — for a fresh (non-resumed) sweep. Store objects are not
-// touched: content-addressed results are sound regardless of which sweep
+// Reset discards all queue state — manifest, claims, failure logs, dead
+// letters — for a fresh (non-resumed) sweep. Completion is not queue
+// state: a unit whose entry the store already holds stays Complete,
+// because content-addressed results are sound regardless of which sweep
 // produced them.
 func (q *Queue) Reset() error {
 	if err := q.fsys.Remove(q.ManifestPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("workq: reset manifest: %w", err)
 	}
-	for _, sub := range []string{"claims", "acks", "failed", "dead"} {
+	for _, sub := range []string{"claims", "failed", "dead"} {
 		dir := filepath.Join(q.dir, sub)
 		if err := os.RemoveAll(dir); err != nil {
 			return fmt.Errorf("workq: reset %s: %w", dir, err)
@@ -288,11 +245,4 @@ func oneLine(err error) string {
 		return "unknown failure"
 	}
 	return strings.ReplaceAll(err.Error(), "\n", " ")
-}
-
-func trimNL(b []byte) []byte {
-	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
 }

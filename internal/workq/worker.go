@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"time"
 )
 
@@ -13,8 +12,8 @@ import (
 // two workers racing on a takeover may both run the same unit — which
 // holds by construction here because results are pure functions of
 // (fingerprint, seed) and publication is an atomic rename of identical
-// bytes. A nil return means the result is durable and the unit may be
-// acknowledged.
+// bytes. A nil return means the result is durable in the store, which is
+// what makes the unit complete.
 type RunFunc func(ctx context.Context, u Unit) error
 
 // WorkerOptions tunes the pull-execute-publish loop.
@@ -59,7 +58,7 @@ func (o WorkerOptions) withDefaults(ttl time.Duration) WorkerOptions {
 
 // WorkerStats counts one worker's contribution to a sweep.
 type WorkerStats struct {
-	// Completed counts units this worker executed and acknowledged.
+	// Completed counts units this worker executed and found stored.
 	Completed uint64
 	// Retried counts failed executions that were retried (here or,
 	// via the failure log, by a later claimer).
@@ -74,45 +73,35 @@ type WorkerStats struct {
 	QueueErrors uint64
 }
 
-// WaitManifest polls until the queue's manifest exists and is complete, or
-// ctx expires. Workers must not start on an incomplete manifest: its tail
-// units are missing and the coordinator is about to rewrite it.
+// WaitManifest polls until the queue's manifest exists and parses, or ctx
+// expires. A missing, unreadable or corrupt manifest all mean "keep
+// waiting": the coordinator is about to (re)publish it.
 func WaitManifest(ctx context.Context, q *Queue, poll time.Duration) (*Manifest, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
 	for {
-		m, err := LoadManifest(q.fsys, q.ManifestPath())
-		switch {
-		case err == nil && m.Complete:
+		m, err := q.LoadManifest()
+		if err == nil {
 			return m, nil
-		case err != nil && !errors.Is(err, fs.ErrNotExist):
-			return nil, fmt.Errorf("workq: read manifest: %w", err)
 		}
 		select {
 		case <-ctx.Done():
-			if err != nil {
-				return nil, fmt.Errorf("workq: no manifest at %s: %w", q.ManifestPath(), ctx.Err())
-			}
-			return nil, fmt.Errorf("workq: manifest at %s incomplete (%d units, no footer): %w",
-				q.ManifestPath(), len(m.Units), ctx.Err())
+			return nil, fmt.Errorf("workq: no manifest at %s (%v): %w", q.ManifestPath(), err, ctx.Err())
 		case <-time.After(poll):
 		}
 	}
 }
 
 // RunWorker drains the manifest: repeatedly scan for open units, claim one,
-// execute it with bounded retries and exponential backoff, publish, and
-// acknowledge. It returns when every unit is terminal (acked or dead), when
+// execute it with bounded retries and exponential backoff, and publish. It
+// returns when every unit is terminal (complete or dead), when
 // ctx is cancelled, or — after finishing the unit in hand — when Drain
 // closes. A SIGKILL at any instant loses at most the in-flight unit, which
 // the next claimer recomputes.
 func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o WorkerOptions) (WorkerStats, error) {
 	o = o.withDefaults(q.leases.TTL())
 	var st WorkerStats
-	if !m.Complete {
-		return st, errors.New("workq: refusing to work an incomplete manifest")
-	}
 	for {
 		open, progress := 0, false
 		for _, u := range m.Units {
@@ -122,7 +111,7 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 			if drained(o.Drain) {
 				return st, nil
 			}
-			if q.Acked(u) || q.Dead(u) {
+			if q.Complete(u) || q.Dead(u) {
 				continue
 			}
 			open++
@@ -173,8 +162,8 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 
 // executeClaimed runs u under the claim this worker now holds, with
 // in-claim retries against the shared attempt budget. It always releases
-// the claim. done reports that the unit reached a terminal state (acked or
-// dead-lettered) under this claim.
+// the claim. done reports that the unit reached a terminal state (complete
+// or dead-lettered) under this claim.
 func executeClaimed(ctx context.Context, q *Queue, u Unit, run RunFunc, o WorkerOptions, st *WorkerStats) (done bool, err error) {
 	defer q.Release(u)
 
@@ -200,15 +189,13 @@ func executeClaimed(ctx context.Context, q *Queue, u Unit, run RunFunc, o Worker
 	for {
 		runErr := run(ctx, u)
 		if runErr == nil {
-			if ackErr := q.Ack(ctx, u, q.Attempts(u)+1); ackErr != nil {
-				// The result is durable; only the acknowledgement failed.
-				// Treat it like any failure: record, back off, retry — the
-				// next attempt's run is a cheap store read.
-				runErr = fmt.Errorf("ack: %w", ackErr)
-			} else {
+			if q.Complete(u) {
 				st.Completed++
 				return true, nil
 			}
+			// A run that reports success without storing the result
+			// would be claimed again forever; spend an attempt instead.
+			runErr = errors.New("run returned without storing the result")
 		}
 		if ctx.Err() != nil {
 			// Cancelled mid-unit: release without burning an attempt.

@@ -1,49 +1,42 @@
 // Package workq is the filesystem-backed work queue that turns a sweep
 // into distributable units of work. The coordinator enumerates every
-// (config fingerprint, seed) replication of a sweep into an append-only,
-// fsynced manifest inside the shared store directory; workers — separate
+// (config fingerprint, seed) replication of a sweep into a write-once
+// manifest inside the shared store directory; workers — separate
 // processes, possibly on separate hosts sharing the filesystem — claim
 // units with internal/store's lease protocol (O_CREATE|O_EXCL claim files
-// with a TTL and heartbeat renewal), publish results into internal/store,
-// and acknowledge completion with an atomic rename.
+// with a TTL and heartbeat renewal) and publish results into
+// internal/store. The store entry is the only record that a unit is done.
 //
 // Crash tolerance is the design center, inherited from internal/store's
 // discipline (DESIGN.md §11, §12):
 //
-//   - The manifest's torn tail after a coordinator crash is detected by
-//     per-line CRCs and a footer record; workers refuse an incomplete
-//     manifest and wait for the coordinator to rewrite it.
+//   - The manifest is one JSON document published with
+//     store.WriteFileAtomic: a coordinator crash leaves the previous
+//     manifest or none, never a torn one.
 //   - A SIGKILLed worker's claim goes stale (same-host pid probe, TTL
 //     backstop cross-host) and is taken over; its in-flight unit is simply
 //     recomputed. Results are pure functions of (fingerprint, seed) and
 //     publication is atomic and idempotent, so duplicated execution can
 //     never produce a wrong or duplicated result.
-//   - Acks commit via atomic rename: a unit is either durably acknowledged
-//     or still claimable. A crash between publish and ack costs one
-//     redundant store read, never a lost unit.
+//   - A unit is complete exactly when the store holds its entry, so
+//     completion commits with the entry's own atomic rename: there is no
+//     second record that a crash could leave behind or ahead of it.
 //
-// All I/O goes through store.FS, so store.FaultFS failpoints extend to
-// queue I/O and tests prove every injected fault degrades to recomputation.
+// All I/O goes through the store's FS, so store.FaultFS failpoints extend
+// to queue I/O and tests prove every injected fault degrades to
+// recomputation.
 package workq
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io/fs"
-	"path/filepath"
 
 	"repro/internal/store"
 )
 
-// manifestVersion versions the manifest record shape.
-const manifestVersion = 1
-
-// crcTable is the Castagnoli polynomial, matching the store's framing.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// manifestVersion versions the manifest document's shape.
+const manifestVersion = 2
 
 // Spec identifies the sweep a manifest belongs to: the CLI-level selector
 // plus the options that determine the unit set. Workers rebuild the exact
@@ -64,11 +57,6 @@ type Spec struct {
 	Grid int `json:"grid"`
 }
 
-// canon is the canonical text the spec CRC covers.
-func (s Spec) canon() string {
-	return fmt.Sprintf("%s|%d|%016x|%d|%d", s.Figure, s.Reps, s.BaseSeed, s.Scale, s.Grid)
-}
-
 // Unit is one distributable replication: the content address the result
 // will be stored under, plus the (figure, series, replication) coordinates
 // a worker needs to rebuild the config that hashes to FP.
@@ -83,7 +71,7 @@ type Unit struct {
 	// FP is the config fingerprint in full hex.
 	FP string `json:"fp"`
 	// Seed is the replication seed.
-	Seed uint64 `json:"-"`
+	Seed uint64 `json:"seed"`
 }
 
 // ID names the unit on disk, identical to store.Key.String for the same
@@ -104,175 +92,39 @@ func (u Unit) Key() (store.Key, error) {
 	return k, nil
 }
 
-func (u Unit) canon() string {
-	return fmt.Sprintf("%d|%s|%d|%d|%s|%016x", u.Index, u.Fig, u.Series, u.Rep, u.FP, u.Seed)
-}
-
-// Manifest is a loaded manifest: the sweep spec and its unit list.
+// Manifest is the sweep spec and its unit list, stored as one JSON
+// document.
 type Manifest struct {
-	Spec  Spec
-	Units []Unit
-	// Complete reports that the footer record was present and consistent:
-	// the manifest was fully written and has no torn tail. Workers must
-	// not start on an incomplete manifest — its tail units are missing.
-	Complete bool
+	Version int    `json:"version"`
+	Spec    Spec   `json:"spec"`
+	Units   []Unit `json:"units"`
 }
 
-// manifestRecord is the one-line JSON shape shared by the header ("h"),
-// unit ("u"), and footer ("f") records. CRC covers the record's canonical
-// text, so a truncated or spliced line is detectable even when it still
-// parses as JSON.
-type manifestRecord struct {
-	V    int    `json:"v"`
-	T    string `json:"t"`
-	Spec *Spec  `json:"spec,omitempty"`
-	Unit *Unit  `json:"unit,omitempty"`
-	Seed string `json:"seed,omitempty"` // unit seed, fixed-width hex
-	N    int    `json:"n,omitempty"`    // footer unit count
-	CRC  uint32 `json:"crc"`
-}
-
-// WriteManifest writes the complete manifest at path: header, one line per
-// unit, footer, then one fsync. The write is append-only on a fresh file;
-// a crash mid-write leaves a torn tail that LoadManifest reports as
-// incomplete, and the next coordinator rewrites the file from scratch.
-func WriteManifest(fsys store.FS, path string, spec Spec, units []Unit) error {
-	if fsys == nil {
-		fsys = store.OS
-	}
-	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("workq: manifest dir: %w", err)
-	}
-	if err := fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("workq: reset manifest %s: %w", path, err)
-	}
-	f, err := fsys.OpenAppend(path)
+// WriteManifest publishes the manifest for spec and units with one
+// atomic write: readers see the previous manifest or this one, never a
+// torn mix.
+func (q *Queue) WriteManifest(spec Spec, units []Unit) error {
+	data, err := json.Marshal(Manifest{Version: manifestVersion, Spec: spec, Units: units})
 	if err != nil {
-		return fmt.Errorf("workq: create manifest %s: %w", path, err)
+		return fmt.Errorf("workq: encode manifest: %w", err)
 	}
-	var buf bytes.Buffer
-	header := manifestRecord{V: manifestVersion, T: "h", Spec: &spec,
-		CRC: crc32.Checksum([]byte(spec.canon()), crcTable)}
-	if err := appendRecord(&buf, header); err != nil {
-		_ = f.Close()
-		return err
-	}
-	for i := range units {
-		u := units[i]
-		rec := manifestRecord{V: manifestVersion, T: "u", Unit: &u,
-			Seed: fmt.Sprintf("%016x", u.Seed),
-			CRC:  crc32.Checksum([]byte(u.canon()), crcTable)}
-		if err := appendRecord(&buf, rec); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	footer := manifestRecord{V: manifestVersion, T: "f", N: len(units),
-		CRC: crc32.Checksum([]byte(fmt.Sprintf("footer|%d", len(units))), crcTable)}
-	if err := appendRecord(&buf, footer); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if n, err := f.Write(buf.Bytes()); err != nil || n < buf.Len() {
-		_ = f.Close()
-		if err == nil {
-			err = fmt.Errorf("short write: %d of %d bytes", n, buf.Len())
-		}
-		return fmt.Errorf("workq: write manifest %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("workq: fsync manifest %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("workq: close manifest %s: %w", path, err)
-	}
-	return nil
+	return store.WriteFileAtomic(q.fsys, q.ManifestPath(), append(data, '\n'))
 }
 
-func appendRecord(buf *bytes.Buffer, rec manifestRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	buf.Write(line)
-	buf.WriteByte('\n')
-	return nil
-}
-
-// LoadManifest parses the manifest's valid prefix. A missing file returns
-// fs.ErrNotExist. The first malformed line — a torn tail after a
-// coordinator crash, or corruption — ends the replay; the manifest is
-// Complete only when the footer arrived and its unit count matches.
-func LoadManifest(fsys store.FS, path string) (*Manifest, error) {
-	if fsys == nil {
-		fsys = store.OS
-	}
-	data, err := fsys.ReadFile(path)
+// LoadManifest reads the manifest. A missing file returns fs.ErrNotExist;
+// anything that is not a whole manifest of this version is an error,
+// never a partial unit list.
+func (q *Queue) LoadManifest() (*Manifest, error) {
+	data, err := q.fsys.ReadFile(q.ManifestPath())
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{}
-	sawHeader := false
-	for len(data) > 0 {
-		line := data
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			break // torn final record
-		}
-		line, data = data[:i], data[i+1:]
-		var rec manifestRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.V != manifestVersion {
-			break
-		}
-		switch rec.T {
-		case "h":
-			if sawHeader || rec.Spec == nil ||
-				rec.CRC != crc32.Checksum([]byte(rec.Spec.canon()), crcTable) {
-				return m, nil
-			}
-			m.Spec = *rec.Spec
-			sawHeader = true
-		case "u":
-			if !sawHeader || rec.Unit == nil {
-				return m, nil
-			}
-			u := *rec.Unit
-			seed, ok := parseSeed(rec.Seed)
-			if !ok {
-				return m, nil
-			}
-			u.Seed = seed
-			if rec.CRC != crc32.Checksum([]byte(u.canon()), crcTable) {
-				return m, nil
-			}
-			m.Units = append(m.Units, u)
-		case "f":
-			if !sawHeader ||
-				rec.CRC != crc32.Checksum([]byte(fmt.Sprintf("footer|%d", rec.N)), crcTable) ||
-				rec.N != len(m.Units) {
-				return m, nil
-			}
-			m.Complete = true
-			return m, nil
-		default:
-			return m, nil
-		}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("workq: parse manifest: %w", err)
 	}
-	return m, nil
-}
-
-func parseSeed(s string) (uint64, bool) {
-	if len(s) != 16 {
-		return 0, false
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("workq: manifest version %d, this binary speaks %d", m.Version, manifestVersion)
 	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return 0, false
-	}
-	var seed uint64
-	for _, c := range b {
-		seed = seed<<8 | uint64(c)
-	}
-	return seed, true
+	return &m, nil
 }

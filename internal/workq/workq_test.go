@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -36,29 +37,46 @@ func testUnits(n int) []Unit {
 	return units
 }
 
-func openTestQueue(t *testing.T, dir string, o QueueOptions) *Queue {
+// openTestQueue opens a queue on the store at dir, doing its I/O through
+// fsys (the real filesystem when nil).
+func openTestQueue(t *testing.T, dir string, fsys store.FS, o QueueOptions) *Queue {
 	t.Helper()
-	q, err := OpenQueue(dir, o)
+	st, err := store.Open(dir, store.DiskOptions{FS: fsys})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	q, err := OpenQueue(st, o)
 	if err != nil {
 		t.Fatalf("open queue: %v", err)
 	}
 	return q
 }
 
+// storeUnit publishes a result for u, which is what completes it.
+func storeUnit(ctx context.Context, q *Queue, u Unit) error {
+	k, err := u.Key()
+	if err != nil {
+		return err
+	}
+	return q.st.Put(ctx, k, &core.Result{FinalInfected: u.Index})
+}
+
+// publish is the RunFunc of a healthy worker: store the unit's result.
+func publish(q *Queue) RunFunc {
+	return func(ctx context.Context, u Unit) error { return storeUnit(ctx, q, u) }
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	t.Parallel()
 
-	path := filepath.Join(t.TempDir(), "manifest.jsonl")
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{})
 	spec, units := testSpec(), testUnits(7)
-	if err := WriteManifest(nil, path, spec, units); err != nil {
+	if err := q.WriteManifest(spec, units); err != nil {
 		t.Fatalf("write manifest: %v", err)
 	}
-	m, err := LoadManifest(nil, path)
+	m, err := q.LoadManifest()
 	if err != nil {
 		t.Fatalf("load manifest: %v", err)
-	}
-	if !m.Complete {
-		t.Fatal("freshly written manifest not Complete")
 	}
 	if m.Spec != spec {
 		t.Errorf("spec round-trip: got %+v, want %+v", m.Spec, spec)
@@ -71,88 +89,76 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestLoadManifestMissingFile(t *testing.T) {
 	t.Parallel()
 
-	_, err := LoadManifest(nil, filepath.Join(t.TempDir(), "absent.jsonl"))
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{})
+	_, err := q.LoadManifest()
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing manifest: err = %v, want fs.ErrNotExist", err)
 	}
 }
 
-// TestManifestEveryTruncationIsSafe is the torn-tail acceptance criterion:
-// a coordinator killed at ANY byte offset of the manifest write leaves a
-// file that loads without error, is reported incomplete, and whose parsed
-// units are exactly a prefix of the real unit list — never a wrong or
-// phantom unit.
+// TestManifestEveryTruncationIsSafe: the manifest is one document, so a
+// file cut at ANY byte offset fails to load. A reader never sees a prefix
+// of the unit list as if it were the whole sweep.
 func TestManifestEveryTruncationIsSafe(t *testing.T) {
 	t.Parallel()
 
-	dir := t.TempDir()
-	full := filepath.Join(dir, "manifest.jsonl")
-	spec, units := testSpec(), testUnits(5)
-	if err := WriteManifest(nil, full, spec, units); err != nil {
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{})
+	if err := q.WriteManifest(testSpec(), testUnits(5)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(full)
+	data, err := os.ReadFile(q.ManifestPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := filepath.Join(dir, "torn.jsonl")
-	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
+	for cut := 0; cut < len(data)-1; cut++ { // the last byte is the newline
+		if err := os.WriteFile(q.ManifestPath(), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := LoadManifest(nil, torn)
-		if err != nil {
-			t.Fatalf("cut at %d/%d bytes: load error %v", cut, len(data), err)
-		}
-		if m.Complete != (cut == len(data)) {
-			t.Fatalf("cut at %d/%d bytes: Complete=%v", cut, len(data), m.Complete)
-		}
-		if len(m.Units) > len(units) {
-			t.Fatalf("cut at %d: %d units parsed from a %d-unit manifest", cut, len(m.Units), len(units))
-		}
-		for i, u := range m.Units {
-			if !reflect.DeepEqual(u, units[i]) {
-				t.Fatalf("cut at %d: unit %d corrupted: got %+v want %+v", cut, i, u, units[i])
-			}
+		if m, err := q.LoadManifest(); err == nil {
+			t.Fatalf("cut at %d/%d bytes loaded %d units", cut, len(data), len(m.Units))
 		}
 	}
 }
 
-// TestManifestCorruptLineEndsReplay: a bit-flipped line mid-file (not just
-// a torn tail) fails its CRC and ends the replay at the last good record.
-func TestManifestCorruptLineEndsReplay(t *testing.T) {
+// TestManifestWriteFaultsNeverPublishPartial arms each write-path
+// failpoint on the manifest's publication: the write fails, and the file
+// then loads as absent or as the previous manifest, never a partial one.
+func TestManifestWriteFaultsNeverPublishPartial(t *testing.T) {
 	t.Parallel()
 
-	path := filepath.Join(t.TempDir(), "manifest.jsonl")
-	units := testUnits(4)
-	if err := WriteManifest(nil, path, testSpec(), units); err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name string
+		arm  func(*store.FaultFS)
+	}{
+		{"write error", func(f *store.FaultFS) { f.FailWriteIn(1) }},
+		{"short write", func(f *store.FaultFS) { f.ShortWriteIn(1) }},
+		{"fsync error", func(f *store.FaultFS) { f.FailSyncIn(1) }},
+		{"rename error", func(f *store.FaultFS) { f.FailRenameIn(1) }},
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte inside the third unit's line (header + 2 units precede).
-	lines := strings.SplitAfter(string(data), "\n")
-	mid := []byte(lines[3])
-	mid[len(mid)/2] ^= 0x40
-	lines[3] = string(mid)
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadManifest(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Complete {
-		t.Error("manifest with corrupt interior line reported Complete")
-	}
-	if len(m.Units) > 2 {
-		t.Errorf("replay continued past the corrupt line: %d units", len(m.Units))
-	}
-	for i, u := range m.Units {
-		if !reflect.DeepEqual(u, units[i]) {
-			t.Errorf("unit %d corrupted: %+v", i, u)
+	for _, tc := range tests {
+		for _, previous := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/previous=%v", tc.name, previous), func(t *testing.T) {
+				t.Parallel()
+				ffs := store.NewFaultFS(store.OS)
+				q := openTestQueue(t, t.TempDir(), ffs, QueueOptions{})
+				old := Spec{Figure: "figure1", Reps: 2, BaseSeed: 7, Scale: 20, Grid: 10}
+				if previous {
+					if err := q.WriteManifest(old, testUnits(2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tc.arm(ffs)
+				if err := q.WriteManifest(testSpec(), testUnits(6)); err == nil {
+					t.Fatal("manifest write under an armed failpoint reported success")
+				}
+				m, err := q.LoadManifest()
+				switch {
+				case !previous && !errors.Is(err, os.ErrNotExist):
+					t.Errorf("failed first write: load = %v, want fs.ErrNotExist", err)
+				case previous && (err != nil || m.Spec != old || !reflect.DeepEqual(m.Units, testUnits(2))):
+					t.Errorf("failed rewrite: load = %+v, %v; want the previous manifest", m, err)
+				}
+			})
 		}
 	}
 }
@@ -161,8 +167,8 @@ func TestQueueClaimLifecycle(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	qa := openTestQueue(t, dir, QueueOptions{WorkerID: "a"})
-	qb := openTestQueue(t, dir, QueueOptions{WorkerID: "b"})
+	qa := openTestQueue(t, dir, nil, QueueOptions{WorkerID: "a"})
+	qb := openTestQueue(t, dir, nil, QueueOptions{WorkerID: "b"})
 	u := testUnits(1)[0]
 
 	ok, err := qa.TryClaim(u)
@@ -179,15 +185,15 @@ func TestQueueClaimLifecycle(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim after release: ok=%v err=%v", ok, err)
 	}
-	if err := qb.Ack(context.Background(), u, 1); err != nil {
-		t.Fatalf("ack: %v", err)
+	if err := storeUnit(context.Background(), qb, u); err != nil {
+		t.Fatalf("store: %v", err)
 	}
-	if !qb.Acked(u) || qa.Dead(u) {
-		t.Error("acked unit not visible as acked (or visible as dead)")
+	if !qa.Complete(u) || qa.Dead(u) {
+		t.Error("stored unit not visible as complete (or visible as dead)")
 	}
 	p := qa.Census([]Unit{u})
-	if p.Acked != 1 || p.Open != 0 || p.Dead != 0 || p.Retried != 0 {
-		t.Errorf("census = %+v, want exactly one first-try ack", p)
+	if p.Done != 1 || p.Open != 0 || p.Dead != 0 || p.Retried != 0 {
+		t.Errorf("census = %+v, want exactly one first-try completion", p)
 	}
 }
 
@@ -197,8 +203,8 @@ func TestClaimTakeoverDeadOwnerSameHost(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	qa := openTestQueue(t, dir, QueueOptions{Hostname: "hostA", WorkerID: "victim"})
-	qb := openTestQueue(t, dir, QueueOptions{
+	qa := openTestQueue(t, dir, nil, QueueOptions{Hostname: "hostA", WorkerID: "victim"})
+	qb := openTestQueue(t, dir, nil, QueueOptions{
 		Hostname: "hostA",
 		WorkerID: "heir",
 		Alive:    func(pid int) bool { return false }, // the owner "died"
@@ -220,21 +226,21 @@ func TestClaimForeignHostWaitsForTTL(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	qa := openTestQueue(t, dir, QueueOptions{Hostname: "hostA"})
+	qa := openTestQueue(t, dir, nil, QueueOptions{Hostname: "hostA"})
 	u := testUnits(1)[0]
 	if ok, err := qa.TryClaim(u); err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
 
 	dead := func(pid int) bool { return false }
-	qb := openTestQueue(t, dir, QueueOptions{Hostname: "hostB", Alive: dead})
+	qb := openTestQueue(t, dir, nil, QueueOptions{Hostname: "hostB", Alive: dead})
 	if ok, err := qb.TryClaim(u); err != nil || ok {
 		t.Fatalf("foreign claim broken before TTL: ok=%v err=%v", ok, err)
 	}
 
 	// The same worker with its clock past the TTL may break it.
 	future := clock.Fixed(time.Now().Add(2 * time.Hour))
-	qc := openTestQueue(t, dir, QueueOptions{
+	qc := openTestQueue(t, dir, nil, QueueOptions{
 		Hostname: "hostB", Alive: dead, Clock: future, TTL: time.Hour,
 	})
 	if ok, err := qc.TryClaim(u); err != nil || !ok {
@@ -250,12 +256,12 @@ func TestHeartbeatRenewsClaim(t *testing.T) {
 
 	dir := t.TempDir()
 	// Foreign hostname so staleness is decided by the TTL alone.
-	qa := openTestQueue(t, dir, QueueOptions{Hostname: "elsewhere"})
+	qa := openTestQueue(t, dir, nil, QueueOptions{Hostname: "elsewhere"})
 	u := testUnits(1)[0]
 	if ok, err := qa.TryClaim(u); err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	info, err := os.Stat(filepath.Join(dir, "claims", u.ID()+".claim"))
+	info, err := os.Stat(qa.claimPath(u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,7 @@ func TestHeartbeatRenewsClaim(t *testing.T) {
 
 	const ttl = 40 * time.Millisecond
 	frozen := clock.Fixed(birth.Add(ttl + time.Millisecond))
-	qb := openTestQueue(t, dir, QueueOptions{
+	qb := openTestQueue(t, dir, nil, QueueOptions{
 		Hostname: "breaker", TTL: ttl, Clock: frozen,
 		Alive: func(pid int) bool { return false },
 	})
@@ -295,7 +301,7 @@ func TestDuplicateClaimRaceOneWinner(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := openTestQueue(t, dir, QueueOptions{WorkerID: fmt.Sprintf("racer-%d", i)})
+			q := openTestQueue(t, dir, nil, QueueOptions{WorkerID: fmt.Sprintf("racer-%d", i)})
 			ok, err := q.TryClaim(u)
 			if err != nil {
 				t.Errorf("racer %d: %v", i, err)
@@ -319,7 +325,7 @@ func TestDuplicateClaimRaceOneWinner(t *testing.T) {
 func TestAttemptBudgetAndDeadLetter(t *testing.T) {
 	t.Parallel()
 
-	q := openTestQueue(t, t.TempDir(), QueueOptions{WorkerID: "w"})
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{WorkerID: "w"})
 	u := testUnits(1)[0]
 	for i := 1; i <= 3; i++ {
 		if err := q.RecordFailure(u, fmt.Errorf("boom %d", i)); err != nil {
@@ -346,7 +352,7 @@ func TestAttemptBudgetAndDeadLetter(t *testing.T) {
 		t.Errorf("dead letter preserves %d attempt lines, want 3", got)
 	}
 	p := q.Census([]Unit{u})
-	if p.Dead != 1 || p.Open != 0 || p.Acked != 0 {
+	if p.Dead != 1 || p.Open != 0 || p.Done != 0 {
 		t.Errorf("census = %+v, want one dead unit", p)
 	}
 }
@@ -359,7 +365,7 @@ func TestDeadLetterSyncsDeadDir(t *testing.T) {
 	t.Parallel()
 
 	ffs := store.NewFaultFS(store.OS)
-	q := openTestQueue(t, t.TempDir(), QueueOptions{WorkerID: "w", FS: ffs})
+	q := openTestQueue(t, t.TempDir(), ffs, QueueOptions{WorkerID: "w"})
 	u := testUnits(1)[0]
 	if err := q.RecordFailure(u, errors.New("boom")); err != nil {
 		t.Fatalf("record failure: %v", err)
@@ -376,22 +382,29 @@ func TestDeadLetterSyncsDeadDir(t *testing.T) {
 	}
 }
 
-// TestCensusAckedWinsOverDead: a unit that dead-lettered once but was later
-// completed by another worker counts as complete — its result is durable.
-func TestCensusAckedWinsOverDead(t *testing.T) {
+// TestCensusCompleteWinsOverDead: a unit that dead-lettered once but was
+// later stored by another worker counts as complete — its result is
+// durable. A complete unit counts as retried while its failure log
+// remains.
+func TestCensusCompleteWinsOverDead(t *testing.T) {
 	t.Parallel()
 
-	q := openTestQueue(t, t.TempDir(), QueueOptions{WorkerID: "w"})
-	u := testUnits(1)[0]
-	if err := q.DeadLetter(u, errors.New("first life")); err != nil {
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{WorkerID: "w"})
+	units := testUnits(2)
+	if err := q.DeadLetter(units[0], errors.New("first life")); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Ack(context.Background(), u, 2); err != nil {
+	if err := q.RecordFailure(units[1], errors.New("transient")); err != nil {
 		t.Fatal(err)
 	}
-	p := q.Census([]Unit{u})
-	if p.Acked != 1 || p.Dead != 0 || p.Retried != 1 {
-		t.Errorf("census = %+v, want the ack to win and count as retried", p)
+	for _, u := range units {
+		if err := storeUnit(context.Background(), q, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := q.Census(units)
+	if p.Done != 2 || p.Dead != 0 || p.Open != 0 || p.Retried != 1 {
+		t.Errorf("census = %+v, want both complete and the one with a failure log retried", p)
 	}
 }
 
@@ -399,14 +412,14 @@ func TestRunWorkerDrainsManifest(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	q := openTestQueue(t, dir, QueueOptions{WorkerID: "solo"})
+	q := openTestQueue(t, dir, nil, QueueOptions{WorkerID: "solo"})
 	units := testUnits(9)
 	if err := q.WriteManifest(testSpec(), units); err != nil {
 		t.Fatal(err)
 	}
 	m, err := q.LoadManifest()
-	if err != nil || !m.Complete {
-		t.Fatalf("load: complete=%v err=%v", m.Complete, err)
+	if err != nil {
+		t.Fatalf("load: %v", err)
 	}
 
 	var mu sync.Mutex
@@ -415,7 +428,7 @@ func TestRunWorkerDrainsManifest(t *testing.T) {
 		mu.Lock()
 		runs[u.ID()]++
 		mu.Unlock()
-		return nil
+		return storeUnit(ctx, q, u)
 	}, WorkerOptions{})
 	if err != nil {
 		t.Fatalf("run worker: %v", err)
@@ -424,15 +437,15 @@ func TestRunWorkerDrainsManifest(t *testing.T) {
 		t.Errorf("stats = %+v, want %d completed", st, len(units))
 	}
 	for _, u := range units {
-		if !q.Acked(u) {
-			t.Errorf("unit %s not acked", u.ID())
+		if !q.Complete(u) {
+			t.Errorf("unit %s not complete", u.ID())
 		}
 		if runs[u.ID()] != 1 {
 			t.Errorf("unit %s executed %d times, want 1", u.ID(), runs[u.ID()])
 		}
 	}
 	p := q.Census(units)
-	if p.Acked != len(units) || p.Open != 0 || p.Retried != 0 {
+	if p.Done != len(units) || p.Open != 0 || p.Retried != 0 {
 		t.Errorf("census = %+v", p)
 	}
 }
@@ -441,7 +454,7 @@ func TestRunWorkerRetriesThenDeadLetters(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	q := openTestQueue(t, dir, QueueOptions{WorkerID: "w"})
+	q := openTestQueue(t, dir, nil, QueueOptions{WorkerID: "w"})
 	units := testUnits(3)
 	if err := q.WriteManifest(testSpec(), units); err != nil {
 		t.Fatal(err)
@@ -458,7 +471,7 @@ func TestRunWorkerRetriesThenDeadLetters(t *testing.T) {
 		if u.ID() == poison {
 			return errors.New("always fails")
 		}
-		return nil
+		return storeUnit(ctx, q, u)
 	}, WorkerOptions{MaxAttempts: 3, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("run worker: %v", err)
@@ -469,36 +482,44 @@ func TestRunWorkerRetriesThenDeadLetters(t *testing.T) {
 	if runs[poison] != 3 {
 		t.Errorf("poison unit executed %d times, want exactly MaxAttempts=3", runs[poison])
 	}
-	if !q.Dead(units[1]) || q.Acked(units[1]) {
+	if !q.Dead(units[1]) || q.Complete(units[1]) {
 		t.Error("poison unit not dead-lettered")
 	}
-	if !q.Acked(units[0]) || !q.Acked(units[2]) {
-		t.Error("healthy units not acked")
+	if !q.Complete(units[0]) || !q.Complete(units[2]) {
+		t.Error("healthy units not complete")
 	}
 }
 
-func TestRunWorkerRefusesIncompleteManifest(t *testing.T) {
+// TestRunWorkerCountsUnstoredSuccessAsFailure: a run that returns nil
+// without storing the result has not completed the unit; it spends
+// attempts and dead-letters instead of being claimed again forever.
+func TestRunWorkerCountsUnstoredSuccessAsFailure(t *testing.T) {
 	t.Parallel()
 
-	q := openTestQueue(t, t.TempDir(), QueueOptions{})
-	m := &Manifest{Spec: testSpec(), Units: testUnits(2), Complete: false}
-	_, err := RunWorker(context.Background(), q, m, func(ctx context.Context, u Unit) error {
-		t.Error("executed a unit from an incomplete manifest")
-		return nil
-	}, WorkerOptions{})
-	if err == nil {
-		t.Fatal("worker accepted an incomplete manifest")
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{WorkerID: "w"})
+	units := testUnits(1)
+	if err := q.WriteManifest(testSpec(), units); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := q.LoadManifest()
+	st, err := RunWorker(context.Background(), q, m, func(ctx context.Context, u Unit) error { return nil },
+		WorkerOptions{MaxAttempts: 2, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("run worker: %v", err)
+	}
+	if st.Completed != 0 || st.DeadLettered != 1 || !q.Dead(units[0]) {
+		t.Errorf("stats = %+v, dead = %v; want the unit dead-lettered, none completed", st, q.Dead(units[0]))
 	}
 }
 
 // TestTwoWorkersSplitQueueWithoutDuplicates: two live workers draining the
 // same queue execute every unit exactly once between them — live claims are
-// never stolen, and every unit ends acked.
+// never stolen, and every unit ends complete.
 func TestTwoWorkersSplitQueueWithoutDuplicates(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	coord := openTestQueue(t, dir, QueueOptions{WorkerID: "coord"})
+	coord := openTestQueue(t, dir, nil, QueueOptions{WorkerID: "coord"})
 	units := testUnits(20)
 	if err := coord.WriteManifest(testSpec(), units); err != nil {
 		t.Fatal(err)
@@ -511,7 +532,7 @@ func TestTwoWorkersSplitQueueWithoutDuplicates(t *testing.T) {
 		runs[u.ID()]++
 		mu.Unlock()
 		time.Sleep(time.Millisecond) // let the other worker interleave
-		return nil
+		return storeUnit(ctx, coord, u)
 	}
 	var wg sync.WaitGroup
 	stats := make([]WorkerStats, 2)
@@ -519,7 +540,7 @@ func TestTwoWorkersSplitQueueWithoutDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := openTestQueue(t, dir, QueueOptions{WorkerID: fmt.Sprintf("w%d", i)})
+			q := openTestQueue(t, dir, nil, QueueOptions{WorkerID: fmt.Sprintf("w%d", i)})
 			m, err := q.LoadManifest()
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
@@ -545,8 +566,8 @@ func TestTwoWorkersSplitQueueWithoutDuplicates(t *testing.T) {
 		if runs[u.ID()] != 1 {
 			t.Errorf("unit %s executed %d times, want 1", u.ID(), runs[u.ID()])
 		}
-		if !coord.Acked(u) {
-			t.Errorf("unit %s not acked", u.ID())
+		if !coord.Complete(u) {
+			t.Errorf("unit %s not complete", u.ID())
 		}
 	}
 }
@@ -555,7 +576,7 @@ func TestWaitManifest(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	q := openTestQueue(t, dir, QueueOptions{})
+	q := openTestQueue(t, dir, nil, QueueOptions{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -563,7 +584,7 @@ func TestWaitManifest(t *testing.T) {
 		t.Fatal("WaitManifest returned without a manifest")
 	}
 
-	// A complete manifest appearing mid-wait is picked up.
+	// A manifest appearing mid-wait is picked up.
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		_ = q.WriteManifest(testSpec(), testUnits(2))
@@ -574,15 +595,15 @@ func TestWaitManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WaitManifest: %v", err)
 	}
-	if !m.Complete || len(m.Units) != 2 {
-		t.Errorf("manifest: complete=%v units=%d", m.Complete, len(m.Units))
+	if len(m.Units) != 2 {
+		t.Errorf("manifest: %d units, want 2", len(m.Units))
 	}
 }
 
 func TestQueueResetClearsState(t *testing.T) {
 	t.Parallel()
 
-	q := openTestQueue(t, t.TempDir(), QueueOptions{})
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{})
 	units := testUnits(2)
 	if err := q.WriteManifest(testSpec(), units); err != nil {
 		t.Fatal(err)
@@ -590,10 +611,10 @@ func TestQueueResetClearsState(t *testing.T) {
 	if ok, _ := q.TryClaim(units[0]); !ok {
 		t.Fatal("claim")
 	}
-	if err := q.Ack(context.Background(), units[0], 1); err != nil {
+	if err := q.RecordFailure(units[1], errors.New("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RecordFailure(units[1], errors.New("x")); err != nil {
+	if err := storeUnit(context.Background(), q, units[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Reset(); err != nil {
@@ -602,8 +623,11 @@ func TestQueueResetClearsState(t *testing.T) {
 	if _, err := q.LoadManifest(); !errors.Is(err, os.ErrNotExist) {
 		t.Error("manifest survived reset")
 	}
-	if q.Acked(units[0]) || q.Attempts(units[1]) != 0 {
+	if q.Attempts(units[1]) != 0 {
 		t.Error("queue state survived reset")
+	}
+	if !q.Complete(units[1]) {
+		t.Error("reset dropped a stored unit's completion: store entries are not queue state")
 	}
 	if ok, err := q.TryClaim(units[0]); err != nil || !ok {
 		t.Errorf("claim after reset: ok=%v err=%v", ok, err)
