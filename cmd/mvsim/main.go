@@ -26,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -123,6 +124,9 @@ func run(args []string) error {
 	}
 	if *blacklist < 0 {
 		return fmt.Errorf("blacklist threshold %d negative: it is a message count; try -blacklist 10", *blacklist)
+	}
+	if err := checkHorizonShards(*hours, *shards); err != nil {
+		return err
 	}
 	cfg := core.Default(virus.Scenarios()[*virusNum-1])
 	cfg.Population = *population
@@ -281,6 +285,20 @@ func writeTrace(cfg core.Config, seed uint64, path string) error {
 		return err
 	}
 	return af.Commit()
+}
+
+// checkHorizonShards validates -hours and -shards: hours is 0 (the
+// paper's horizon for the virus) or a positive horizon that fits a
+// time.Duration, and shards is at least 1.
+func checkHorizonShards(hours float64, shards int) error {
+	if !(hours >= 0) || hours*float64(time.Hour) >= math.MaxInt64 {
+		return fmt.Errorf("-hours %v outside [0, %.0f]: 0 runs the paper's horizon for the virus; try -hours 24",
+			hours, math.MaxInt64/float64(time.Hour))
+	}
+	if shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d: 1 is the paper's one-queue model", shards)
+	}
+	return nil
 }
 
 func parseImmunize(s string) (dev, deploy time.Duration, err error) {

@@ -159,6 +159,11 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-detector", "1.5"}, "detector accuracy"},
 		{[]string{"-resume"}, "-resume needs -storedir"},
 		{[]string{"-grid", "0"}, "-grid must be >= 1"},
+		{[]string{"-hours", "-1"}, "-hours -1 outside"},
+		{[]string{"-hours", "NaN"}, "-hours NaN outside"},
+		{[]string{"-hours", "1e300"}, "outside"},
+		{[]string{"-shards", "0"}, "-shards must be >= 1"},
+		{[]string{"-shards", "-2"}, "-shards must be >= 1"},
 		{[]string{"-trace", "t.jsonl", "-topology", "ba", "-shards", "2"}, "-trace needs a one-shard run"},
 		{[]string{"-outage", "nope"}, "outage"},
 		{[]string{"-outage", "0s,6h", "-topology", "ba", "-shards", "2"}, "fault injection"},

@@ -179,7 +179,13 @@ func RunOnce(cfg Config, seed uint64) (*Result, error) {
 // it. Windowing never changes a one-shard run's event order, so results
 // are bit-identical to RunOnce when the context stays live.
 func RunOnceContext(ctx context.Context, cfg Config, seed uint64) (*Result, error) {
-	sr, err := NewShardedRun(cfg, seed)
+	return runOnce(ctx, cfg, seed, nil)
+}
+
+// runOnce is RunOnceContext taking the topology from topos (nil builds
+// it).
+func runOnce(ctx context.Context, cfg Config, seed uint64, topos *TopologyTable) (*Result, error) {
+	sr, err := newShardedRun(cfg, seed, topos)
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +211,12 @@ type ShardedRun struct {
 // ids throughout, so every shard layout derives the same per-phone
 // generators.
 func NewShardedRun(cfg Config, seed uint64) (*ShardedRun, error) {
+	return newShardedRun(cfg, seed, nil)
+}
+
+// newShardedRun is NewShardedRun taking the topology from topos (nil
+// builds it).
+func newShardedRun(cfg Config, seed uint64, topos *TopologyTable) (*ShardedRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -216,7 +228,7 @@ func NewShardedRun(cfg Config, seed uint64) (*ShardedRun, error) {
 	respSrcBase := root.Stream(5)
 	seedSrc := root.Stream(6)
 
-	topo, err := buildTopology(cfg, graphSrc)
+	topo, err := topos.topology(cfg, seed, graphSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +545,13 @@ func RunContext(ctx context.Context, cfg Config, opts Options) (*RunSet, error) 
 // and stack. The replication index i is reporting metadata only — the
 // outcome is fully determined by (cfg, seed), which is what makes results
 // content-addressable for caching.
-func RunReplication(ctx context.Context, cfg Config, i int, seed uint64) (res *Result, repErr *ReplicationError) {
+func RunReplication(ctx context.Context, cfg Config, i int, seed uint64) (*Result, *ReplicationError) {
+	return runReplication(ctx, cfg, i, seed, nil)
+}
+
+// runReplication is RunReplication taking the topology from topos (nil
+// builds it).
+func runReplication(ctx context.Context, cfg Config, i int, seed uint64, topos *TopologyTable) (res *Result, repErr *ReplicationError) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -549,7 +567,7 @@ func RunReplication(ctx context.Context, cfg Config, i int, seed uint64) (res *R
 		return nil, &ReplicationError{Replication: i, Seed: seed,
 			Err: fmt.Errorf("cancelled before start: %w", err)}
 	}
-	r, err := RunOnceContext(ctx, cfg, seed)
+	r, err := runOnce(ctx, cfg, seed, topos)
 	if err != nil {
 		return nil, &ReplicationError{Replication: i, Seed: seed, Err: err}
 	}

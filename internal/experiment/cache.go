@@ -124,29 +124,30 @@ func (c *ReplicationCache) Stats() CacheStats {
 }
 
 // runner returns the per-replication function of one series of cfg
-// through the cache, fingerprinting cfg once for all its replications. A
-// nil cache runs core.RunReplication directly.
-func (c *ReplicationCache) runner(cfg core.Config) core.ReplicationFunc {
+// through the cache, fingerprinting cfg once for all its replications.
+// Simulated replications take their topology from topos. A nil cache
+// runs topos.RunReplication directly.
+func (c *ReplicationCache) runner(cfg core.Config, topos *core.TopologyTable) core.ReplicationFunc {
 	if c == nil {
-		return core.RunReplication
+		return topos.RunReplication
 	}
 	fp := ConfigFingerprint(cfg)
 	return func(ctx context.Context, cfg core.Config, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
-		return c.run(ctx, cfg, fp, rep, seed)
+		return c.run(ctx, cfg, fp, rep, seed, topos)
 	}
 }
 
 // run executes one replication through the cache. A nil cache or an
-// uncacheable fingerprint degrades to a plain core.RunReplication call.
+// uncacheable fingerprint degrades to a plain topos.RunReplication call.
 // The replication index rep is reporting metadata only (it lands in
 // ReplicationError) and is deliberately not part of the key.
-func (c *ReplicationCache) run(ctx context.Context, cfg core.Config, fp Fingerprint, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
+func (c *ReplicationCache) run(ctx context.Context, cfg core.Config, fp Fingerprint, rep int, seed uint64, topos *core.TopologyTable) (*core.Result, *core.ReplicationError) {
 	if c == nil {
-		return core.RunReplication(ctx, cfg, rep, seed)
+		return topos.RunReplication(ctx, cfg, rep, seed)
 	}
 	if !fp.Cacheable() {
 		c.uncacheable.Add(1)
-		return core.RunReplication(ctx, cfg, rep, seed)
+		return topos.RunReplication(ctx, cfg, rep, seed)
 	}
 	key := replicationKey{sum: fp.sum, seed: seed}
 	for {
@@ -163,7 +164,7 @@ func (c *ReplicationCache) run(ctx context.Context, cfg core.Config, fp Fingerpr
 			// ownership on the next iteration and run it ourselves.
 			continue
 		}
-		res, repErr := c.produce(ctx, cfg, fp, rep, seed)
+		res, repErr := c.produce(ctx, cfg, fp, rep, seed, topos)
 		if repErr != nil {
 			// Release before waking waiters so their retry re-owns the key
 			// instead of re-reading this dead entry.
@@ -181,16 +182,16 @@ func (c *ReplicationCache) run(ctx context.Context, cfg core.Config, fp Fingerpr
 // memory tier: from the persistent store when one is attached, by
 // simulation otherwise. Counters: exactly one of DiskHits, PeerHits, or
 // Misses is incremented per successful call.
-func (c *ReplicationCache) produce(ctx context.Context, cfg core.Config, fp Fingerprint, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
+func (c *ReplicationCache) produce(ctx context.Context, cfg core.Config, fp Fingerprint, rep int, seed uint64, topos *core.TopologyTable) (*core.Result, *core.ReplicationError) {
 	k, addressable := fp.StoreKey(seed)
 	if c.persist == nil || !addressable {
-		res, repErr := core.RunReplication(ctx, cfg, rep, seed)
+		res, repErr := topos.RunReplication(ctx, cfg, rep, seed)
 		if repErr == nil {
 			c.misses.Add(1)
 		}
 		return res, repErr
 	}
-	return c.produceStored(ctx, k, cfg, rep, seed)
+	return c.produceStored(ctx, k, cfg, rep, seed, topos)
 }
 
 // produceStored routes computation through the store's cross-process
@@ -198,10 +199,10 @@ func (c *ReplicationCache) produce(ctx context.Context, cfg core.Config, fp Fing
 // closure's captures to the heap. Simulation failures pass through typed;
 // store-layer failures (I/O, a cancelled lease wait) degrade to a direct
 // local run.
-func (c *ReplicationCache) produceStored(ctx context.Context, k store.Key, cfg core.Config, rep int, seed uint64) (*core.Result, *core.ReplicationError) {
+func (c *ReplicationCache) produceStored(ctx context.Context, k store.Key, cfg core.Config, rep int, seed uint64, topos *core.TopologyTable) (*core.Result, *core.ReplicationError) {
 	var repErr *core.ReplicationError
 	res, origin, err := c.persist.GetOrCompute(ctx, k, func() (*core.Result, error) {
-		r, re := core.RunReplication(ctx, cfg, rep, seed)
+		r, re := topos.RunReplication(ctx, cfg, rep, seed)
 		if re != nil {
 			repErr = re
 			return nil, re
@@ -212,7 +213,7 @@ func (c *ReplicationCache) produceStored(ctx context.Context, k store.Key, cfg c
 		return nil, repErr
 	}
 	if err != nil {
-		res, repErr := core.RunReplication(ctx, cfg, rep, seed)
+		res, repErr := topos.RunReplication(ctx, cfg, rep, seed)
 		if repErr == nil {
 			c.misses.Add(1)
 		}

@@ -84,7 +84,7 @@ func TestCacheCollapsesConcurrentRequests(t *testing.T) {
 	for g := 0; g < callers; g++ {
 		go func(g int) {
 			defer wg.Done()
-			res, repErr := cache.run(context.Background(), cfg, fp, 0, 1)
+			res, repErr := cache.run(context.Background(), cfg, fp, 0, 1, nil)
 			if repErr != nil {
 				t.Errorf("caller %d: %v", g, repErr)
 				return
@@ -117,7 +117,7 @@ func TestCacheNeverStoresFailures(t *testing.T) {
 	fp := Fingerprint{ok: true}
 	cache := NewReplicationCache()
 	for attempt := 0; attempt < 2; attempt++ {
-		res, repErr := cache.run(context.Background(), cfg, fp, 0, 1)
+		res, repErr := cache.run(context.Background(), cfg, fp, 0, 1, nil)
 		if repErr == nil || res != nil {
 			t.Fatalf("attempt %d: rigged failure produced res=%v err=%v", attempt, res, repErr)
 		}
@@ -142,13 +142,13 @@ func TestCacheBypassPaths(t *testing.T) {
 	if st := nilCache.Stats(); st != (CacheStats{}) {
 		t.Errorf("nil cache stats %+v, want zeros", st)
 	}
-	if res, repErr := nilCache.run(context.Background(), cfg, ConfigFingerprint(cfg), 0, 1); repErr != nil || res == nil {
+	if res, repErr := nilCache.run(context.Background(), cfg, ConfigFingerprint(cfg), 0, 1, nil); repErr != nil || res == nil {
 		t.Fatalf("nil cache run: res=%v err=%v", res, repErr)
 	}
 
 	cache := NewReplicationCache()
 	var opaque Fingerprint // zero value: uncacheable
-	if res, repErr := cache.run(context.Background(), cfg, opaque, 0, 1); repErr != nil || res == nil {
+	if res, repErr := cache.run(context.Background(), cfg, opaque, 0, 1, nil); repErr != nil || res == nil {
 		t.Fatalf("uncacheable run: res=%v err=%v", res, repErr)
 	}
 	if st := cache.Stats(); st.Uncacheable != 1 || st.Hits != 0 || st.Misses != 0 {

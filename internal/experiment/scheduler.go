@@ -51,8 +51,16 @@ type SweepResult struct {
 // and assembles results deterministically. The returned error is the
 // errors.Join of all per-figure errors; the *SweepResult is always
 // returned alongside it with every surviving series, mirroring
-// core.RunSet's salvage contract.
+// core.RunSet's salvage contract. Every simulated replication of the
+// sweep takes its contact topology from one core.TopologyTable, so a
+// topology shared by several series is built once; the table is dropped
+// when RunSweep returns.
 func RunSweep(ctx context.Context, figs []Figure, opts core.Options, so SweepOptions) (*SweepResult, error) {
+	return runSweep(ctx, figs, opts, so, core.NewTopologyTable())
+}
+
+// runSweep is RunSweep with the sweep's topology table supplied.
+func runSweep(ctx context.Context, figs []Figure, opts core.Options, so SweepOptions, topos *core.TopologyTable) (*SweepResult, error) {
 	start := timeNow()
 	if ctx == nil {
 		ctx = context.Background()
@@ -73,7 +81,7 @@ func RunSweep(ctx context.Context, figs []Figure, opts core.Options, so SweepOpt
 	for fi, fig := range figs {
 		jobs[fi] = make([]*core.Series, len(fig.Series))
 		for si, s := range fig.Series {
-			jobs[fi][si] = core.SubmitSeries(p, ctx, s.Config, opts, so.Cache.runner(s.Config))
+			jobs[fi][si] = core.SubmitSeries(p, ctx, s.Config, opts, so.Cache.runner(s.Config, topos))
 		}
 	}
 

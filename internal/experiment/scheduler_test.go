@@ -195,3 +195,39 @@ func TestRunMatchesRunFigure(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepBuildsEachTopologyOnce runs S series × R seeds that share one
+// graph config, uncached so every replication simulates: the sweep's
+// topology table builds R topologies, not S×R, and the CSVs match a sweep
+// that builds a topology for every replication.
+func TestSweepBuildsEachTopologyOnce(t *testing.T) {
+	t.Parallel()
+	fig := Figure1(Scale{Factor: 20})
+	for _, s := range fig.Series[1:] {
+		c, c0 := s.Config, fig.Series[0].Config
+		if c.Population != c0.Population || c.Graph != c0.Graph {
+			t.Fatalf("series %q does not share series 0's graph", s.Label)
+		}
+	}
+	const reps = 3
+	opts := core.Options{Replications: reps, GridPoints: 20, BaseSeed: 1}
+	csv := func(topos *core.TopologyTable) []byte {
+		sr, err := runSweep(context.Background(), []Figure{fig}, opts, SweepOptions{Jobs: 4}, topos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sr.Figures[0].WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	topos := core.NewTopologyTable()
+	shared := csv(topos)
+	if n := topos.Builds(); n != reps {
+		t.Errorf("%d series × %d seeds built %d topologies, want %d", len(fig.Series), reps, n, reps)
+	}
+	if !bytes.Equal(shared, csv(nil)) {
+		t.Error("sweep CSV with a shared topology table differs from one building every topology")
+	}
+}

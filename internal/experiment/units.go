@@ -75,7 +75,9 @@ func SweepUnits(figs []Figure, opts core.Options) (units []workq.Unit, uncacheab
 // resolve the unit's fingerprint to a config from this binary's study
 // matrix, skip if the store already holds the result (another worker, or a
 // previous run), otherwise simulate, publish atomically, and journal. The
-// published entry is what completes the unit. Any
+// published entry is what completes the unit. The callback's replications
+// share one core.TopologyTable, so a worker builds each topology once for
+// all the units it runs. Any
 // error — unknown fingerprint, simulation failure, store I/O — surfaces to
 // workq's retry/dead-letter policy.
 func UnitRunner(st store.Store, j *store.Journal, figs []Figure) workq.RunFunc {
@@ -90,6 +92,7 @@ func UnitRunner(st store.Store, j *store.Journal, figs []Figure) workq.RunFunc {
 			cfgByFP[hex.EncodeToString(key.Sum[:])] = s.Config
 		}
 	}
+	topos := core.NewTopologyTable()
 	return func(ctx context.Context, u workq.Unit) error {
 		cfg, ok := cfgByFP[u.FP]
 		if !ok {
@@ -103,7 +106,7 @@ func UnitRunner(st store.Store, j *store.Journal, figs []Figure) workq.RunFunc {
 		if res, ok, err := st.Get(ctx, key); err == nil && ok && res != nil {
 			return nil // already durable: complete without recomputing
 		}
-		res, repErr := core.RunReplication(ctx, cfg, u.Rep, u.Seed)
+		res, repErr := topos.RunReplication(ctx, cfg, u.Rep, u.Seed)
 		if repErr != nil {
 			return repErr
 		}

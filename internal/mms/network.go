@@ -160,8 +160,11 @@ type Network struct {
 	infected int
 	metrics  Metrics
 	// trials records (sender, target, day) consent decisions already
-	// granted, for duplicate suppression.
-	trials map[uint64]struct{}
+	// granted, for duplicate suppression. It holds only days that later
+	// copies can still reach (see firstTrial); trialsUntil is the next day
+	// boundary, where the keys of the days before it expire.
+	trials      map[uint64]struct{}
+	trialsUntil time.Duration
 }
 
 // NoInfector marks a phone infected by seeding rather than by a message.
@@ -549,12 +552,8 @@ func (n *Network) deliverCopy(from, target PhoneID, attempt int) bool {
 	}
 	// Duplicate suppression: at most one consent trial per sender per
 	// target per day (Config.AllowDuplicateTrials disables this).
-	if !n.cfg.AllowDuplicateTrials {
-		key := trialKey(from, target, now)
-		if _, dup := n.trials[key]; dup {
-			return true
-		}
-		n.trials[key] = struct{}{}
+	if !n.cfg.AllowDuplicateTrials && !n.firstTrial(from, target, now) {
+		return true
 	}
 	// Inboxes need no explicit queue: each message independently
 	// reaches the user after delivery latency plus read delay.
@@ -575,6 +574,41 @@ const readCap = 64
 func trialKey(from, target PhoneID, now time.Duration) uint64 {
 	day := uint64(now/trialPeriod) & 0xffff
 	return uint64(from)<<40 | uint64(target)<<16 | day
+}
+
+// firstTrial reports whether the copy from sender to target arriving at
+// virtual time at is the pair's first on at's day, and records it. It is
+// the duplicate-suppression rule of both inbox paths: deliverCopy asks at
+// the current time, receiveRemote at an arrival clamped to the barrier
+// the clock stands at. So the clock is a lower bound on every time asked
+// about from now on, and a key whose day ends before the clock's day can
+// never match again. Each time the clock crosses a day boundary those
+// keys are deleted, keeping the set to the live days (a remote copy may
+// already have recorded the next one). The map keeps its capacity, so the
+// following days reuse its buckets.
+func (n *Network) firstTrial(from, target PhoneID, at time.Duration) bool {
+	if now := n.sim.Now(); now >= n.trialsUntil {
+		n.expireTrials(now)
+	}
+	key := trialKey(from, target, at)
+	if _, dup := n.trials[key]; dup {
+		return false
+	}
+	n.trials[key] = struct{}{}
+	return true
+}
+
+// expireTrials deletes the trial keys of the days before now's and moves
+// trialsUntil to the next day boundary.
+func (n *Network) expireTrials(now time.Duration) {
+	day := now / trialPeriod
+	n.trialsUntil = (day + 1) * trialPeriod
+	live := uint64(day) & 0xffff
+	for key := range n.trials {
+		if key&0xffff < live {
+			delete(n.trials, key)
+		}
+	}
 }
 
 // read models the user noticing the message and deciding about the

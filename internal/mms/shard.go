@@ -503,12 +503,8 @@ func (n *Network) receiveRemote(arrival time.Duration, from, target PhoneID, bar
 	if n.pop.received[target] >= readCap {
 		return
 	}
-	if !n.cfg.AllowDuplicateTrials {
-		key := trialKey(from, target, arrival)
-		if _, dup := n.trials[key]; dup {
-			return
-		}
-		n.trials[key] = struct{}{}
+	if !n.cfg.AllowDuplicateTrials && !n.firstTrial(from, target, arrival) {
+		return
 	}
 	delay := n.cfg.ReadDelay.Sample(&n.pop.userSrc[target])
 	if _, err := n.sim.ScheduleArgAt(arrival+delay, n.readH, packArg(target, from, 0)); err != nil {

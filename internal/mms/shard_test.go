@@ -201,3 +201,99 @@ func TestShardBarrierHookPanicNamesShard(t *testing.T) {
 		panicking().RunWindow(time.Minute, 2*time.Minute)
 	}()
 }
+
+// TestTrialsKeepOnlyLiveDays checks the duplicate-suppression set's
+// lifetime: once the clock crosses a day boundary, only the keys of the
+// clock's day and later remain, and suppression within a day is intact.
+func TestTrialsKeepOnlyLiveDays(t *testing.T) {
+	keyDays := func(n *Network) []uint64 {
+		var days []uint64
+		for key := range n.trials {
+			days = append(days, key&0xffff)
+		}
+		slices.Sort(days)
+		return days
+	}
+
+	t.Run("one shard", func(t *testing.T) {
+		net, sim := buildNet(t, 10, instantConfig())
+		sim.RunUntil(time.Hour)
+		net.deliverCopy(0, 1, 0)
+		net.deliverCopy(2, 3, 0)
+		pending := sim.Pending()
+		net.deliverCopy(0, 1, 0) // same pair, same day
+		if sim.Pending() != pending {
+			t.Fatal("a second copy of one pair on one day was not suppressed")
+		}
+		if got := keyDays(net); !slices.Equal(got, []uint64{0, 0}) {
+			t.Fatalf("day-0 trial key days %v, want [0 0]", got)
+		}
+
+		sim.RunUntil(25 * time.Hour)
+		pending = sim.Pending()
+		net.deliverCopy(0, 1, 0) // a new day: a new trial
+		if sim.Pending() != pending+1 {
+			t.Fatal("the pair's first copy of a new day was suppressed")
+		}
+		if got := keyDays(net); !slices.Equal(got, []uint64{1}) {
+			t.Errorf("trial key days after the rollover %v, want [1]", got)
+		}
+	})
+
+	t.Run("two shards", func(t *testing.T) {
+		ss := exchangeTestSet(t, 203, 2)
+		from, target := PhoneID(0), PhoneID(ss.bounds[1])
+		dest := ss.nets[1]
+		// advance moves every shard's clock to barrier; send then delivers
+		// copies of the pair arriving at the given times at that barrier.
+		advance := func(barrier time.Duration) {
+			for _, net := range ss.nets {
+				net.sim.RunUntil(barrier)
+			}
+		}
+		send := func(barrier time.Duration, arrivals ...time.Duration) {
+			t.Helper()
+			for _, at := range arrivals {
+				ss.outbox[0].push(at, from, target)
+			}
+			ss.winBarrier = barrier
+			if err := ss.exchange(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Arrives on day 1 while the destination's clock is on day 0.
+		advance(23 * time.Hour)
+		pending := dest.sim.Pending()
+		send(23*time.Hour, 24*time.Hour+30*time.Minute)
+		if dest.sim.Pending() != pending+1 {
+			t.Fatal("the remote copy was not delivered")
+		}
+		if got := keyDays(dest); !slices.Equal(got, []uint64{1}) {
+			t.Fatalf("trial key days %v, want [1]", got)
+		}
+
+		// The destination's clock crosses into day 1: the key stays, and a
+		// second copy of the pair on day 1 is still suppressed.
+		advance(25 * time.Hour)
+		pending = dest.sim.Pending()
+		send(25*time.Hour, 25*time.Hour)
+		if dest.sim.Pending() != pending {
+			t.Error("a second copy of the pair on day 1 was not suppressed")
+		}
+		if got := keyDays(dest); !slices.Equal(got, []uint64{1}) {
+			t.Errorf("trial key days after the rollover %v, want [1]", got)
+		}
+
+		// Day 2: the day-1 key expires and the pair gets a new trial.
+		advance(49 * time.Hour)
+		pending = dest.sim.Pending()
+		send(49*time.Hour, 49*time.Hour)
+		if dest.sim.Pending() != pending+1 {
+			t.Error("the pair's first copy of day 2 was suppressed")
+		}
+		if got := keyDays(dest); !slices.Equal(got, []uint64{2}) {
+			t.Errorf("trial key days on day 2 %v, want [2]", got)
+		}
+	})
+}

@@ -76,7 +76,7 @@ func (d *Detector) Attach(ss *mms.ShardSet, src *rng.Source) error {
 	}
 	shards := ss.Shards()
 	for s, n := range shards {
-		sd := &shardDetector{parent: d, src: src, verdicts: make(map[uint64]bool)}
+		sd := &shardDetector{parent: d, src: src, base: n.Base(), verdicts: make([]uint32, n.OwnedCount())}
 		if len(shards) > 1 {
 			sd.src = new(rng.Source)
 			src.StreamInto(sd.src, 0x727370<<16|uint64(s)) // "rsp" | shard
@@ -98,10 +98,17 @@ func (d *Detector) ActiveAt(now time.Duration) bool {
 
 // shardDetector is one shard's view of a Detector: its own verdict cache
 // and random stream over that shard's senders.
+//
+// The cache keeps one slot per owned phone, for the latest day that phone
+// sent on: (day+1)<<1 | recognized, zero for none. That is exact, not an
+// eviction: a copy is inspected on its sender's own shard at that shard's
+// clock, which never runs backwards, so once a sender's day has passed no
+// copy of it asks about that day again.
 type shardDetector struct {
 	parent   *Detector
 	src      *rng.Source
-	verdicts map[uint64]bool // (sender, day) -> recognized
+	base     int
+	verdicts []uint32 // by sender - base
 }
 
 // Name implements mms.Filter.
@@ -121,13 +128,15 @@ func (sd *shardDetector) Inspect(from mms.PhoneID, _ int, now time.Duration) mms
 		}
 		return mms.VerdictDeliver
 	}
-	key := uint64(from)<<21 | uint64(now/(24*time.Hour))
-	recognized, seen := sd.verdicts[key]
-	if !seen {
-		recognized = sd.src.Bool(d.Accuracy)
-		sd.verdicts[key] = recognized
+	slot := &sd.verdicts[int(from)-sd.base]
+	day := uint32(now/(24*time.Hour)) + 1
+	if *slot>>1 != day {
+		*slot = day << 1
+		if sd.src.Bool(d.Accuracy) {
+			*slot |= 1
+		}
 	}
-	if recognized {
+	if *slot&1 != 0 {
 		return mms.VerdictDrop
 	}
 	return mms.VerdictDeliver

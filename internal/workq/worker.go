@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"time"
 )
 
@@ -98,13 +99,16 @@ func WaitManifest(ctx context.Context, q *Queue, poll time.Duration) (*Manifest,
 // returns when every unit is terminal (complete or dead), when
 // ctx is cancelled, or — after finishing the unit in hand — when Drain
 // closes. A SIGKILL at any instant loses at most the in-flight unit, which
-// the next claimer recomputes.
+// the next claimer recomputes. Each pass scans the manifest from a unit
+// picked by the worker's ID (see scanStart) and wraps around.
 func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o WorkerOptions) (WorkerStats, error) {
 	o = o.withDefaults(q.leases.TTL())
 	var st WorkerStats
+	start := scanStart(q.WorkerID(), len(m.Units))
 	for {
 		open, progress := 0, false
-		for _, u := range m.Units {
+		for k := range m.Units {
+			u := m.Units[(start+k)%len(m.Units)]
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
@@ -135,6 +139,13 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 				st.ClaimConflicts++
 				continue
 			}
+			if q.Complete(u) {
+				// Another worker stored the unit and released its claim
+				// between the check above and this claim.
+				q.Release(u)
+				progress = true
+				continue
+			}
 			done, err := executeClaimed(ctx, q, u, run, o, &st)
 			if err != nil && ctx.Err() != nil {
 				return st, ctx.Err()
@@ -158,6 +169,20 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 			}
 		}
 	}
+}
+
+// scanStart is the manifest index where worker id begins each pass: a
+// hash of the id, so workers that share a manifest start at different
+// units instead of all racing to claim unit 0, then 1, and so on.
+// Results are content-addressed, so the order units run in changes no
+// output.
+func scanStart(id string, units int) int {
+	if units == 0 {
+		return 0
+	}
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(id))
+	return int(h.Sum64() % uint64(units))
 }
 
 // executeClaimed runs u under the claim this worker now holds, with

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -569,6 +572,97 @@ func TestTwoWorkersSplitQueueWithoutDuplicates(t *testing.T) {
 		if !coord.Complete(u) {
 			t.Errorf("unit %s not complete", u.ID())
 		}
+	}
+}
+
+// missOneOpen hides the next Open through it, as if the entry were not
+// there yet.
+type missOneOpen struct {
+	store.FS
+	miss atomic.Bool
+}
+
+func (m *missOneOpen) Open(path string) (io.ReadCloser, error) {
+	if m.miss.CompareAndSwap(true, false) {
+		return nil, fs.ErrNotExist
+	}
+	return m.FS.Open(path)
+}
+
+// TestClaimedUnitStoredMeanwhileIsNotRun checks the completion re-check
+// after a claim: a unit another worker stores (and releases) between this
+// worker's scan and its claim is released again, not run a second time.
+func TestClaimedUnitStoredMeanwhileIsNotRun(t *testing.T) {
+	t.Parallel()
+
+	fsys := &missOneOpen{FS: store.OS}
+	q := openTestQueue(t, t.TempDir(), fsys, QueueOptions{WorkerID: "late"})
+	units := testUnits(1)
+	if err := q.WriteManifest(testSpec(), units); err != nil {
+		t.Fatal(err)
+	}
+	m, err := q.LoadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storeUnit(context.Background(), q, units[0]); err != nil {
+		t.Fatal(err)
+	}
+	fsys.miss.Store(true) // the scan's completion check misses the entry
+	runs := 0
+	st, err := RunWorker(context.Background(), q, m, func(ctx context.Context, u Unit) error {
+		runs++
+		return storeUnit(ctx, q, u)
+	}, WorkerOptions{Poll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 0 || st.Completed != 0 {
+		t.Errorf("stored unit ran %d times (stats %+v), want 0", runs, st)
+	}
+	if _, err := q.fsys.Stat(q.claimPath(units[0])); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("claim left behind: stat err %v", err)
+	}
+}
+
+// TestWorkersStartScanAtDifferentUnits checks that a worker's scan
+// starts at a unit picked by its ID and wraps around the manifest: two
+// workers with different IDs, each draining its own copy of one
+// manifest, run different units first and every unit once, in manifest
+// order from there.
+func TestWorkersStartScanAtDifferentUnits(t *testing.T) {
+	t.Parallel()
+
+	units := testUnits(20)
+	first := map[string]int{}
+	for _, id := range []string{"w0", "w1"} {
+		q := openTestQueue(t, t.TempDir(), nil, QueueOptions{WorkerID: id})
+		if err := q.WriteManifest(testSpec(), units); err != nil {
+			t.Fatal(err)
+		}
+		m, err := q.LoadManifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []int
+		if _, err := RunWorker(context.Background(), q, m, func(ctx context.Context, u Unit) error {
+			order = append(order, u.Index)
+			return storeUnit(ctx, q, u)
+		}, WorkerOptions{}); err != nil {
+			t.Fatalf("worker %s: %v", id, err)
+		}
+		if len(order) != len(units) {
+			t.Fatalf("worker %s ran %d units, want %d", id, len(order), len(units))
+		}
+		for i, idx := range order {
+			if want := (order[0] + i) % len(units); idx != want {
+				t.Fatalf("worker %s ran unit %d at step %d, want %d (order %v)", id, idx, i, want, order)
+			}
+		}
+		first[id] = order[0]
+	}
+	if first["w0"] == first["w1"] {
+		t.Errorf("workers w0 and w1 both start at unit %d", first["w0"])
 	}
 }
 
