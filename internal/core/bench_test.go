@@ -99,23 +99,23 @@ func BenchmarkPopulation100kResponse(b *testing.B) {
 // TestPopulation100kPins pins the population benchmarks' deterministic
 // figures: the seed-1 final infected count, allocations per run (the
 // recorded count plus slack, counted at GOMAXPROCS 1 as
-// testing.AllocsPerRun does), and the per-phone footprint (167.9 B
+// testing.AllocsPerRun does), and the per-phone footprint (92.4 B
 // recorded, plus 15% for heap-measurement jitter). The response run's
-// count repeats exactly: 1,139, and 1,145 under the race detector, whose
+// count repeats exactly: 1,211, and 1,217 under the race detector, whose
 // runtime adds six. Its bound is the race count plus the usual 0.1%. The
-// bare run's varies by process — 1,723 to 1,779 over 30 runs — because
+// bare run's varies by process — 1,798 to 1,883 over 30 runs — because
 // its per-shard trial maps grow large enough that where their tables
 // split depends on the per-process hash seed; its slack is 5%.
 func TestPopulation100kPins(t *testing.T) {
-	const maxBytesPerPhone = 167.9 * 1.15
+	const maxBytesPerPhone = 92.4 * 1.15
 	for _, tc := range []struct {
 		name      string
 		responses bool
 		final     int
 		maxAllocs float64
 	}{
-		{"bare", false, 10_387, 1_758 + 88},
-		{"response", true, 1_597, 1_145 + 1},
+		{"bare", false, 10_387, 1_845 + 92},
+		{"response", true, 1_597, 1_217 + 1},
 	} {
 		cfg := populationConfig(tc.responses)
 		var final int

@@ -14,12 +14,13 @@ const PaperAcceptanceFactor = 0.468
 
 // AcceptanceProbability returns the probability that a user accepts the n-th
 // infected message they have received (n >= 1): AF / 2^n. Out-of-range
-// inputs return 0.
+// inputs return 0, and so does n >= 1024, where 2^n overflows to +Inf: a
+// probability of exactly 0 lets the consent draw be skipped.
 func AcceptanceProbability(acceptanceFactor float64, n int) float64 {
-	if n < 1 || acceptanceFactor <= 0 {
+	if n < 1 || n >= 1024 || acceptanceFactor <= 0 {
 		return 0
 	}
-	p := acceptanceFactor / math.Pow(2, float64(n))
+	p := math.Ldexp(acceptanceFactor, -n)
 	if p > 1 {
 		return 1
 	}

@@ -30,6 +30,30 @@ func TestAcceptanceProbability(t *testing.T) {
 	}
 }
 
+// TestAcceptanceProbabilityMatchesPow pins AcceptanceProbability bit for bit
+// to the AF / math.Pow(2, n) formula, through the subnormal results and the
+// n >= 1024 overflow to 0: a result that differed in one bit could change
+// whether a consent draw happens, and so every trajectory after it.
+func TestAcceptanceProbabilityMatchesPow(t *testing.T) {
+	t.Parallel()
+
+	pow := func(af float64, n int) float64 {
+		if n < 1 || af <= 0 {
+			return 0
+		}
+		return min(af/math.Pow(2, float64(n)), 1)
+	}
+	for _, af := range []float64{PaperAcceptanceFactor, 1, 1.7, 5e-300} {
+		for n := 0; n <= 2048; n++ {
+			got, want := AcceptanceProbability(af, n), pow(af, n)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("AcceptanceProbability(%v, %d) = %v (%#x), want %v (%#x)",
+					af, n, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestEventualAcceptancePaperValue(t *testing.T) {
 	t.Parallel()
 

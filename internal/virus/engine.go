@@ -17,13 +17,20 @@ type Engine struct {
 	net *mms.Network
 	sim *des.Simulation
 
-	// base/states cover the network's owned id range: states[id-base] is
-	// phone id's sender. In an unsharded run base is 0 and states spans the
-	// population; in a sharded run each shard's engine holds only its own
-	// phones' senders.
+	// base/slot cover the network's owned id range: slot[id-base] is 0
+	// while phone id has no sender, and k once its sender is states[k-1].
+	// In an unsharded run base is 0 and slot spans the population; in a
+	// sharded run each shard's engine holds only its own phones' slots.
+	// states grows on first activation, so only infected phones pay for a
+	// sender.
 	base   int
+	slot   []uint32
 	states []senderState
 	stats  Stats
+	// parent is the engine stream as Attach received it. A sender's
+	// generator is derived from it on first activation; StreamInto does
+	// not advance it, so the derivation order changes no generator.
+	parent rng.Source
 
 	// sendH/rebootH are the payload event handlers (arg = phone id),
 	// built once at attach time so the steady-state campaign schedules
@@ -79,12 +86,8 @@ func Attach(cfg Config, net *mms.Network, src *rng.Source) (*Engine, error) {
 		net:    net,
 		sim:    net.Sim(),
 		base:   net.Base(),
-		states: make([]senderState, net.OwnedCount()),
-	}
-	for i := range e.states {
-		// Stream names are global phone ids, so a sharded engine derives
-		// exactly the generators the unsharded engine would for its phones.
-		src.StreamInto(&e.states[i].src, 0x766972<<20|uint64(e.base+i)) // "vir" | id
+		slot:   make([]uint32, net.OwnedCount()),
+		parent: *src,
 	}
 	e.sendH = func(_ *des.Simulation, arg uint64) { e.sendOnce(mms.PhoneID(arg)) }
 	e.rebootH = func(_ *des.Simulation, arg uint64) { e.onReboot(mms.PhoneID(arg)) }
@@ -105,11 +108,22 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // activate starts the sending campaign of a newly infected phone.
 func (e *Engine) activate(id mms.PhoneID) {
-	st := e.state(id)
-	if st == nil || st.active {
+	i := int(id) - e.base
+	if i < 0 || i >= len(e.slot) {
 		return
 	}
 	if e.net.Patched(id) {
+		return
+	}
+	if e.slot[i] == 0 {
+		e.states = append(e.states, senderState{})
+		e.slot[i] = uint32(len(e.states))
+		// Stream names are global phone ids, so a sharded engine derives
+		// exactly the generators the unsharded engine would for its phones.
+		e.parent.StreamInto(&e.states[len(e.states)-1].src, 0x766972<<20|uint64(id)) // "vir" | id
+	}
+	st := &e.states[e.slot[i]-1]
+	if st.active {
 		return
 	}
 	st.active = true
@@ -156,14 +170,14 @@ func (e *Engine) deactivate(id mms.PhoneID) {
 	}
 }
 
-// state returns phone id's sender slot, or nil when this engine does not
-// cover id (another shard's engine does).
+// state returns phone id's sender, or nil when the phone was never
+// activated or this engine does not cover id (another shard's engine does).
 func (e *Engine) state(id mms.PhoneID) *senderState {
 	i := int(id) - e.base
-	if i < 0 || i >= len(e.states) {
+	if i < 0 || i >= len(e.slot) || e.slot[i] == 0 {
 		return nil
 	}
-	return &e.states[i]
+	return &e.states[e.slot[i]-1]
 }
 
 // Active reports whether phone id's sender is currently active.
@@ -265,6 +279,9 @@ func (e *Engine) sendOnce(id mms.PhoneID) {
 	}
 	e.stats.MessagesAttempted++
 	res, err := e.net.Send(id, targets)
+	// An infection listener run inside Send could grow states and move
+	// st; fetch it again.
+	st = e.state(id)
 	if err != nil {
 		st.active = false
 		return

@@ -100,15 +100,17 @@ func WaitManifest(ctx context.Context, q *Queue, poll time.Duration) (*Manifest,
 // ctx is cancelled, or — after finishing the unit in hand — when Drain
 // closes. A SIGKILL at any instant loses at most the in-flight unit, which
 // the next claimer recomputes. Each pass scans the manifest from a unit
-// picked by the worker's ID (see scanStart) and wraps around.
+// picked by the worker's ID (see scanStart) and wraps around; a lost claim
+// skips ahead (see conflictSkip).
 func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o WorkerOptions) (WorkerStats, error) {
 	o = o.withDefaults(q.leases.TTL())
 	var st WorkerStats
 	start := scanStart(q.WorkerID(), len(m.Units))
+	unit := func(k int) Unit { return m.Units[(start+k)%len(m.Units)] }
 	for {
-		open, progress := 0, false
+		open, skip, progress := 0, 0, false
 		for k := range m.Units {
-			u := m.Units[(start+k)%len(m.Units)]
+			u := unit(k)
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
@@ -119,6 +121,10 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 				continue
 			}
 			open++
+			if skip > 0 {
+				skip--
+				continue
+			}
 			if q.Attempts(u) >= o.MaxAttempts {
 				// Budget already spent (possibly by other workers):
 				// retire the unit without another execution.
@@ -137,6 +143,13 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 			}
 			if !ok {
 				st.ClaimConflicts++
+				left := 0
+				for i := k + 1; i < len(m.Units); i++ {
+					if v := unit(i); !q.Complete(v) && !q.Dead(v) {
+						left++
+					}
+				}
+				skip = conflictSkip(left)
 				continue
 			}
 			if q.Complete(u) {
@@ -184,6 +197,14 @@ func scanStart(id string, units int) int {
 	_, _ = h.Write([]byte(id))
 	return int(h.Sum64() % uint64(units))
 }
+
+// conflictSkip is how many of the left open units in a pass to skip after
+// a lost claim: half of them. Another worker's scan reached the unit first,
+// and both scans walk the manifest in the same direction, so the next open
+// unit is the one that worker claims next; without a skip the two scans
+// collide on every unit from there on. Skipped units stay open for the next
+// pass.
+func conflictSkip(left int) int { return left / 2 }
 
 // executeClaimed runs u under the claim this worker now holds, with
 // in-claim retries against the shared attempt budget. It always releases

@@ -666,6 +666,18 @@ func TestWorkersStartScanAtDifferentUnits(t *testing.T) {
 	}
 }
 
+func TestConflictSkipHalvesTheRest(t *testing.T) {
+	t.Parallel()
+
+	for _, tc := range []struct{ left, want int }{
+		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {10, 5}, {87, 43},
+	} {
+		if got := conflictSkip(tc.left); got != tc.want {
+			t.Errorf("conflictSkip(%d) = %d, want %d", tc.left, got, tc.want)
+		}
+	}
+}
+
 func TestWaitManifest(t *testing.T) {
 	t.Parallel()
 

@@ -21,6 +21,7 @@ internal/store ^BenchmarkCodecRoundTrip$
 . ^BenchmarkFigure1Baselines$
 internal/experiment ^BenchmarkSweep(Reduced|Distributed)$
 internal/core ^BenchmarkPopulation100k(Response)?$
+internal/virus ^BenchmarkAttach100k$
 cmd/mvlint ^BenchmarkLintModule$'
 
 work=$(mktemp -d)
