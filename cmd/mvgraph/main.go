@@ -102,7 +102,7 @@ type generateParams struct {
 }
 
 // generate dispatches to the selected graph generator.
-func generate(p generateParams, src *rng.Source) (*graph.Graph, error) {
+func generate(p generateParams, src *rng.Source) (*graph.CSR, error) {
 	switch p.Model {
 	case "powerlaw":
 		cfg := graph.PowerLawConfig{
@@ -119,7 +119,7 @@ func generate(p generateParams, src *rng.Source) (*graph.Graph, error) {
 		if m < 1 {
 			m = 1
 		}
-		return graph.BarabasiAlbert(p.N, m, src)
+		return graph.BarabasiAlbertCSR(p.N, m, src)
 	case "er":
 		if p.N < 2 {
 			return nil, fmt.Errorf("er model needs n >= 2")
@@ -137,7 +137,7 @@ func generate(p generateParams, src *rng.Source) (*graph.Graph, error) {
 	}
 }
 
-func printStats(g *graph.Graph) {
+func printStats(g *graph.CSR) {
 	st := g.ComputeDegreeStats()
 	fmt.Fprintf(os.Stderr,
 		"phones=%d links=%d meanDegree=%.1f medianDegree=%.0f maxDegree=%d tailExponent=%.2f\n",

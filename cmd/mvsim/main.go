@@ -125,6 +125,12 @@ func run(args []string) error {
 	if *blacklist < 0 {
 		return fmt.Errorf("blacklist threshold %d negative: it is a message count; try -blacklist 10", *blacklist)
 	}
+	if *scan < 0 {
+		return fmt.Errorf("-scan %v negative: it is the delay before gateway scanning starts; try -scan 6h (0 = off)", *scan)
+	}
+	if *monitor < 0 {
+		return fmt.Errorf("-monitor %v negative: it is the forced wait per message; try -monitor 15m (0 = off)", *monitor)
+	}
 	if err := checkHorizonShards(*hours, *shards); err != nil {
 		return err
 	}

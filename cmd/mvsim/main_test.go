@@ -159,6 +159,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-detector", "1.5"}, "detector accuracy"},
 		{[]string{"-resume"}, "-resume needs -storedir"},
 		{[]string{"-grid", "0"}, "-grid must be >= 1"},
+		{[]string{"-scan", "-1h"}, "-scan -1h0m0s negative"},
+		{[]string{"-monitor", "-5m"}, "-monitor -5m0s negative"},
 		{[]string{"-hours", "-1"}, "-hours -1 outside"},
 		{[]string{"-hours", "NaN"}, "-hours NaN outside"},
 		{[]string{"-hours", "1e300"}, "outside"},

@@ -36,15 +36,15 @@ type Config struct {
 	// Graph configures the contact-list topology. Its N is overridden by
 	// Population.
 	Graph graph.PowerLawConfig
-	// GraphBuilder, if non-nil, replaces the power-law generator (used for
-	// topology-sensitivity studies). It must return a graph with
-	// Population nodes.
-	GraphBuilder func(src *rng.Source) (*graph.Graph, error)
-	// CSRBuilder, if non-nil, streams the contact topology directly into
-	// CSR form without ever materializing an adjacency-map Graph (see
-	// graph.BarabasiAlbertCSR). This is the 10^5+-phone path, where the
-	// per-node maps would dominate memory. Mutually exclusive with
-	// GraphBuilder; must return a CSR with Population nodes.
+	// GraphBuilder is retired: Validate rejects a non-nil value. The field
+	// stays only because the benchmark module reads it
+	// (perfbench/paper.go:470), and that module changes only with the
+	// benchmark itself; delete it then.
+	GraphBuilder func(src *rng.Source) (*graph.CSR, error)
+	// CSRBuilder, if non-nil, replaces the power-law generator: topology
+	// sensitivity studies and the 10^5+-phone scale runs (see
+	// graph.BarabasiAlbertCSR) supply their own contact topology. It must
+	// return a CSR with Population nodes.
 	CSRBuilder func(src *rng.Source) (*graph.CSR, error)
 	// Virus selects the virus scenario.
 	Virus virus.Config
@@ -131,8 +131,8 @@ func (c Config) Validate() error {
 	if float64(c.InitialInfected) > c.SusceptibleFraction*float64(c.Population) {
 		return fmt.Errorf("core: %d seeds exceed the susceptible population", c.InitialInfected)
 	}
-	if c.GraphBuilder != nil && c.CSRBuilder != nil {
-		return errors.New("core: GraphBuilder and CSRBuilder are mutually exclusive")
+	if c.GraphBuilder != nil {
+		return errors.New("core: GraphBuilder is retired; set CSRBuilder instead")
 	}
 	switch {
 	case c.Shards < 0:
@@ -337,37 +337,25 @@ func (sr *ShardedRun) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// buildTopology produces the CSR contact graph, taking the streaming
-// CSRBuilder path when configured and otherwise converting the adjacency-map
-// generator's output. Both paths draw from the same stream, so a CSRBuilder
-// emitting the same edges as a GraphBuilder yields the identical topology.
+// buildTopology produces the CSR contact graph from src: the configured
+// CSRBuilder, or else the power-law generator over cfg.Graph.
 func buildTopology(cfg Config, src *rng.Source) (*graph.CSR, error) {
-	if cfg.CSRBuilder != nil {
-		topo, err := cfg.CSRBuilder(src)
-		if err != nil {
-			return nil, err
-		}
-		if topo.N() != cfg.Population {
-			return nil, fmt.Errorf("core: topology has %d nodes, config wants %d", topo.N(), cfg.Population)
-		}
-		return topo, nil
-	}
-	var g *graph.Graph
+	var topo *graph.CSR
 	var err error
-	if cfg.GraphBuilder != nil {
-		g, err = cfg.GraphBuilder(src)
+	if cfg.CSRBuilder != nil {
+		topo, err = cfg.CSRBuilder(src)
 	} else {
 		gc := cfg.Graph
 		gc.N = cfg.Population
-		g, err = graph.PowerLaw(gc, src)
+		topo, err = graph.PowerLaw(gc, src)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if g.N() != cfg.Population {
-		return nil, fmt.Errorf("core: graph has %d nodes, config wants %d", g.N(), cfg.Population)
+	if topo.N() != cfg.Population {
+		return nil, fmt.Errorf("core: topology has %d nodes, config wants %d", topo.N(), cfg.Population)
 	}
-	return graph.FromGraph(g), nil
+	return topo, nil
 }
 
 // vulnerabilityMask randomly designates the susceptible share, mirroring the

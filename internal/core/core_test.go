@@ -201,11 +201,11 @@ func TestRunNilResponseFactoryRejected(t *testing.T) {
 	}
 }
 
-func TestGraphBuilderOverride(t *testing.T) {
+func TestCSRBuilderOverride(t *testing.T) {
 	t.Parallel()
 
 	cfg := smallConfig(virus.Virus3())
-	cfg.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
+	cfg.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 		return graph.ErdosRenyi(cfg.Population, 0.1, src)
 	}
 	res, err := RunOnce(cfg, 5)
@@ -217,7 +217,7 @@ func TestGraphBuilderOverride(t *testing.T) {
 	}
 
 	// A builder returning the wrong size must be rejected.
-	cfg.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
+	cfg.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 		return graph.ErdosRenyi(10, 0.1, src)
 	}
 	if _, err := RunOnce(cfg, 5); err == nil {
@@ -226,9 +226,28 @@ func TestGraphBuilderOverride(t *testing.T) {
 
 	// Builder errors propagate.
 	boom := errors.New("boom")
-	cfg.GraphBuilder = func(*rng.Source) (*graph.Graph, error) { return nil, boom }
+	cfg.CSRBuilder = func(*rng.Source) (*graph.CSR, error) { return nil, boom }
 	if _, err := RunOnce(cfg, 5); !errors.Is(err, boom) {
 		t.Errorf("builder error not propagated: %v", err)
+	}
+}
+
+// TestGraphBuilderOverride pins that the retired GraphBuilder field is
+// rejected, with a message that points at CSRBuilder, rather than silently
+// ignored.
+func TestGraphBuilderOverride(t *testing.T) {
+	t.Parallel()
+
+	cfg := smallConfig(virus.Virus3())
+	cfg.GraphBuilder = func(src *rng.Source) (*graph.CSR, error) {
+		return graph.ErdosRenyi(cfg.Population, 0.1, src)
+	}
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "CSRBuilder") {
+		t.Errorf("Validate with GraphBuilder set: %v, want an error naming CSRBuilder", err)
+	}
+	if _, err := RunOnce(cfg, 5); err == nil {
+		t.Error("RunOnce ran a config with GraphBuilder set")
 	}
 }
 

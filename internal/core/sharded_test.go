@@ -241,9 +241,9 @@ func TestShardedValidationMatrix(t *testing.T) {
 		{"too many shards", func(c *Config) { c.Shards = c.Population + 1 }},
 		{"negative shards", func(c *Config) { c.Shards = -3 }},
 		{"negative window", func(c *Config) { c.ShardWindow = -time.Second }},
-		{"both builders", func(c *Config) {
-			c.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
-				return graph.BarabasiAlbert(600, 4, src)
+		{"retired GraphBuilder", func(c *Config) {
+			c.GraphBuilder = func(src *rng.Source) (*graph.CSR, error) {
+				return graph.BarabasiAlbertCSR(600, 4, src)
 			}
 		}},
 	}

@@ -21,8 +21,8 @@ import (
 // (mms and virus only read Neighbors), so concurrent replications share
 // one pointer. The table holds every topology it built until it is
 // dropped, so its footprint is distinct topologies × CSR size; the caller
-// scopes it to one sweep. Configs with a GraphBuilder or CSRBuilder are
-// opaque functions and always build their own topology.
+// scopes it to one sweep. A CSRBuilder is an opaque function, so its
+// configs always build their own topology.
 type TopologyTable struct {
 	entries sync.Map // topologyKey -> *topologyEntry
 	builds  atomic.Uint64
@@ -60,7 +60,7 @@ func (t *TopologyTable) RunReplication(ctx context.Context, cfg Config, i int, s
 // it while concurrent askers wait on that one build. src is the seed's
 // stream 1. A failed build is not stored.
 func (t *TopologyTable) topology(cfg Config, seed uint64, src *rng.Source) (*graph.CSR, error) {
-	if t == nil || cfg.GraphBuilder != nil || cfg.CSRBuilder != nil {
+	if t == nil || cfg.CSRBuilder != nil {
 		return buildTopology(cfg, src)
 	}
 	key := topologyKey{graph: cfg.Graph, seed: seed}

@@ -112,22 +112,22 @@ func TestTopologyTableMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestTopologyTableBypassesBuilders checks that GraphBuilder and
-// CSRBuilder configs, whose topology is an opaque function, build on
-// every ask and never enter the table.
+// TestTopologyTableBypassesBuilders checks that CSRBuilder configs, whose
+// topology is an opaque function, build on every ask and never enter the
+// table.
 func TestTopologyTableBypassesBuilders(t *testing.T) {
 	t.Parallel()
 	base := smallConfig(virus.Virus1())
-	gb := base
-	gb.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
+	er := base
+	er.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 		return graph.ErdosRenyi(base.Population, 0.1, src)
 	}
-	cb := base
-	cb.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
+	ba := base
+	ba.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 		return graph.BarabasiAlbertCSR(base.Population, 3, src)
 	}
 	tab := NewTopologyTable()
-	for _, cfg := range []Config{gb, cb} {
+	for _, cfg := range []Config{er, ba} {
 		a, err := tab.topology(cfg, 1, graphStream(1))
 		if err != nil {
 			t.Fatal(err)

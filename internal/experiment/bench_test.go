@@ -151,8 +151,8 @@ func TestSweepDistributedPins(t *testing.T) {
 	var sr *SweepResult
 	allocs := testing.AllocsPerRun(1, func() { prog, sr = op() })
 	t.Logf("%.0f allocs, progress %+v", allocs, prog)
-	if !raceEnabled && allocs > 5_511+6 {
-		t.Errorf("%.0f allocs per distributed sweep, want at most %d", allocs, 5_511+6)
+	if !raceEnabled && allocs > 5_498+5 {
+		t.Errorf("%.0f allocs per distributed sweep, want at most %d", allocs, 5_498+5)
 	}
 	if prog.Retried != 0 {
 		t.Errorf("%d units retried, want 0", prog.Retried)

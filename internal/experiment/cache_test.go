@@ -111,8 +111,8 @@ func TestCacheNeverStoresFailures(t *testing.T) {
 	t.Parallel()
 	cfg := Scale{Factor: 20}.paperConfig(virus.Virus1())
 	buildErr := errors.New("graph build rigged to fail")
-	cfg.GraphBuilder = func(*rng.Source) (*graph.Graph, error) { return nil, buildErr }
-	// GraphBuilder makes the real fingerprint opaque; hand-build a
+	cfg.CSRBuilder = func(*rng.Source) (*graph.CSR, error) { return nil, buildErr }
+	// CSRBuilder makes the real fingerprint opaque; hand-build a
 	// cacheable one to force the failing run through the caching path.
 	fp := Fingerprint{ok: true}
 	cache := NewReplicationCache()

@@ -29,7 +29,7 @@ import (
 //     opt-in contract that a mechanism's behaviour is fully captured by a
 //     parameter string.
 //
-// Anything opaque — a GraphBuilder or PostRun func, a foreign Dist
+// Anything opaque — a CSRBuilder or PostRun func, a foreign Dist
 // implementation, a factory whose product is not describable — makes the
 // config uncacheable rather than guessably hashable. Uncacheable configs
 // always run; they only forgo result sharing.
@@ -90,9 +90,6 @@ func ConfigFingerprint(cfg core.Config) Fingerprint {
 	w.field("population", strconv.Itoa(cfg.Population))
 	w.field("susceptible", hexFloat(cfg.SusceptibleFraction))
 
-	if cfg.GraphBuilder != nil {
-		w.opaque("graph-builder func")
-	}
 	if cfg.CSRBuilder != nil {
 		w.opaque("csr-builder func")
 	}

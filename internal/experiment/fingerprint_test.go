@@ -110,9 +110,6 @@ func TestFingerprintOpaque(t *testing.T) {
 		mutate func(*core.Config)
 		want   string
 	}{
-		"graph-builder": {func(c *core.Config) {
-			c.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) { return nil, nil }
-		}, "graph-builder"},
 		"csr-builder": {func(c *core.Config) {
 			c.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) { return nil, nil }
 		}, "csr-builder"},

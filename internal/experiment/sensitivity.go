@@ -75,7 +75,7 @@ func SensitivityTopology(s Scale, v virus.Config) Figure {
 	er := s.paperConfig(v)
 	meanDeg := er.Graph.MeanDegree
 	pop := er.Population
-	er.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
+	er.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 		return graph.ErdosRenyi(pop, meanDeg/float64(pop-1), src)
 	}
 	fig.Series = append(fig.Series, Series{Label: "Erdos-Renyi", Config: er})
@@ -86,7 +86,7 @@ func SensitivityTopology(s Scale, v virus.Config) Figure {
 	if k%2 == 1 {
 		k++
 	}
-	ws.GraphBuilder = func(src *rng.Source) (*graph.Graph, error) {
+	ws.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 		return graph.WattsStrogatz(wsPop, k, 0.1, src)
 	}
 	fig.Series = append(fig.Series, Series{Label: "Watts-Strogatz", Config: ws})

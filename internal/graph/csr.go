@@ -90,23 +90,10 @@ func (c *CSR) Validate() error {
 	return nil
 }
 
-// FromGraph converts a map-free but slice-per-node Graph into CSR form.
-// Graph adjacency is already sorted, so rows copy over verbatim.
-func FromGraph(g *Graph) *CSR {
-	n := g.N()
-	offsets := make([]uint32, n+1)
-	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + uint32(g.Degree(u))
-	}
-	targets := make([]uint32, offsets[n])
-	for u := 0; u < n; u++ {
-		row := targets[offsets[u]:offsets[u+1]]
-		for i, v := range g.Neighbors(u) {
-			row[i] = uint32(v)
-		}
-	}
-	return &CSR{offsets: offsets, targets: targets}
-}
+// FromGraph returns c unchanged. It is kept only because the benchmark
+// module calls it on PowerLaw's result (perfbench/paper.go:299), and that
+// module changes only with the benchmark itself; delete it then.
+func FromGraph(c *CSR) *CSR { return c }
 
 // CSRBuilder accumulates a streamed sequence of undirected edges and
 // finalizes them into a CSR. The builder holds each edge once as a flat

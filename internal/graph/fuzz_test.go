@@ -42,8 +42,8 @@ func FuzzReadContactLists(f *testing.F) {
 // FuzzCSRBuilder decodes the input into a node count (first byte) and an
 // arbitrary edge list (byte pairs, endpoints up to one past the last node),
 // in any order and with duplicates allowed. Finalize must succeed exactly
-// when Graph.AddEdge accepts every edge, and then equal FromGraph of that
-// graph, offsets and targets alike.
+// when the generators' sorted-row adjacency accepts every edge, and then
+// equal that adjacency's CSR, offsets and targets alike.
 func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 0, 2, 1, 2})
 	f.Add([]byte{4, 0, 1, 0, 2, 0, 1})
@@ -57,18 +57,15 @@ func FuzzCSRBuilder(f *testing.F) {
 			return
 		}
 		n := int(data[0] % 32)
-		g, err := NewGraph(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := newAdjList(n)
 		b, err := NewCSRBuilder(n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		graphOK, builderOK := true, true
+		adjOK, builderOK := true, true
 		for i := 1; i+1 < len(data); i += 2 {
 			u, v := int(data[i])%(n+1), int(data[i+1])%(n+1)
-			graphOK = g.AddEdge(u, v) == nil && graphOK
+			adjOK = a.addEdge(u, v) == nil && adjOK
 			builderOK = b.AddEdge(u, v) == nil && builderOK
 		}
 		var c *CSR
@@ -76,15 +73,15 @@ func FuzzCSRBuilder(f *testing.F) {
 			c, err = b.Finalize()
 			builderOK = err == nil
 		}
-		if graphOK != builderOK {
-			t.Fatalf("Graph accepts every edge: %v; builder and Finalize: %v (err %v)", graphOK, builderOK, err)
+		if adjOK != builderOK {
+			t.Fatalf("adjacency accepts every edge: %v; builder and Finalize: %v (err %v)", adjOK, builderOK, err)
 		}
-		if !graphOK {
+		if !adjOK {
 			return
 		}
-		want := FromGraph(g)
+		want := a.csr()
 		if !slices.Equal(c.offsets, want.offsets) || !slices.Equal(c.targets, want.targets) {
-			t.Fatalf("Finalize gave offsets %v targets %v; FromGraph gave %v %v", c.offsets, c.targets, want.offsets, want.targets)
+			t.Fatalf("Finalize gave offsets %v targets %v; the adjacency gave %v %v", c.offsets, c.targets, want.offsets, want.targets)
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)

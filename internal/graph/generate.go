@@ -78,7 +78,7 @@ func (c PowerLawConfig) validate() error {
 // of the target. This reproduces the properties the paper needed from NGCE:
 // reciprocity, heavy-tailed contact-list sizes, and a controlled mean list
 // size.
-func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
+func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*CSR, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -98,11 +98,7 @@ func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 	}
 
 	degrees := samplePowerLawDegrees(cfg.N, cfg.MeanDegree, cfg.Exponent, minDeg, maxDeg, src)
-
-	g, err := NewGraph(cfg.N)
-	if err != nil {
-		return nil, err
-	}
+	g := newAdjList(cfg.N)
 
 	// Configuration model: build the stub list and pair uniformly.
 	stubs := make([]int32, 0)
@@ -117,13 +113,13 @@ func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 	src.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := int(stubs[i]), int(stubs[i+1])
-		if u == v || g.HasEdge(u, v) {
+		if u == v || g.hasEdge(u, v) {
 			continue // discard; topped up below
 		}
-		if g.Degree(u) >= maxDeg || g.Degree(v) >= maxDeg {
+		if g.degree(u) >= maxDeg || g.degree(v) >= maxDeg {
 			continue
 		}
-		if err := g.AddEdge(u, v); err != nil {
+		if err := g.addEdge(u, v); err != nil {
 			return nil, err
 		}
 	}
@@ -133,14 +129,14 @@ func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 	wantEdges := int(math.Round(cfg.MeanDegree * float64(cfg.N) / 2))
 	attempts := 0
 	maxAttempts := 50 * wantEdges
-	for g.M() < wantEdges && attempts < maxAttempts {
+	for g.m < wantEdges && attempts < maxAttempts {
 		attempts++
 		u := src.Intn(cfg.N)
 		v := src.Intn(cfg.N)
-		if u == v || g.HasEdge(u, v) || g.Degree(u) >= maxDeg || g.Degree(v) >= maxDeg {
+		if u == v || g.hasEdge(u, v) || g.degree(u) >= maxDeg || g.degree(v) >= maxDeg {
 			continue
 		}
-		if err := g.AddEdge(u, v); err != nil {
+		if err := g.addEdge(u, v); err != nil {
 			return nil, err
 		}
 	}
@@ -148,22 +144,23 @@ func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 	// Floor: connect any node below the minimum degree to random partners.
 	for u := 0; u < cfg.N; u++ {
 		guard := 0
-		for g.Degree(u) < minDeg && guard < 10*cfg.N {
+		for g.degree(u) < minDeg && guard < 10*cfg.N {
 			guard++
 			v := src.Intn(cfg.N)
-			if v == u || g.HasEdge(u, v) || g.Degree(v) >= maxDeg {
+			if v == u || g.hasEdge(u, v) || g.degree(v) >= maxDeg {
 				continue
 			}
-			if err := g.AddEdge(u, v); err != nil {
+			if err := g.addEdge(u, v); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	if err := g.Validate(); err != nil {
+	c := g.csr()
+	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("power-law generator: %w", err)
 	}
-	return g, nil
+	return c, nil
 }
 
 // powerLawLocal wires a power-law degree sequence with social locality:
@@ -173,7 +170,7 @@ func PowerLaw(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 // sizes while exhibiting the high clustering and multi-hop diameter of real
 // social networks — the regime in which the paper's multi-day infection
 // curves arise.
-func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
+func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*CSR, error) {
 	maxDeg := cfg.MaxDegree
 	if maxDeg == 0 || maxDeg > cfg.N-1 {
 		maxDeg = cfg.N - 1
@@ -193,10 +190,7 @@ func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 	// Each phone contributes half its target degree as "initiated" links;
 	// the other half arrives from neighbors initiating toward it.
 	degrees := samplePowerLawDegrees(cfg.N, cfg.MeanDegree, cfg.Exponent, minDeg, maxDeg, src)
-	g, err := NewGraph(cfg.N)
-	if err != nil {
-		return nil, err
-	}
+	g := newAdjList(cfg.N)
 	n := cfg.N
 	for u := 0; u < n; u++ {
 		initiate := (degrees[u] + 1) / 2
@@ -210,10 +204,10 @@ func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 			for guard < 20 {
 				guard++
 				v := src.Intn(n)
-				if v == u || g.HasEdge(u, v) || g.Degree(v) >= maxDeg {
+				if v == u || g.hasEdge(u, v) || g.degree(v) >= maxDeg {
 					continue
 				}
-				if err := g.AddEdge(u, v); err != nil {
+				if err := g.addEdge(u, v); err != nil {
 					return nil, err
 				}
 				break
@@ -223,7 +217,7 @@ func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 		// Local links: walk outward along the ring.
 		for offset := 1; placed < initiate && offset < n; offset++ {
 			v := (u + offset) % n
-			if v == u || g.HasEdge(u, v) || g.Degree(v) >= maxDeg {
+			if v == u || g.hasEdge(u, v) || g.degree(v) >= maxDeg {
 				continue
 			}
 			if src.Bool(longRange) {
@@ -232,17 +226,17 @@ func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 				for guard < 20 {
 					guard++
 					w := src.Intn(n)
-					if w == u || g.HasEdge(u, w) || g.Degree(w) >= maxDeg {
+					if w == u || g.hasEdge(u, w) || g.degree(w) >= maxDeg {
 						continue
 					}
 					v = w
 					break
 				}
 			}
-			if v == u || g.HasEdge(u, v) || g.Degree(v) >= maxDeg {
+			if v == u || g.hasEdge(u, v) || g.degree(v) >= maxDeg {
 				continue
 			}
-			if err := g.AddEdge(u, v); err != nil {
+			if err := g.addEdge(u, v); err != nil {
 				return nil, err
 			}
 			placed++
@@ -250,20 +244,21 @@ func powerLawLocal(cfg PowerLawConfig, src *rng.Source) (*Graph, error) {
 	}
 	// Floor: any phone below the minimum degree gets local partners.
 	for u := 0; u < n; u++ {
-		for offset := 1; g.Degree(u) < minDeg && offset < n; offset++ {
+		for offset := 1; g.degree(u) < minDeg && offset < n; offset++ {
 			v := (u + offset) % n
-			if v == u || g.HasEdge(u, v) {
+			if v == u || g.hasEdge(u, v) {
 				continue
 			}
-			if err := g.AddEdge(u, v); err != nil {
+			if err := g.addEdge(u, v); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := g.Validate(); err != nil {
+	c := g.csr()
+	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("power-law local generator: %w", err)
 	}
-	return g, nil
+	return c, nil
 }
 
 // samplePowerLawDegrees draws a degree sequence proportional to k^-gamma on
@@ -311,8 +306,9 @@ func samplePowerLawDegrees(n int, mean, gamma float64, minDeg, maxDeg int, src *
 }
 
 // ErdosRenyi generates G(n, p): each of the n(n-1)/2 possible edges is
-// present independently with probability p.
-func ErdosRenyi(n int, p float64, src *rng.Source) (*Graph, error) {
+// present independently with probability p. Nothing is rejected, so the
+// edges stream straight into a CSRBuilder, each row in ascending order.
+func ErdosRenyi(n int, p float64, src *rng.Source) (*CSR, error) {
 	if n < 0 {
 		return nil, errors.New("graph: negative node count")
 	}
@@ -322,42 +318,27 @@ func ErdosRenyi(n int, p float64, src *rng.Source) (*Graph, error) {
 	if src == nil {
 		return nil, errors.New("graph: nil rng source")
 	}
-	g, err := NewGraph(n)
+	b, err := NewCSRBuilder(n, int(p*float64(n)*float64(n-1)/2))
 	if err != nil {
 		return nil, err
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if src.Bool(p) {
-				if err := g.AddEdge(u, v); err != nil {
+				if err := b.AddEdge(u, v); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	return g, nil
+	return b.Finalize()
 }
 
-// BarabasiAlbert generates a preferential-attachment graph: starting from a
-// clique of m+1 nodes, each new node attaches to m existing nodes chosen
-// with probability proportional to degree. The result has a power-law tail
-// with exponent ~3 and mean degree ~2m.
-func BarabasiAlbert(n, m int, src *rng.Source) (*Graph, error) {
-	g, err := NewGraph(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := barabasiAlbertStream(n, m, src, g.AddEdge); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// BarabasiAlbertCSR generates the same preferential-attachment topology
-// directly into CSR form: the edge stream feeds a CSRBuilder, so no per-node
-// edge maps or adjacency slices ever materialize. For a fixed source state it
-// consumes exactly the draws BarabasiAlbert consumes and produces the
-// identical graph (pinned by TestCSRMatchesGraphAdjacency).
+// BarabasiAlbertCSR generates a preferential-attachment graph: starting
+// from a clique of m+1 nodes, each new node attaches to m existing nodes
+// chosen with probability proportional to degree. The result has a
+// power-law tail with exponent ~3 and mean degree ~2m. The edge stream
+// feeds a CSRBuilder, so no per-node adjacency slices ever materialize.
 func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
 	edges := m*(m+1)/2 + (n-m-1)*m
 	b, err := NewCSRBuilder(n, edges)
@@ -370,11 +351,9 @@ func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
 	return b.Finalize()
 }
 
-// barabasiAlbertStream is the shared Barabási–Albert edge stream: it emits
-// the seed clique, then each new node's attachments in ascending target
-// order. Both the Graph and the CSR builders consume this one stream, which
-// is what guarantees they draw from src identically and wire identical
-// topologies.
+// barabasiAlbertStream is the Barabási–Albert edge stream: it emits the
+// seed clique, then each new node's attachments in ascending target order,
+// so every row reaches the CSRBuilder already sorted.
 func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) error {
 	if m < 1 {
 		return errors.New("graph: Barabási–Albert needs m >= 1")
@@ -452,7 +431,7 @@ func insertNew(chosen []int32, v int32) []int32 {
 // WattsStrogatz generates a small-world ring lattice of n nodes, each linked
 // to its k nearest neighbors (k even), with each edge rewired with
 // probability beta.
-func WattsStrogatz(n, k int, beta float64, src *rng.Source) (*Graph, error) {
+func WattsStrogatz(n, k int, beta float64, src *rng.Source) (*CSR, error) {
 	if n <= 0 {
 		return nil, errors.New("graph: Watts–Strogatz needs n > 0")
 	}
@@ -465,10 +444,7 @@ func WattsStrogatz(n, k int, beta float64, src *rng.Source) (*Graph, error) {
 	if src == nil {
 		return nil, errors.New("graph: nil rng source")
 	}
-	g, err := NewGraph(n)
-	if err != nil {
-		return nil, err
-	}
+	g := newAdjList(n)
 	for u := 0; u < n; u++ {
 		for j := 1; j <= k/2; j++ {
 			v := (u + j) % n
@@ -479,19 +455,19 @@ func WattsStrogatz(n, k int, beta float64, src *rng.Source) (*Graph, error) {
 				for guard < 10*n {
 					guard++
 					w := src.Intn(n)
-					if w != u && !g.HasEdge(u, w) {
+					if w != u && !g.hasEdge(u, w) {
 						target = w
 						break
 					}
 				}
 			}
-			if target == u || g.HasEdge(u, target) {
+			if target == u || g.hasEdge(u, target) {
 				continue
 			}
-			if err := g.AddEdge(u, target); err != nil {
+			if err := g.addEdge(u, target); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return g, nil
+	return g.csr(), nil
 }

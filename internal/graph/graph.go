@@ -4,164 +4,81 @@
 // power-law configuration model with reciprocal contact lists, plus
 // Barabási–Albert, Erdős–Rényi, and Watts–Strogatz generators for
 // topology-sensitivity studies, degree/clustering/component metrics, and an
-// NGCE-style contact-list file format.
+// NGCE-style contact-list file format. Every topology is a CSR.
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
 
-// Graph is a simple undirected graph over nodes 0..N-1. Adjacency lists are
-// kept sorted, model contact lists directly, and are reciprocal by
-// construction: u appears in v's list iff v appears in u's.
-type Graph struct {
-	adj [][]int32
+// adjList is a generator's scratch adjacency: one sorted row per node, so
+// the accept/reject tests a generator makes while wiring (hasEdge, degree)
+// see every edge placed so far, plus an edge count. A generator finalizes
+// it into a CSR once, with csr.
+type adjList struct {
+	rows [][]int32
+	m    int
 }
 
-// NewGraph returns an empty graph with n nodes. n must be non-negative.
-func NewGraph(n int) (*Graph, error) {
-	if n < 0 {
-		return nil, errors.New("graph: negative node count")
-	}
-	return &Graph{adj: make([][]int32, n)}, nil
+// newAdjList returns an empty adjacency over n nodes; n must be
+// non-negative.
+func newAdjList(n int) *adjList {
+	return &adjList{rows: make([][]int32, n)}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+// degree returns the degree of node u.
+func (a *adjList) degree(u int) int { return len(a.rows[u]) }
 
-// M returns the number of undirected edges.
-func (g *Graph) M() int {
-	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
-	}
-	return total / 2
+// hasEdge reports whether the undirected edge {u, v} exists.
+func (a *adjList) hasEdge(u, v int) bool {
+	row := a.rows[u]
+	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(v) })
+	return i < len(row) && row[i] == int32(v)
 }
 
-// Degree returns the degree of node u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
-// Neighbors returns node u's sorted contact list. The returned slice is
-// owned by the graph; callers must not modify it. Use NeighborsCopy for a
-// mutable copy.
-func (g *Graph) Neighbors(u int) []int32 { return g.adj[u] }
-
-// NeighborsCopy returns a copy of node u's contact list.
-func (g *Graph) NeighborsCopy(u int) []int32 {
-	return append([]int32(nil), g.adj[u]...)
-}
-
-// HasEdge reports whether the undirected edge {u, v} exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	nbrs := g.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= int32(v) })
-	return i < len(nbrs) && nbrs[i] == int32(v)
-}
-
-// AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate edges
-// are rejected with an error, preserving the simple-graph invariant.
-func (g *Graph) AddEdge(u, v int) error {
+// addEdge inserts the undirected edge {u, v}. Self-loops, out-of-range
+// endpoints and duplicate edges are rejected with an error, preserving the
+// simple-graph invariant.
+func (a *adjList) addEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop on node %d", u)
 	}
-	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, len(g.adj))
+	if u < 0 || v < 0 || u >= len(a.rows) || v >= len(a.rows) {
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, len(a.rows))
 	}
-	if g.HasEdge(u, v) {
+	if a.hasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
 	}
-	g.insert(u, int32(v))
-	g.insert(v, int32(u))
+	a.insert(u, int32(v))
+	a.insert(v, int32(u))
+	a.m++
 	return nil
 }
 
-func (g *Graph) insert(u int, v int32) {
-	nbrs := g.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	nbrs = append(nbrs, 0)
-	copy(nbrs[i+1:], nbrs[i:])
-	nbrs[i] = v
-	g.adj[u] = nbrs
+func (a *adjList) insert(u int, v int32) {
+	row := a.rows[u]
+	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
+	row = append(row, 0)
+	copy(row[i+1:], row[i:])
+	row[i] = v
+	a.rows[u] = row
 }
 
-// Degrees returns the degree sequence indexed by node.
-func (g *Graph) Degrees() []int {
-	out := make([]int, len(g.adj))
-	for u, nbrs := range g.adj {
-		out[u] = len(nbrs)
+// csr copies the adjacency into CSR form. Rows are already sorted, so they
+// copy over verbatim.
+func (a *adjList) csr() *CSR {
+	n := len(a.rows)
+	offsets := make([]uint32, n+1)
+	for u, row := range a.rows {
+		offsets[u+1] = offsets[u] + uint32(len(row))
 	}
-	return out
-}
-
-// MeanDegree returns the average degree (0 for an empty graph).
-func (g *Graph) MeanDegree() float64 {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	return 2 * float64(g.M()) / float64(len(g.adj))
-}
-
-// Validate checks the structural invariants: sorted adjacency, reciprocity,
-// no self-loops, no duplicates. Generators call it before returning.
-func (g *Graph) Validate() error {
-	for u, nbrs := range g.adj {
-		for i, v := range nbrs {
-			if int(v) == u {
-				return fmt.Errorf("graph: node %d has a self-loop", u)
-			}
-			if v < 0 || int(v) >= len(g.adj) {
-				return fmt.Errorf("graph: node %d lists out-of-range neighbor %d", u, v)
-			}
-			if i > 0 && nbrs[i-1] >= v {
-				return fmt.Errorf("graph: node %d adjacency unsorted or duplicated at %d", u, v)
-			}
-			if !g.HasEdge(int(v), u) {
-				return fmt.Errorf("graph: edge {%d,%d} is not reciprocal", u, v)
-			}
+	targets := make([]uint32, offsets[n])
+	for u, row := range a.rows {
+		out := targets[offsets[u]:offsets[u+1]]
+		for i, v := range row {
+			out[i] = uint32(v)
 		}
 	}
-	return nil
-}
-
-// Components returns the connected components as slices of node ids, largest
-// first.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, len(g.adj))
-	var comps [][]int
-	queue := make([]int, 0, len(g.adj))
-	for start := range g.adj {
-		if seen[start] {
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, start)
-		seen[start] = true
-		comp := []int{start}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, int(v))
-					comp = append(comp, int(v))
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
-	return comps
-}
-
-// GiantComponentFraction returns the fraction of nodes in the largest
-// connected component (0 for an empty graph).
-func (g *Graph) GiantComponentFraction() float64 {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	comps := g.Components()
-	return float64(len(comps[0])) / float64(len(g.adj))
+	return &CSR{offsets: offsets, targets: targets}
 }

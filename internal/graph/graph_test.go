@@ -9,125 +9,93 @@ import (
 	"repro/internal/rng"
 )
 
-func TestNewGraph(t *testing.T) {
-	t.Parallel()
-
-	g, err := NewGraph(5)
+// csrOf builds the CSR over n nodes with the given edges.
+func csrOf(t *testing.T, n int, edges [][2]int) *CSR {
+	t.Helper()
+	b, err := NewCSRBuilder(n, len(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 5 || g.M() != 0 {
-		t.Errorf("N=%d M=%d, want 5, 0", g.N(), g.M())
-	}
-	if _, err := NewGraph(-1); err == nil {
-		t.Error("negative node count accepted")
-	}
-}
-
-func TestAddEdgeAndInvariants(t *testing.T) {
-	t.Parallel()
-
-	g, err := NewGraph(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := [][2]int{{0, 1}, {1, 2}, {0, 3}, {2, 3}}
 	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if g.M() != 4 {
-		t.Errorf("M = %d, want 4", g.M())
+	c, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !g.HasEdge(1, 0) || !g.HasEdge(3, 2) {
-		t.Error("edges not reciprocal via HasEdge")
+	return c
+}
+
+// The generators' scratch adjacency keeps rows reciprocal and counts edges
+// as it goes; its CSR satisfies every invariant.
+func TestAddEdgeAndInvariants(t *testing.T) {
+	t.Parallel()
+
+	a := newAdjList(4)
+	edges := [][2]int{{0, 1}, {1, 2}, {0, 3}, {2, 3}}
+	for _, e := range edges {
+		if err := a.addEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if g.HasEdge(1, 3) {
+	if a.m != 4 {
+		t.Errorf("m = %d, want 4", a.m)
+	}
+	if !a.hasEdge(1, 0) || !a.hasEdge(3, 2) {
+		t.Error("edges not reciprocal via hasEdge")
+	}
+	if a.hasEdge(1, 3) {
 		t.Error("phantom edge reported")
 	}
-	if err := g.Validate(); err != nil {
+	c := a.csr()
+	if err := c.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+	if c.M() != 4 {
+		t.Errorf("CSR M = %d, want 4", c.M())
 	}
 }
 
 func TestAddEdgeRejections(t *testing.T) {
 	t.Parallel()
 
-	g, err := NewGraph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 1); err == nil {
+	a := newAdjList(3)
+	if err := a.addEdge(1, 1); err == nil {
 		t.Error("self-loop accepted")
 	}
-	if err := g.AddEdge(0, 3); err == nil {
+	if err := a.addEdge(0, 3); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
-	if err := g.AddEdge(-1, 0); err == nil {
+	if err := a.addEdge(-1, 0); err == nil {
 		t.Error("negative node accepted")
 	}
-	if err := g.AddEdge(0, 1); err != nil {
+	if err := a.addEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(1, 0); err == nil {
+	if err := a.addEdge(1, 0); err == nil {
 		t.Error("duplicate edge accepted")
 	}
-}
-
-func TestNeighborsSortedAndCopied(t *testing.T) {
-	t.Parallel()
-
-	g, err := NewGraph(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int{3, 1, 4, 2} {
-		if err := g.AddEdge(0, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nbrs := g.Neighbors(0)
-	for i := 1; i < len(nbrs); i++ {
-		if nbrs[i-1] >= nbrs[i] {
-			t.Fatalf("neighbors unsorted: %v", nbrs)
-		}
-	}
-	cp := g.NeighborsCopy(0)
-	cp[0] = 99
-	if g.Neighbors(0)[0] == 99 {
-		t.Error("NeighborsCopy aliases internal storage")
+	if a.m != 1 {
+		t.Errorf("m = %d after rejections, want 1", a.m)
 	}
 }
 
 func TestDegreesAndMeanDegree(t *testing.T) {
 	t.Parallel()
 
-	g, err := NewGraph(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	ds := g.Degrees()
+	g := csrOf(t, 4, [][2]int{{0, 1}, {0, 2}})
 	want := []int{2, 1, 1, 0}
-	for i := range want {
-		if ds[i] != want[i] {
-			t.Errorf("degree[%d] = %d, want %d", i, ds[i], want[i])
+	for u := range want {
+		if d := g.Degree(u); d != want[u] {
+			t.Errorf("degree[%d] = %d, want %d", u, d, want[u])
 		}
 	}
 	if g.MeanDegree() != 1 {
 		t.Errorf("MeanDegree = %v, want 1", g.MeanDegree())
 	}
-	empty, err := NewGraph(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.MeanDegree() != 0 {
+	if empty := csrOf(t, 0, nil); empty.MeanDegree() != 0 {
 		t.Error("empty graph mean degree not 0")
 	}
 }
@@ -135,16 +103,8 @@ func TestDegreesAndMeanDegree(t *testing.T) {
 func TestComponents(t *testing.T) {
 	t.Parallel()
 
-	g, err := NewGraph(6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Component {0,1,2}, component {3,4}, isolated {5}.
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := csrOf(t, 6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3", len(comps))
@@ -292,7 +252,7 @@ func TestErdosRenyi(t *testing.T) {
 func TestBarabasiAlbert(t *testing.T) {
 	t.Parallel()
 
-	g, err := BarabasiAlbert(300, 4, rng.New(5))
+	g, err := BarabasiAlbertCSR(300, 4, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,13 +266,13 @@ func TestBarabasiAlbert(t *testing.T) {
 	if frac := g.GiantComponentFraction(); frac != 1 {
 		t.Errorf("BA graph not connected: %v", frac)
 	}
-	if _, err := BarabasiAlbert(3, 4, rng.New(1)); err == nil {
+	if _, err := BarabasiAlbertCSR(3, 4, rng.New(1)); err == nil {
 		t.Error("n < m+1 accepted")
 	}
-	if _, err := BarabasiAlbert(10, 0, rng.New(1)); err == nil {
+	if _, err := BarabasiAlbertCSR(10, 0, rng.New(1)); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := BarabasiAlbert(10, 2, nil); err == nil {
+	if _, err := BarabasiAlbertCSR(10, 2, nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }
@@ -324,7 +284,7 @@ func TestBarabasiAlbertDeterministic(t *testing.T) {
 	t.Parallel()
 
 	adjacency := func() string {
-		g, err := BarabasiAlbert(120, 3, rng.New(7))
+		g, err := BarabasiAlbertCSR(120, 3, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +297,7 @@ func TestBarabasiAlbertDeterministic(t *testing.T) {
 	first := adjacency()
 	for i := 0; i < 4; i++ {
 		if again := adjacency(); again != first {
-			t.Fatalf("run %d: BarabasiAlbert(120, 3, seed 7) produced a different graph", i+2)
+			t.Fatalf("run %d: BarabasiAlbertCSR(120, 3, seed 7) produced a different graph", i+2)
 		}
 	}
 }
@@ -375,16 +335,7 @@ func TestWattsStrogatz(t *testing.T) {
 func TestDegreeHistogram(t *testing.T) {
 	t.Parallel()
 
-	g, err := NewGraph(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
+	g := csrOf(t, 4, [][2]int{{0, 1}, {0, 2}})
 	h := g.DegreeHistogram()
 	// degrees: 2,1,1,0 -> hist[0]=1, hist[1]=2, hist[2]=1
 	if h[0] != 1 || h[1] != 2 || h[2] != 1 {
@@ -396,29 +347,12 @@ func TestClusteringCoefficient(t *testing.T) {
 	t.Parallel()
 
 	// Triangle: clustering = 1.
-	tri, err := NewGraph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		if err := tri.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tri := csrOf(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 	if c := tri.ClusteringCoefficient(); c != 1 {
 		t.Errorf("triangle clustering = %v, want 1", c)
 	}
 	// Path 0-1-2: no triangles.
-	path, err := NewGraph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := path.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := path.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
+	path := csrOf(t, 3, [][2]int{{0, 1}, {1, 2}})
 	if c := path.ClusteringCoefficient(); c != 0 {
 		t.Errorf("path clustering = %v, want 0", c)
 	}
@@ -428,26 +362,14 @@ func TestMeanShortestPathSample(t *testing.T) {
 	t.Parallel()
 
 	// Path graph 0-1-2-3: BFS from all sources.
-	g, err := NewGraph(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := csrOf(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	got := g.MeanShortestPathSample(4)
 	// Sum over ordered pairs: (1+2+3)+(1+1+2)+(2+1+1)+(3+2+1)=20 over 12 pairs.
 	want := 20.0 / 12.0
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("mean path = %v, want %v", got, want)
 	}
-	empty, err := NewGraph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.MeanShortestPathSample(3) != 0 {
+	if empty := csrOf(t, 3, nil); empty.MeanShortestPathSample(3) != 0 {
 		t.Error("edgeless graph mean path not 0")
 	}
 }
@@ -456,15 +378,7 @@ func TestDegreeAssortativityRegularGraph(t *testing.T) {
 	t.Parallel()
 
 	// A cycle is degree-regular: assortativity undefined (zero variance).
-	g, err := NewGraph(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := g.AddEdge(i, (i+1)%5); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := csrOf(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
 	if r := g.DegreeAssortativity(); !isNaN(r) {
 		t.Errorf("regular-graph assortativity = %v, want NaN", r)
 	}
@@ -573,8 +487,8 @@ func TestQuickPowerLawInvariants(t *testing.T) {
 			return false
 		}
 		sum := 0
-		for _, d := range g.Degrees() {
-			sum += d
+		for u := 0; u < g.N(); u++ {
+			sum += g.Degree(u)
 		}
 		return sum%2 == 0 && sum == 2*g.M()
 	}

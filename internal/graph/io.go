@@ -8,26 +8,26 @@ import (
 	"strings"
 )
 
-// WriteContactLists writes the graph in the NGCE-style contact-list format
+// WriteContactLists writes the topology in the NGCE-style contact-list format
 // the paper's Möbius model consumed: a header line with the node count, then
 // one line per node of the form
 //
 //	<node>: <neighbor> <neighbor> ...
 //
 // Lines are emitted for every node, including isolated ones.
-func (g *Graph) WriteContactLists(w io.Writer) error {
+func (c *CSR) WriteContactLists(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# contact lists: %d phones, %d links\n", g.N(), g.M()); err != nil {
+	if _, err := fmt.Fprintf(bw, "# contact lists: %d phones, %d links\n", c.N(), c.M()); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(bw, "%d\n", g.N()); err != nil {
+	if _, err := fmt.Fprintf(bw, "%d\n", c.N()); err != nil {
 		return err
 	}
-	for u := 0; u < g.N(); u++ {
+	for u := 0; u < c.N(); u++ {
 		if _, err := fmt.Fprintf(bw, "%d:", u); err != nil {
 			return err
 		}
-		for _, v := range g.adj[u] {
+		for _, v := range c.Neighbors(u) {
 			if _, err := fmt.Fprintf(bw, " %d", v); err != nil {
 				return err
 			}
@@ -45,12 +45,12 @@ const MaxContactListNodes = 1_000_000
 
 // ReadContactLists parses the format written by WriteContactLists. It
 // validates reciprocity and simple-graph invariants before returning.
-func ReadContactLists(r io.Reader) (*Graph, error) {
+func ReadContactLists(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 
 	var (
-		g        *Graph
+		b        *CSRBuilder // nil until the node-count header
 		directed = make(map[[2]int]struct{})
 	)
 	lineNo := 0
@@ -60,7 +60,7 @@ func ReadContactLists(r io.Reader) (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if g == nil {
+		if b == nil {
 			n, err := strconv.Atoi(line)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q: %w", lineNo, line, err)
@@ -68,7 +68,7 @@ func ReadContactLists(r io.Reader) (*Graph, error) {
 			if n > MaxContactListNodes {
 				return nil, fmt.Errorf("graph: line %d: node count %d exceeds limit %d", lineNo, n, MaxContactListNodes)
 			}
-			g, err = NewGraph(n)
+			b, err = NewCSRBuilder(n, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +82,7 @@ func ReadContactLists(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad node id %q: %w", lineNo, head, err)
 		}
-		if u < 0 || u >= g.N() {
+		if u < 0 || u >= b.n {
 			return nil, fmt.Errorf("graph: line %d: node %d out of range", lineNo, u)
 		}
 		for _, f := range strings.Fields(rest) {
@@ -90,7 +90,7 @@ func ReadContactLists(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad neighbor %q: %w", lineNo, f, err)
 			}
-			if v < 0 || v >= g.N() {
+			if v < 0 || v >= b.n {
 				return nil, fmt.Errorf("graph: line %d: neighbor %d out of range", lineNo, v)
 			}
 			if v == u {
@@ -106,23 +106,28 @@ func ReadContactLists(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read contact lists: %w", err)
 	}
-	if g == nil {
+	if b == nil {
 		return nil, fmt.Errorf("graph: empty contact-list input")
 	}
 	// Reciprocity: every directed pair must have its mirror, mirroring the
-	// paper's reciprocal contact lists.
+	// paper's reciprocal contact lists. Finalize sorts the rows, so the
+	// map's order does not reach the result.
 	for key := range directed {
 		if _, ok := directed[[2]int{key[1], key[0]}]; !ok {
 			return nil, fmt.Errorf("graph: contact lists not reciprocal: %d lists %d but not vice versa", key[0], key[1])
 		}
 		if key[0] < key[1] {
-			if err := g.AddEdge(key[0], key[1]); err != nil {
+			if err := b.AddEdge(key[0], key[1]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := g.Validate(); err != nil {
+	c, err := b.Finalize()
+	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }

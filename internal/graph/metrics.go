@@ -5,17 +5,57 @@ import (
 	"sort"
 )
 
-// DegreeHistogram returns counts[d] = number of nodes of degree d.
-func (g *Graph) DegreeHistogram() []int {
-	maxDeg := 0
-	for _, nbrs := range g.adj {
-		if len(nbrs) > maxDeg {
-			maxDeg = len(nbrs)
+// Components returns the connected components as slices of node ids, largest
+// first.
+func (c *CSR) Components() [][]int {
+	n := c.N()
+	seen := make([]bool, n)
+	var comps [][]int
+	queue := make([]int, 0, n)
+	for start := 0; start < n; start++ {
+		if seen[start] {
+			continue
 		}
+		queue = queue[:0]
+		queue = append(queue, start)
+		seen[start] = true
+		comp := []int{start}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range c.Neighbors(u) {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, int(v))
+					comp = append(comp, int(v))
+				}
+			}
+		}
+		comps = append(comps, comp)
+	}
+	sort.Slice(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
+	return comps
+}
+
+// GiantComponentFraction returns the fraction of nodes in the largest
+// connected component (0 for an empty graph).
+func (c *CSR) GiantComponentFraction() float64 {
+	if c.N() == 0 {
+		return 0
+	}
+	comps := c.Components()
+	return float64(len(comps[0])) / float64(c.N())
+}
+
+// DegreeHistogram returns counts[d] = number of nodes of degree d.
+func (c *CSR) DegreeHistogram() []int {
+	maxDeg := 0
+	for u := 0; u < c.N(); u++ {
+		maxDeg = max(maxDeg, c.Degree(u))
 	}
 	counts := make([]int, maxDeg+1)
-	for _, nbrs := range g.adj {
-		counts[len(nbrs)]++
+	for u := 0; u < c.N(); u++ {
+		counts[c.Degree(u)]++
 	}
 	return counts
 }
@@ -32,19 +72,17 @@ type DegreeStats struct {
 }
 
 // ComputeDegreeStats returns summary statistics of the degree sequence.
-func (g *Graph) ComputeDegreeStats() DegreeStats {
-	n := len(g.adj)
+func (c *CSR) ComputeDegreeStats() DegreeStats {
+	n := c.N()
 	if n == 0 {
 		return DegreeStats{TailExponent: math.NaN()}
 	}
-	ds := g.Degrees()
-	sorted := append([]int(nil), ds...)
-	sort.Ints(sorted)
-	sum := 0
-	for _, d := range ds {
-		sum += d
+	sorted := make([]int, n)
+	for u := range sorted {
+		sorted[u] = c.Degree(u)
 	}
-	mean := float64(sum) / float64(n)
+	sort.Ints(sorted)
+	mean := float64(len(c.targets)) / float64(n)
 	median := float64(sorted[n/2])
 	if n%2 == 0 {
 		median = (float64(sorted[n/2-1]) + float64(sorted[n/2])) / 2
@@ -81,14 +119,14 @@ func hillExponent(sortedDegrees []int, xmin float64) float64 {
 // ClusteringCoefficient returns the mean local clustering coefficient: the
 // average over nodes of (closed triangles at the node) / (possible pairs of
 // neighbors). Nodes with degree < 2 contribute 0, matching NGCE's report.
-func (g *Graph) ClusteringCoefficient() float64 {
-	n := len(g.adj)
+func (c *CSR) ClusteringCoefficient() float64 {
+	n := c.N()
 	if n == 0 {
 		return 0
 	}
 	total := 0.0
-	for u := range g.adj {
-		nbrs := g.adj[u]
+	for u := 0; u < n; u++ {
+		nbrs := c.Neighbors(u)
 		d := len(nbrs)
 		if d < 2 {
 			continue
@@ -96,7 +134,7 @@ func (g *Graph) ClusteringCoefficient() float64 {
 		links := 0
 		for i := 0; i < d; i++ {
 			for j := i + 1; j < d; j++ {
-				if g.HasEdge(int(nbrs[i]), int(nbrs[j])) {
+				if c.HasEdge(int(nbrs[i]), int(nbrs[j])) {
 					links++
 				}
 			}
@@ -108,16 +146,16 @@ func (g *Graph) ClusteringCoefficient() float64 {
 
 // DegreeAssortativity returns the Pearson correlation of degrees across
 // edges (Newman's r). It is NaN for graphs with no edges or zero variance.
-func (g *Graph) DegreeAssortativity() float64 {
+func (c *CSR) DegreeAssortativity() float64 {
 	var sumXY, sumX, sumY, sumX2, sumY2 float64
 	m := 0
-	for u, nbrs := range g.adj {
-		du := float64(len(nbrs))
-		for _, v := range nbrs {
+	for u := 0; u < c.N(); u++ {
+		du := float64(c.Degree(u))
+		for _, v := range c.Neighbors(u) {
 			if int(v) <= u {
 				continue // count each undirected edge once, both orientations below
 			}
-			dv := float64(len(g.adj[v]))
+			dv := float64(c.Degree(int(v)))
 			// Symmetrize: treat the edge as both (du,dv) and (dv,du).
 			sumXY += 2 * du * dv
 			sumX += du + dv
@@ -143,8 +181,8 @@ func (g *Graph) DegreeAssortativity() float64 {
 // MeanShortestPathSample estimates the mean shortest-path length in the
 // largest component by BFS from up to sources randomly-ordered start nodes
 // (deterministic order: node id). Returns 0 for graphs without edges.
-func (g *Graph) MeanShortestPathSample(sources int) float64 {
-	comps := g.Components()
+func (c *CSR) MeanShortestPathSample(sources int) float64 {
+	comps := c.Components()
 	if len(comps) == 0 || len(comps[0]) < 2 {
 		return 0
 	}
@@ -155,7 +193,7 @@ func (g *Graph) MeanShortestPathSample(sources int) float64 {
 	sort.Ints(giant)
 	totalDist := 0.0
 	pairs := 0
-	dist := make([]int, len(g.adj))
+	dist := make([]int, c.N())
 	for s := 0; s < sources; s++ {
 		start := giant[s]
 		for i := range dist {
@@ -166,7 +204,7 @@ func (g *Graph) MeanShortestPathSample(sources int) float64 {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v := range g.adj[u] {
+			for _, v := range c.Neighbors(u) {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
 					queue = append(queue, int(v))

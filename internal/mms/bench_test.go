@@ -20,7 +20,7 @@ func benchNet(b *testing.B) (*Network, *des.Simulation) {
 		vuln[i] = true
 	}
 	sim := des.New()
-	net, err := New(g, vuln, DefaultConfig(), sim, rng.New(2))
+	net, err := NewCSR(g, vuln, DefaultConfig(), sim, rng.New(2))
 	if err != nil {
 		b.Fatal(err)
 	}

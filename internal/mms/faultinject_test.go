@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/faults"
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -14,21 +13,13 @@ import (
 // seed, all phones vulnerable.
 func buildFaultNet(t *testing.T, n int, cfg Config, seed uint64) (*Network, *des.Simulation) {
 	t.Helper()
-	g, err := graph.NewGraph(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n-1; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := testTopology(t, n, pathLinks(n)...)
 	vulnerable := make([]bool, n)
 	for i := range vulnerable {
 		vulnerable[i] = true
 	}
 	sim := des.New()
-	net, err := New(g, vulnerable, cfg, sim, rng.New(seed))
+	net, err := NewCSR(g, vulnerable, cfg, sim, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,24 +7,20 @@ import (
 	"time"
 
 	"repro/internal/des"
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
 func TestDeliveryLossValidation(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testTopology(t, 2)
 	cfg := instantConfig()
 	cfg.DeliveryLossProb = -0.1
-	if _, err := New(g, []bool{true, true}, cfg, des.New(), rng.New(1)); err == nil {
+	if _, err := NewCSR(g, []bool{true, true}, cfg, des.New(), rng.New(1)); err == nil {
 		t.Error("negative loss accepted")
 	}
 	cfg.DeliveryLossProb = 1
-	if _, err := New(g, []bool{true, true}, cfg, des.New(), rng.New(1)); err == nil {
+	if _, err := NewCSR(g, []bool{true, true}, cfg, des.New(), rng.New(1)); err == nil {
 		t.Error("loss = 1 accepted")
 	}
 }
@@ -32,15 +28,12 @@ func TestDeliveryLossValidation(t *testing.T) {
 func TestDeliveryLossFraction(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testTopology(t, 2)
 	cfg := instantConfig()
 	cfg.DeliveryLossProb = 0.3
 	cfg.AllowDuplicateTrials = true
 	sim := des.New()
-	net, err := New(g, []bool{true, true}, cfg, sim, rng.New(7))
+	net, err := NewCSR(g, []bool{true, true}, cfg, sim, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +72,8 @@ func TestDeliveryLossZeroByDefault(t *testing.T) {
 func TestQuickCopyConservation(t *testing.T) {
 	t.Parallel()
 
+	g := testTopology(t, 3)
 	f := func(seed uint32, lossPct uint8, sends uint8) bool {
-		g, err := graph.NewGraph(3)
-		if err != nil {
-			return false
-		}
 		cfg := Config{
 			DeliveryDelay:          rng.Constant{V: time.Second},
 			ReadDelay:              rng.Constant{V: time.Second},
@@ -93,7 +83,7 @@ func TestQuickCopyConservation(t *testing.T) {
 			AllowDuplicateTrials:   true,
 		}
 		sim := des.New()
-		net, err := New(g, []bool{true, true, true}, cfg, sim, rng.New(uint64(seed)))
+		net, err := NewCSR(g, []bool{true, true, true}, cfg, sim, rng.New(uint64(seed)))
 		if err != nil {
 			return false
 		}
@@ -114,14 +104,11 @@ func TestQuickCopyConservation(t *testing.T) {
 func TestLegitTrafficZeroIntervalDoesNotWedge(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testTopology(t, 3)
 	cfg := instantConfig()
 	cfg.LegitSendInterval = rng.Constant{V: 0} // degenerate
 	sim := des.New()
-	net, err := New(g, []bool{true, true, true}, cfg, sim, rng.New(5))
+	net, err := NewCSR(g, []bool{true, true, true}, cfg, sim, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

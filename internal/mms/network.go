@@ -170,20 +170,11 @@ type Network struct {
 // NoInfector marks a phone infected by seeding rather than by a message.
 const NoInfector PhoneID = -1
 
-// New builds a network over the contact graph g. vulnerable[i] marks phone i
-// as susceptible to the virus (the paper marks 800 of 1,000). src seeds all
-// user-behaviour randomness via per-phone streams.
-func New(g *graph.Graph, vulnerable []bool, cfg Config, sim *des.Simulation, src *rng.Source) (*Network, error) {
-	if g == nil {
-		return nil, errors.New("mms: nil contact graph")
-	}
-	return NewCSR(graph.FromGraph(g), vulnerable, cfg, sim, src)
-}
-
-// NewCSR builds a network directly over a CSR topology, skipping the
-// slice-per-node Graph representation entirely. The network is the single
-// shard of a one-shard ShardSet advanced by sim; responses attach to that
-// set through AttachResponse.
+// NewCSR builds a network over the contact topology topo. vulnerable[i]
+// marks phone i as susceptible to the virus (the paper marks 800 of 1,000).
+// src seeds all user-behaviour randomness via per-phone streams. The
+// network is the single shard of a one-shard ShardSet advanced by sim;
+// responses attach to that set through AttachResponse.
 func NewCSR(topo *graph.CSR, vulnerable []bool, cfg Config, sim *des.Simulation, src *rng.Source) (*Network, error) {
 	if sim == nil {
 		return nil, errors.New("mms: nil simulation")

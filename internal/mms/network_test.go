@@ -9,24 +9,44 @@ import (
 	"repro/internal/rng"
 )
 
-// buildNet creates a small fully-vulnerable network over a path graph.
-func buildNet(t *testing.T, n int, cfg Config) (*Network, *des.Simulation) {
+// testTopology builds the CSR over n phones with the given links.
+func testTopology(t testing.TB, n int, links ...[2]int) *graph.CSR {
 	t.Helper()
-	g, err := graph.NewGraph(n)
+	b, err := graph.NewCSRBuilder(n, len(links))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n-1; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
+	for _, l := range links {
+		if err := b.AddEdge(l[0], l[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	topo, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// pathLinks returns the links of the path 0-1-...-(n-1).
+func pathLinks(n int) [][2]int {
+	links := make([][2]int, 0, n)
+	for i := 0; i+1 < n; i++ {
+		links = append(links, [2]int{i, i + 1})
+	}
+	return links
+}
+
+// buildNet creates a small fully-vulnerable network over a path graph.
+func buildNet(t *testing.T, n int, cfg Config) (*Network, *des.Simulation) {
+	t.Helper()
+	g := testTopology(t, n, pathLinks(n)...)
 	vulnerable := make([]bool, n)
 	for i := range vulnerable {
 		vulnerable[i] = true
 	}
 	sim := des.New()
-	net, err := New(g, vulnerable, cfg, sim, rng.New(42))
+	net, err := NewCSR(g, vulnerable, cfg, sim, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,45 +65,42 @@ func instantConfig() Config {
 func TestNewValidation(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testTopology(t, 3)
 	sim := des.New()
 	src := rng.New(1)
 	good := instantConfig()
 	vuln := []bool{true, true, true}
 
-	if _, err := New(nil, vuln, good, sim, src); err == nil {
+	if _, err := NewCSR(nil, vuln, good, sim, src); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := New(g, vuln, good, nil, src); err == nil {
+	if _, err := NewCSR(g, vuln, good, nil, src); err == nil {
 		t.Error("nil sim accepted")
 	}
-	if _, err := New(g, vuln, good, sim, nil); err == nil {
+	if _, err := NewCSR(g, vuln, good, sim, nil); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := New(g, []bool{true}, good, sim, src); err == nil {
+	if _, err := NewCSR(g, []bool{true}, good, sim, src); err == nil {
 		t.Error("mask length mismatch accepted")
 	}
 	bad := good
 	bad.DeliveryDelay = nil
-	if _, err := New(g, vuln, bad, sim, src); err == nil {
+	if _, err := NewCSR(g, vuln, bad, sim, src); err == nil {
 		t.Error("nil delivery delay accepted")
 	}
 	bad = good
 	bad.ReadDelay = nil
-	if _, err := New(g, vuln, bad, sim, src); err == nil {
+	if _, err := NewCSR(g, vuln, bad, sim, src); err == nil {
 		t.Error("nil read delay accepted")
 	}
 	bad = good
 	bad.AcceptanceFactor = 0
-	if _, err := New(g, vuln, bad, sim, src); err == nil {
+	if _, err := NewCSR(g, vuln, bad, sim, src); err == nil {
 		t.Error("zero acceptance factor accepted")
 	}
 	bad = good
 	bad.AcceptanceFactor = 3
-	if _, err := New(g, vuln, bad, sim, src); err == nil {
+	if _, err := NewCSR(g, vuln, bad, sim, src); err == nil {
 		t.Error("oversized acceptance factor accepted")
 	}
 }
@@ -91,11 +108,8 @@ func TestNewValidation(t *testing.T) {
 func TestVulnerabilityMask(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := New(g, []bool{true, false, true, false}, instantConfig(), des.New(), rng.New(1))
+	g := testTopology(t, 4)
+	net, err := NewCSR(g, []bool{true, false, true, false}, instantConfig(), des.New(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +223,14 @@ func TestAcceptanceHalving(t *testing.T) {
 	const trials = 4000
 	infectedTrials := 0
 	for trial := 0; trial < trials; trial++ {
-		g, err := graph.NewGraph(2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := testTopology(t, 2)
 		sim := des.New()
 		cfg := instantConfig()
 		cfg.AcceptanceFactor = PaperAcceptanceFactor
 		// The messages arrive from one sender within a day; allow every
 		// one a consent trial to exercise the full halving sequence.
 		cfg.AllowDuplicateTrials = true
-		net, err := New(g, []bool{true, true}, cfg, sim, rng.New(uint64(trial)+1))
+		net, err := NewCSR(g, []bool{true, true}, cfg, sim, rng.New(uint64(trial)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,12 +253,9 @@ func TestAcceptanceHalving(t *testing.T) {
 func TestNotVulnerablePhoneNeverInfected(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testTopology(t, 2)
 	sim := des.New()
-	net, err := New(g, []bool{true, false}, instantConfig(), sim, rng.New(9))
+	net, err := NewCSR(g, []bool{true, false}, instantConfig(), sim, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,15 +495,7 @@ func TestDeterministicReplay(t *testing.T) {
 	t.Parallel()
 
 	run := func() (int, uint64) {
-		g, err := graph.NewGraph(20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 19; i++ {
-			if err := g.AddEdge(i, i+1); err != nil {
-				t.Fatal(err)
-			}
-		}
+		g := testTopology(t, 20, pathLinks(20)...)
 		vuln := make([]bool, 20)
 		for i := range vuln {
 			vuln[i] = true
@@ -507,7 +507,7 @@ func TestDeterministicReplay(t *testing.T) {
 			AcceptanceFactor:       PaperAcceptanceFactor,
 			GatewayDetectThreshold: 5,
 		}
-		net, err := New(g, vuln, cfg, sim, rng.New(777))
+		net, err := NewCSR(g, vuln, cfg, sim, rng.New(777))
 		if err != nil {
 			t.Fatal(err)
 		}

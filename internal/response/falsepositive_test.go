@@ -14,7 +14,11 @@ import (
 // given mean interval and no virus at all.
 func legitNet(t *testing.T, n int, interval time.Duration, seed uint64) (*mms.Network, *des.Simulation) {
 	t.Helper()
-	g, err := graph.NewGraph(n)
+	b, err := graph.NewCSRBuilder(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +34,7 @@ func legitNet(t *testing.T, n int, interval time.Duration, seed uint64) (*mms.Ne
 		LegitSendInterval:      rng.Exponential{MeanD: interval},
 	}
 	sim := des.New()
-	net, err := mms.New(g, vuln, cfg, sim, rng.New(seed))
+	net, err := mms.NewCSR(g, vuln, cfg, sim, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,16 +15,20 @@ import (
 func harness(t *testing.T, detect int, seed uint64) (*mms.Network, *des.Simulation) {
 	t.Helper()
 	const n = 10
-	g, err := graph.NewGraph(n)
+	b, err := graph.NewCSRBuilder(n, n*(n-1)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if err := g.AddEdge(u, v); err != nil {
+			if err := b.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
 	}
 	vuln := make([]bool, n)
 	for i := range vuln {
@@ -37,7 +41,7 @@ func harness(t *testing.T, detect int, seed uint64) (*mms.Network, *des.Simulati
 		GatewayDetectThreshold: detect,
 	}
 	sim := des.New()
-	net, err := mms.New(g, vuln, cfg, sim, rng.New(seed))
+	net, err := mms.NewCSR(g, vuln, cfg, sim, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

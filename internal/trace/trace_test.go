@@ -14,14 +14,18 @@ import (
 
 func tracedNet(t *testing.T, rec *Recorder) (*mms.Network, *des.Simulation) {
 	t.Helper()
-	g, err := graph.NewGraph(4)
+	b, err := graph.NewCSRBuilder(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
+		if err := b.AddEdge(i, i+1); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := mms.Config{
 		DeliveryDelay:          rng.Constant{V: time.Second},
@@ -30,7 +34,7 @@ func tracedNet(t *testing.T, rec *Recorder) (*mms.Network, *des.Simulation) {
 		GatewayDetectThreshold: 1000,
 	}
 	sim := des.New()
-	net, err := mms.New(g, []bool{true, true, true, true}, cfg, sim, rng.New(1))
+	net, err := mms.NewCSR(g, []bool{true, true, true, true}, cfg, sim, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +212,15 @@ func TestAttachRejectsManyShards(t *testing.T) {
 func TestFaultEventsRecorded(t *testing.T) {
 	t.Parallel()
 
-	g, err := graph.NewGraph(2)
+	b, err := graph.NewCSRBuilder(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(0, 1); err != nil {
+	if err := b.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Finalize()
+	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := mms.Config{
@@ -229,7 +237,7 @@ func TestFaultEventsRecorded(t *testing.T) {
 		},
 	}
 	sim := des.New()
-	net, err := mms.New(g, []bool{true, true}, cfg, sim, rng.New(1))
+	net, err := mms.NewCSR(g, []bool{true, true}, cfg, sim, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,23 +12,27 @@ import (
 
 func completeNet(t *testing.T, n int, cfg mms.Config, seed uint64) (*mms.Network, *des.Simulation) {
 	t.Helper()
-	g, err := graph.NewGraph(n)
+	b, err := graph.NewCSRBuilder(n, n*(n-1)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if err := g.AddEdge(u, v); err != nil {
+			if err := b.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
 	}
 	vuln := make([]bool, n)
 	for i := range vuln {
 		vuln[i] = true
 	}
 	sim := des.New()
-	net, err := mms.New(g, vuln, cfg, sim, rng.New(seed))
+	net, err := mms.NewCSR(g, vuln, cfg, sim, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,16 +474,20 @@ func TestEmptyContactListEndsCampaign(t *testing.T) {
 	t.Parallel()
 
 	// A graph with an isolated phone: its campaign ends immediately.
-	g, err := graph.NewGraph(3)
+	b, err := graph.NewCSRBuilder(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(1, 2); err != nil {
+	if err := b.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Finalize()
+	if err != nil {
 		t.Fatal(err)
 	}
 	vuln := []bool{true, true, true}
 	sim := des.New()
-	net, err := mms.New(g, vuln, fastNetConfig(), sim, rng.New(32))
+	net, err := mms.NewCSR(g, vuln, fastNetConfig(), sim, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,25 +102,60 @@ func WaitManifest(ctx context.Context, q *Queue, poll time.Duration) (*Manifest,
 // the next claimer recomputes. Each pass scans the manifest from a unit
 // picked by the worker's ID (see scanStart) and wraps around; a lost claim
 // skips ahead (see conflictSkip).
+//
+// A unit seen complete or dead is marked and not checked again in later
+// passes. Only a quarantined corrupt entry reopens a complete unit, so
+// before returning the worker re-checks every unit it marked before its
+// latest pass or execution, and resumes if any reopened.
 func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o WorkerOptions) (WorkerStats, error) {
 	o = o.withDefaults(q.leases.TTL())
 	var st WorkerStats
 	start := scanStart(q.WorkerID(), len(m.Units))
-	unit := func(k int) Unit { return m.Units[(start+k)%len(m.Units)] }
+	// seen[i] is the epoch in which unit i was last seen complete or dead;
+	// 0 means it was open when last checked. The epoch advances at every
+	// pass and every execution, the points where time passes and an entry
+	// may be quarantined.
+	seen := make([]int, len(m.Units))
+	epoch := 0
+	terminal := func(i int) bool {
+		u := m.Units[i]
+		seen[i] = 0
+		if q.Complete(u) || q.Dead(u) {
+			seen[i] = epoch
+		}
+		return seen[i] > 0
+	}
+	// finished reports whether every unit is complete or dead: all were
+	// seen so, and those seen in an earlier epoch still are.
+	finished := func() bool {
+		for _, e := range seen {
+			if e == 0 {
+				return false
+			}
+		}
+		done := true
+		for i, e := range seen {
+			if e < epoch && !terminal(i) {
+				done = false
+			}
+		}
+		return done
+	}
 	for {
-		open, skip, progress := 0, 0, false
+		epoch++
+		skip, progress := 0, false
 		for k := range m.Units {
-			u := unit(k)
+			i := (start + k) % len(m.Units)
+			u := m.Units[i]
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
 			if drained(o.Drain) {
 				return st, nil
 			}
-			if q.Complete(u) || q.Dead(u) {
+			if seen[i] > 0 || terminal(i) {
 				continue
 			}
-			open++
 			if skip > 0 {
 				skip--
 				continue
@@ -133,6 +168,7 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 					continue
 				}
 				st.DeadLettered++
+				seen[i] = epoch
 				progress = true
 				continue
 			}
@@ -144,8 +180,8 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 			if !ok {
 				st.ClaimConflicts++
 				left := 0
-				for i := k + 1; i < len(m.Units); i++ {
-					if v := unit(i); !q.Complete(v) && !q.Dead(v) {
+				for j := k + 1; j < len(m.Units); j++ {
+					if v := (start + j) % len(m.Units); seen[v] == 0 && !terminal(v) {
 						left++
 					}
 				}
@@ -156,18 +192,21 @@ func RunWorker(ctx context.Context, q *Queue, m *Manifest, run RunFunc, o Worker
 				// Another worker stored the unit and released its claim
 				// between the check above and this claim.
 				q.Release(u)
+				seen[i] = epoch
 				progress = true
 				continue
 			}
+			epoch++
 			done, err := executeClaimed(ctx, q, u, run, o, &st)
 			if err != nil && ctx.Err() != nil {
 				return st, ctx.Err()
 			}
 			if done {
+				seen[i] = epoch
 				progress = true
 			}
 		}
-		if open == 0 {
+		if finished() {
 			return st, nil
 		}
 		if !progress {

@@ -625,6 +625,67 @@ func TestClaimedUnitStoredMeanwhileIsNotRun(t *testing.T) {
 	}
 }
 
+// TestReopenedUnitStillRuns checks the final re-check of units a worker
+// marked finished: a unit seen complete whose entry is later quarantined as
+// corrupt is open again, and the worker runs it before returning.
+func TestReopenedUnitStillRuns(t *testing.T) {
+	t.Parallel()
+
+	units := testUnits(2)
+	reopen, other := units[0], units[1]
+	// Pick an ID whose scan sees reopen first, so it is marked complete
+	// before other's run corrupts it.
+	id := ""
+	for i := 0; id == "" || scanStart(id, len(units)) != reopen.Index; i++ {
+		id = fmt.Sprintf("w%d", i)
+	}
+	q := openTestQueue(t, t.TempDir(), nil, QueueOptions{WorkerID: id})
+	if err := q.WriteManifest(testSpec(), units); err != nil {
+		t.Fatal(err)
+	}
+	m, err := q.LoadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := storeUnit(ctx, q, reopen); err != nil {
+		t.Fatal(err)
+	}
+	k, err := reopen.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[int]int{}
+	_, err = RunWorker(ctx, q, m, func(ctx context.Context, u Unit) error {
+		runs[u.Index]++
+		if u == other && runs[u.Index] == 1 {
+			// Corrupt reopen's entry; the Get that reads it quarantines it.
+			path := filepath.Join(q.st.Dir(), "objects", k.String()[:2], k.String()+".mvr")
+			if err := os.WriteFile(path, []byte("corrupt"), 0o644); err != nil {
+				return err
+			}
+			if _, ok, err := q.st.Get(ctx, k); ok || err != nil {
+				return fmt.Errorf("corrupt entry read back: ok=%v err=%v", ok, err)
+			}
+			if q.Complete(reopen) {
+				return errors.New("quarantined unit still complete")
+			}
+		}
+		return storeUnit(ctx, q, u)
+	}, WorkerOptions{Poll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs[reopen.Index] != 1 || runs[other.Index] != 1 {
+		t.Errorf("runs %v, want each unit once", runs)
+	}
+	for _, u := range units {
+		if !q.Complete(u) {
+			t.Errorf("unit %s not complete", u.ID())
+		}
+	}
+}
+
 // TestWorkersStartScanAtDifferentUnits checks that a worker's scan
 // starts at a unit picked by its ID and wraps around the manifest: two
 // workers with different IDs, each draining its own copy of one
