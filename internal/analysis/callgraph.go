@@ -60,6 +60,8 @@ type CGNode struct {
 	Dynamic bool
 	// lit is the literal node's syntax, nil for declarations.
 	lit *ast.FuncLit
+	// cold are the body's cold error exits (findColdExits).
+	cold coldExits
 }
 
 // CGEdge is one outgoing call-graph edge.
@@ -165,6 +167,7 @@ type graphBuilder struct {
 // function literals it encounters. Literal bodies are walked as their own
 // nodes, not as part of the parent.
 func (b *graphBuilder) walkBody(node *CGNode) {
+	node.cold = findColdExits(node)
 	litCount := 0
 	// callFuns marks expressions in call position so pass-2's reference
 	// scan does not double-count a static call as a value reference.

@@ -23,7 +23,13 @@ import (
 // discipline: allocation sites lexically inside a `return` statement whose
 // final result is a non-nil error expression are cold error exits
 // (fmt.Errorf and friends), taken zero times per event in a correct run,
-// and are not flagged.
+// and are not flagged. When that final result is a call to a standard error
+// constructor (fmt.Errorf, errors.New, errors.Join), the error is non-nil
+// whatever its arguments return, so calls made inside those arguments run
+// only while building it: reachability does not follow them (Reach), and a
+// callee reached only there — a Name() formatted into the error, say — is
+// not hot. A return of any other call, such as `return s.step()`, may well
+// return nil every event, so its callee stays on the hot path.
 type HotPath struct{}
 
 // Name implements Rule.
@@ -65,13 +71,12 @@ func checkHotBody(p *ModulePass, node *CGNode) {
 	info := node.Pkg.Info
 	fset := node.Pkg.Fset
 
-	coldSpans := coldErrorSpans(node, info)
 	loopSpans := collectLoopSpans(node)
 
 	hint := " (trace: mvlint -why " + node.Label + ")"
 	flagged := map[token.Pos]bool{}
 	report := func(pos token.Pos, format string, args ...any) {
-		if inSpans(coldSpans, pos) || flagged[pos] {
+		if inSpans(node.cold.returns, pos) || flagged[pos] {
 			return
 		}
 		flagged[pos] = true
@@ -245,13 +250,25 @@ func capturedVar(node *CGNode, lit *ast.FuncLit, info *types.Info) string {
 	return found
 }
 
-// coldErrorSpans collects the spans of return statements whose final result
-// is a non-nil error expression: cold error exits, exempt from allocation
-// checks. Nested literals are excluded — their returns belong to them.
-func coldErrorSpans(node *CGNode, info *types.Info) []span {
-	var spans []span
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
+// coldExits are a node's cold error exits: return statements whose final
+// result is a non-nil error expression, taken zero times per event in a
+// correct run. BuildCallGraph records them once per node, for Reach and
+// checkHotBody alike.
+type coldExits struct {
+	// returns span each such statement; allocation sites inside are exempt.
+	returns []span
+	// ctorArgs span the arguments of each such statement whose final
+	// result is a standard error constructor call; Reach does not follow
+	// calls made there.
+	ctorArgs []span
+}
+
+// findColdExits collects a node's cold error exits. Nested literals are
+// excluded — their returns belong to them.
+func findColdExits(node *CGNode) coldExits {
+	info := node.Pkg.Info
+	var c coldExits
+	ast.Inspect(node.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
 			if v.Body != node.Body {
@@ -265,14 +282,35 @@ func coldErrorSpans(node *CGNode, info *types.Info) []span {
 			if id, ok := last.(*ast.Ident); ok && id.Name == "nil" {
 				return true
 			}
-			if t := info.TypeOf(last); t != nil && types.Identical(t, errorType) {
-				spans = append(spans, span{v.Pos(), v.End()})
+			if t := info.TypeOf(last); t == nil || !types.Identical(t, errorType) {
+				return true
+			}
+			c.returns = append(c.returns, span{v.Pos(), v.End()})
+			if call, ok := last.(*ast.CallExpr); ok && isErrorConstructor(call, info) {
+				c.ctorArgs = append(c.ctorArgs, span{call.Lparen, call.Rparen})
 			}
 		}
 		return true
+	})
+	return c
+}
+
+// isErrorConstructor reports whether call is fmt.Errorf, errors.New or
+// errors.Join: calls that return a non-nil error whatever their arguments.
+func isErrorConstructor(call *ast.CallExpr, info *types.Info) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
 	}
-	ast.Inspect(node.Body, walk)
-	return spans
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() + "." + fn.Name() {
+	case "fmt.Errorf", "errors.New", "errors.Join":
+		return true
+	}
+	return false
 }
 
 // collectLoopSpans collects for/range statement spans within the node's own

@@ -37,6 +37,12 @@ var DefaultHotPathRoots = []string{
 	"mms.Network.receiveRemote",
 	"mms.ShardSet.mergeDetection",
 	"mms.ShardSet.shardHooks",
+	// The send path: Network.Send and the virus engine's per-attempt
+	// send run from des.ArgHandler func values, which the call graph does
+	// not follow, so each is a root of its own. Send reaches the send
+	// controllers and gateway filters through interface dispatch.
+	"mms.Network.Send",
+	"virus.Engine.sendOnce",
 	// internal/response: the patch wave's per-shard sort and release,
 	// which a shard's barrier hook runs once per window and which
 	// schedules one event per patched phone.
@@ -101,6 +107,9 @@ func (g *CallGraph) Reach(specs []string) *Reachability {
 		for _, e := range node.Calls {
 			if _, done := r.reached[e.To]; done {
 				continue
+			}
+			if inSpans(node.cold.ctorArgs, e.Pos) {
+				continue // runs only while building a cold error exit
 			}
 			if _, known := g.Nodes[e.To]; !known {
 				continue // stdlib or unloaded callee: nothing to check there

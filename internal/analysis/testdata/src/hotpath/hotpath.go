@@ -34,6 +34,8 @@ func (s *Simulation) step() {
 	s.scheduleRetry(4)
 	s.held(5)
 	_ = s.coldError(3)
+	_ = s.coldCall(7)
+	_ = s.tailCall(8)
 	s.trace.Fired(6)
 }
 
@@ -106,6 +108,42 @@ func (s *Simulation) coldError(at int) error {
 	if at < 0 {
 		return fmt.Errorf("past event at %d", at)
 	}
+	return nil
+}
+
+// coldCall makes the same call twice: inside the arguments of its
+// fmt.Errorf return, where the cold-exit exemption keeps the callee off the
+// hot path, and outside it, where the callee is hot.
+func (s *Simulation) coldCall(id int) error {
+	if id < 0 {
+		return fmt.Errorf("bad id %s", coldLabel(id))
+	}
+	_ = hotLabel(id)
+	return nil
+}
+
+// coldLabel is reached only from coldCall's error return. Quiet.
+func coldLabel(id int) string {
+	b := make([]byte, id)
+	return string(b)
+}
+
+// hotLabel is coldLabel's twin, reached outside the error return.
+func hotLabel(id int) string {
+	b := make([]byte, id) // want `\[hotpath\] .*make allocates per event`
+	return string(b)
+}
+
+// tailCall returns its callee's error: that return may yield nil on every
+// event, so the callee stays hot although the return's final result is an
+// error.
+func (s *Simulation) tailCall(n int) error {
+	return s.tail(n)
+}
+
+// tail is reached only as tailCall's returned call, and is checked.
+func (s *Simulation) tail(n int) error {
+	s.buf = make([]byte, n) // want `\[hotpath\] .*make allocates per event`
 	return nil
 }
 

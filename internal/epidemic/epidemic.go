@@ -1,11 +1,12 @@
 // Package epidemic implements the analytic epidemiological baselines the
 // paper builds on: the Kephart–White directed-graph SIS model of computer
-// viruses [6] and mean-field SIR/SEIR compartment models [1], integrated
-// with a fixed-step fourth-order Runge–Kutta scheme.
+// viruses [6], the mean-field SIR compartment model [1] and a capped SI
+// (logistic) model, integrated with a fixed-step fourth-order Runge–Kutta
+// scheme, plus a least-squares fit of the capped SI model to a curve.
 //
 // The simulator's infection curves are cross-checked against these models in
-// tests and in the epidemic-comparison example: an MMS virus without
-// recovery behaves like an SI process whose plateau is capped by the
+// tests and in the customvirus example: an MMS virus without recovery
+// behaves like an SI process whose plateau is capped by the
 // eventual-acceptance probability.
 package epidemic
 

@@ -16,7 +16,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -216,15 +215,25 @@ func (s *Schedule) Validate() error {
 }
 
 // WindowAt returns the outage window covering t, if any. Outages must be
-// sorted (Validate enforces this); lookup is O(log n).
+// sorted (Validate enforces this); lookup is O(log n). Every send asks, so
+// the binary search is hand-rolled: sort.Search's predicate closure would
+// allocate per call.
 func (s *Schedule) WindowAt(t time.Duration) (Window, bool) {
-	if s == nil || len(s.Outages) == 0 {
+	if s == nil {
 		return Window{}, false
 	}
 	// First window ending after t.
-	i := sort.Search(len(s.Outages), func(i int) bool { return s.Outages[i].End > t })
-	if i < len(s.Outages) && s.Outages[i].Contains(t) {
-		return s.Outages[i], true
+	lo, hi := 0, len(s.Outages)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.Outages[mid].End > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(s.Outages) && s.Outages[lo].Contains(t) {
+		return s.Outages[lo], true
 	}
 	return Window{}, false
 }

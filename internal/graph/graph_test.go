@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -445,6 +446,51 @@ func TestReadContactListsErrors(t *testing.T) {
 				t.Errorf("input %q accepted", tt.input)
 			}
 		})
+	}
+}
+
+// TestReadContactListsMemoryAndFirstError pins the parser's two costs of
+// keeping each node's neighbours in sorted rows: reading the paper-scale
+// power-law topology allocates within a small multiple of the CSR it
+// returns, and the reciprocity error names the smallest offending pair
+// whatever the input order. It measures process-wide allocation, so it
+// must not run in parallel with other tests.
+func TestReadContactListsMemoryAndFirstError(t *testing.T) {
+	g, err := PowerLaw(DefaultPowerLawConfig(), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := g.WriteContactLists(&sb); err != nil {
+		t.Fatal(err)
+	}
+	in := sb.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	back, err := ReadContactLists(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*back.Bytes())
+	if got > limit {
+		t.Errorf("reading %d phones, %d links allocated %d B, want at most 4x the %d-byte CSR", back.N(), back.M(), got, back.Bytes())
+	}
+	t.Logf("read %d phones, %d links: %d B in %d mallocs for a %d-byte CSR", back.N(), back.M(), got, after.Mallocs-before.Mallocs, back.Bytes())
+
+	// 3 lists 4 and 1 lists 2, neither mirrored; the lines arrive in
+	// every order, and the error always names (1, 2).
+	lines := []string{"0:", "1: 2", "2:", "3: 4", "4:"}
+	want := "1 lists 2 but not vice versa"
+	for rot := range lines {
+		var in strings.Builder
+		in.WriteString("5\n")
+		for i := range lines {
+			in.WriteString(lines[(rot+len(lines)-1-i)%len(lines)] + "\n")
+		}
+		if _, err := ReadContactLists(strings.NewReader(in.String())); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("input %q: error %v, want one naming %q", in.String(), err, want)
+		}
 	}
 }
 

@@ -78,3 +78,28 @@ type SendResult struct {
 	// delivery fate be decided — when the window closes.
 	Queued bool
 }
+
+// FilterVerdict is a gateway filter's decision on one MMS message.
+type FilterVerdict uint8
+
+// Filter verdicts.
+const (
+	// VerdictDeliver lets the message proceed to its recipients.
+	VerdictDeliver FilterVerdict = iota + 1
+	// VerdictDrop discards the message (all recipients).
+	VerdictDrop
+)
+
+// Filter inspects an infected MMS in transit through the provider's MMS
+// gateway. The gateway virus scan and the gateway detection algorithm of the
+// paper are Filters. The gateway fans a multi-recipient message out into one
+// copy per recipient, and filters inspect each copy independently — so a
+// probabilistic detector catches some copies of a message and misses others,
+// exactly as per-delivery scanning hardware would.
+type Filter interface {
+	// Name identifies the filter in reports.
+	Name() string
+	// Inspect decides the fate of one recipient copy of a message sent by
+	// from (addressed to recipientCount phones in total) at the given time.
+	Inspect(from PhoneID, recipientCount int, now time.Duration) FilterVerdict
+}

@@ -46,8 +46,8 @@ func TestOutageQueuesAndDrains(t *testing.T) {
 		t.Fatalf("send during outage: %+v, want queued", res)
 	}
 	// A down gateway observes nothing: detection must wait for the drain.
-	if net.Gateway().Observed() != 0 {
-		t.Errorf("gateway observed %d messages during full outage", net.Gateway().Observed())
+	if _, detected := net.set.Detected(); detected || len(net.obsTimes) != 0 {
+		t.Errorf("gateway observed %d messages during full outage", len(net.obsTimes))
 	}
 	if m := net.Metrics(); m.OutageQueued != 1 || m.Deliveries != 0 {
 		t.Errorf("metrics after queue = %+v", m)
@@ -59,10 +59,10 @@ func TestOutageQueuesAndDrains(t *testing.T) {
 	if m.OutageDrained != 1 || m.Deliveries != 1 {
 		t.Errorf("metrics after drain = %+v", m)
 	}
-	if _, detected := net.Gateway().Detected(); !detected {
+	if _, detected := net.set.Detected(); !detected {
 		t.Error("virus not detected after drain")
 	}
-	if at, _ := net.Gateway().Detected(); at != time.Hour {
+	if at, _ := net.set.Detected(); at != time.Hour {
 		t.Errorf("detection at %v, want the drain time %v", at, time.Hour)
 	}
 	if got := net.State(1); got != StateInfected {

@@ -106,18 +106,17 @@ type Metrics struct {
 	PhonePowerCycles uint64 // churn power-off events
 }
 
-// Network is the simulated mobile-phone system: phones, gateway, user
-// behaviour, and response-mechanism interception points, all driven by one
-// discrete-event simulation.
+// Network is the simulated mobile-phone system: phones, the provider's MMS
+// gateway, user behaviour, and response-mechanism interception points, all
+// driven by one discrete-event simulation.
 //
 // A Network is one shard of a ShardSet: a view over the set's Population
 // owning a contiguous id range. A one-shard set has one Network owning the
 // whole population; a many-shard set has one per shard, exchanging
 // cross-shard deliveries in batches at window barriers.
 type Network struct {
-	sim     *des.Simulation
-	gateway Gateway // by value: one allocation fewer per shard
-	cfg     Config
+	sim *des.Simulation
+	cfg Config
 
 	pop *Population
 	// base/count is the contiguous id range this network owns: it is the
@@ -128,6 +127,13 @@ type Network struct {
 
 	netSrc      rng.Source // delivery jitter stream
 	controllers []SendController
+	// filters run over every recipient copy transiting the gateway, in
+	// installation order; the first VerdictDrop wins.
+	filters []Filter
+	// obsTimes holds the times of the first k infected messages that
+	// transited this shard's gateway (k = the detection threshold): all
+	// the gateway keeps toward detection (see observe).
+	obsTimes []time.Duration
 
 	// Long-lived des.ArgHandlers, one per event kind, with the per-event
 	// state packed into the event argument. attachFaults sets the fault
@@ -191,14 +197,13 @@ func NewCSR(topo *graph.CSR, vulnerable []bool, cfg Config, sim *des.Simulation,
 // afterwards.
 func newShardNetwork(ss *ShardSet, base, count int, sim *des.Simulation) *Network {
 	n := &Network{
-		sim:     sim,
-		gateway: *NewGateway(ss.cfg.GatewayDetectThreshold),
-		cfg:     ss.cfg,
-		set:     ss,
-		pop:     ss.pop,
-		base:    base,
-		count:   count,
-		trials:  make(map[uint64]struct{}),
+		sim:    sim,
+		cfg:    ss.cfg,
+		set:    ss,
+		pop:    ss.pop,
+		base:   base,
+		count:  count,
+		trials: make(map[uint64]struct{}),
 	}
 	n.readH = func(_ *des.Simulation, arg uint64) {
 		n.read(PhoneID(arg>>40&argIDMask), PhoneID(arg>>16&argIDMask))
@@ -249,9 +254,6 @@ func (n *Network) legitSend(id PhoneID) {
 
 // Sim returns the underlying simulation (responses use it for timers).
 func (n *Network) Sim() *des.Simulation { return n.sim }
-
-// Gateway returns the provider's MMS gateway.
-func (n *Network) Gateway() *Gateway { return &n.gateway }
 
 // N returns the population size (the whole population, not the owned range).
 func (n *Network) N() int { return n.pop.N() }
@@ -347,6 +349,14 @@ func (n *Network) AcceptanceFactor() float64 { return n.cfg.AcceptanceFactor }
 func (n *Network) AddController(c SendController) {
 	if c != nil {
 		n.controllers = append(n.controllers, c)
+	}
+}
+
+// AddFilter installs a gateway filter. Filters run in installation order;
+// the first VerdictDrop wins.
+func (n *Network) AddFilter(f Filter) {
+	if f != nil {
+		n.filters = append(n.filters, f)
 	}
 }
 
@@ -482,7 +492,7 @@ func (n *Network) Send(from PhoneID, targets []Target) (SendResult, error) {
 // and the copies dropped by filters.
 func (n *Network) transit(from PhoneID, targets []Target) (delivered, droppedCopies int) {
 	now := n.sim.Now()
-	n.gateway.Observe(now)
+	n.observe(now)
 	for _, t := range targets {
 		if !t.Valid {
 			continue
@@ -491,7 +501,7 @@ func (n *Network) transit(from PhoneID, targets []Target) (delivered, droppedCop
 			continue
 		}
 		// The gateway fans out one copy per recipient; filters act per copy.
-		if !n.gateway.InspectCopy(from, len(targets), now) {
+		if n.filtered(from, len(targets), now) {
 			droppedCopies++
 			n.metrics.GatewayDropped++
 			continue
@@ -501,6 +511,35 @@ func (n *Network) transit(from PhoneID, targets []Target) (delivered, droppedCop
 		}
 	}
 	return delivered, droppedCopies
+}
+
+// observe records one infected message transiting the gateway at now,
+// counted once per message regardless of recipients. Only the first k
+// observations are kept (k = the detection threshold): the k-th earliest
+// observation overall is always among the first k of some shard, so they
+// are all the detection merge needs. On one shard the k-th observation is
+// the detection itself, recorded inside this event; more shards merge at
+// the barrier (ShardSet.mergeDetection).
+func (n *Network) observe(now time.Duration) {
+	k := n.set.detectK
+	if len(n.obsTimes) == k {
+		return
+	}
+	n.obsTimes = append(n.obsTimes, now)
+	if len(n.obsTimes) == k && len(n.set.nets) == 1 {
+		n.set.detect(now)
+	}
+}
+
+// filtered runs the filters over one recipient copy and reports whether
+// one of them dropped it.
+func (n *Network) filtered(from PhoneID, recipientCount int, now time.Duration) bool {
+	for _, f := range n.filters {
+		if f.Inspect(from, recipientCount, now) == VerdictDrop {
+			return true
+		}
+	}
+	return false
 }
 
 // deliverCopy pushes one recipient copy toward the target's inbox. attempt

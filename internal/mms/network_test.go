@@ -424,7 +424,7 @@ func TestGatewayFilterDrops(t *testing.T) {
 	t.Parallel()
 
 	net, sim := buildNet(t, 2, instantConfig())
-	net.Gateway().AddFilter(dropFilter{})
+	net.AddFilter(dropFilter{})
 	res, err := net.Send(0, []Target{ValidTarget(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -436,8 +436,8 @@ func TestGatewayFilterDrops(t *testing.T) {
 	if net.Metrics().Deliveries != 0 {
 		t.Error("dropped message was delivered")
 	}
-	if net.Gateway().Dropped() != 1 {
-		t.Errorf("gateway dropped = %d", net.Gateway().Dropped())
+	if got := net.Metrics().GatewayDropped; got != 1 {
+		t.Errorf("gateway dropped = %d", got)
 	}
 }
 
@@ -446,30 +446,36 @@ func TestGatewayDetectionThreshold(t *testing.T) {
 
 	cfg := instantConfig()
 	cfg.GatewayDetectThreshold = 3
-	net, _ := buildNet(t, 2, cfg)
+	net, sim := buildNet(t, 2, cfg)
 	var detectedAt []time.Duration
-	net.Gateway().OnVirusDetected(func(at time.Duration) {
+	net.set.OnVirusDetected(func(at time.Duration) {
 		detectedAt = append(detectedAt, at)
 	})
 	for i := 0; i < 5; i++ {
+		sim.RunUntil(time.Duration(i) * time.Minute)
 		if _, err := net.Send(0, []Target{ValidTarget(1)}); err != nil {
 			t.Fatal(err)
 		}
+		// One shard records detection inside the third observing send.
+		if _, ok := net.set.Detected(); ok != (i >= 2) {
+			t.Fatalf("after send %d: detected = %v", i+1, ok)
+		}
 	}
-	if len(detectedAt) != 1 {
-		t.Fatalf("detection fired %d times, want 1", len(detectedAt))
+	if len(detectedAt) != 1 || detectedAt[0] != 2*time.Minute {
+		t.Fatalf("detection fired at %v, want once at the third send (2m0s)", detectedAt)
 	}
-	if at, ok := net.Gateway().Detected(); !ok || at != detectedAt[0] {
+	if at, ok := net.set.Detected(); !ok || at != detectedAt[0] {
 		t.Error("Detected() disagrees with callback")
 	}
 	// Late subscriber fires immediately.
 	fired := false
-	net.Gateway().OnVirusDetected(func(time.Duration) { fired = true })
+	net.set.OnVirusDetected(func(time.Duration) { fired = true })
 	if !fired {
 		t.Error("late detection subscriber not fired")
 	}
-	if net.Gateway().Observed() != 5 {
-		t.Errorf("Observed = %d, want 5", net.Gateway().Observed())
+	// The gateway keeps only the first k observation times.
+	if len(net.obsTimes) != 3 {
+		t.Errorf("kept %d observation times, want 3", len(net.obsTimes))
 	}
 }
 

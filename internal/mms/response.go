@@ -14,11 +14,13 @@ import (
 //
 // A mechanism must honour the determinism contract: its behaviour may
 // depend on (config, seed, shard count, window) but never on worker count
-// or scheduling. The standard shapes (DESIGN.md §15):
+// or scheduling. Each mechanism is one instance installed on every shard,
+// and its state takes one of these shapes (DESIGN.md §15):
 //
-//   - Per-shard sub-state owned by the sender's shard (monitor histories,
-//     blacklist counters, detector verdict caches) — exact partitions,
-//     since every message is filtered on its sending shard.
+//   - Per-phone slots indexed by global phone id (monitor histories,
+//     blacklist counts, detector verdicts), each written only by the
+//     sender's owner shard — every message is controlled and filtered on
+//     its sending shard, so shards never write the same slot.
 //   - Globally shared scalars armed at detection (signature activation
 //     times) that inspections compare against. With more than one shard
 //     these are written only between windows by the coordinator; the
@@ -79,23 +81,20 @@ func (n *Network) AttachResponse(r Response, src *rng.Source) error {
 // modify it.
 func (ss *ShardSet) Responses() []Response { return ss.responses }
 
-// OnVirusDetected registers a callback fired once the virus reaches the
-// gateway detection threshold, with the detection time. On one shard it is
-// the gateway's own callback, fired inside the detecting event at the
-// exact detection time. On more than one shard it fires at the first
-// window barrier where the merged per-shard observations reach the
-// threshold, with the true global detection time (the k-th earliest
-// observation across all shards), which lies inside the window that just
-// closed. Either way mechanisms treat the time as a possibly-past instant:
-// they arm state that inspections compare against, and schedule events no
-// earlier than their shard's current time. Registering after detection
-// fires immediately with the recorded time.
+// OnVirusDetected registers a callback fired once, when the set records the
+// gateway detection: the k-th earliest infected message across all shards
+// (k = Config.GatewayDetectThreshold). The set keeps one detection record
+// for every shard count; only when it is written differs. One shard
+// records it inside the observing event, so callbacks fire at the exact
+// detection time. More shards record it at the first window barrier where
+// the merged per-shard observations reach k, so callbacks fire at that
+// barrier with a time inside the window that just closed. Either way
+// mechanisms treat the time as a possibly-past instant: they arm state
+// that inspections compare against, and schedule events no earlier than
+// their shard's current time. Registering after detection fires
+// immediately with the recorded time.
 func (ss *ShardSet) OnVirusDetected(fn func(at time.Duration)) {
 	if fn == nil {
-		return
-	}
-	if len(ss.nets) == 1 {
-		ss.nets[0].Gateway().OnVirusDetected(fn)
 		return
 	}
 	if ss.detected {
@@ -121,17 +120,25 @@ func (ss *ShardSet) OnShardBarrier(fn func(shard int, next time.Duration)) {
 }
 
 // Detected reports whether and when the virus reached the gateway
-// detection threshold globally: the k-th earliest observation overall.
-// One shard reads its gateway; more than one merge the per-shard
-// observations, exact at any time the shard event loops are idle.
+// detection threshold globally: the k-th earliest observation overall. It
+// reads the set's detection record, and before a barrier has recorded one
+// it merges the per-shard observations on demand, which is exact at any
+// time the shard event loops are idle.
 func (ss *ShardSet) Detected() (time.Duration, bool) {
-	switch {
-	case len(ss.nets) == 1:
-		return ss.nets[0].Gateway().Detected()
-	case ss.detected:
+	if ss.detected {
 		return ss.detectedAt, true
 	}
 	return ss.mergeDetection()
+}
+
+// detect records the detection at at and fires the detection callbacks.
+func (ss *ShardSet) detect(at time.Duration) {
+	ss.detected = true
+	ss.detectedAt = at
+	for _, fn := range ss.onDetected {
+		fn(at)
+	}
+	ss.onDetected = nil
 }
 
 // mergeDetection recovers the global detection time from the per-shard
@@ -140,14 +147,24 @@ func (ss *ShardSet) Detected() (time.Duration, bool) {
 // monotone, the union of those prefixes contains the k globally earliest
 // observations, so once the union holds at least k entries its k-th
 // smallest is the global detection time — final, because every unrecorded
-// observation is later than its shard's recorded ones. The merge buffer is
-// reused and sorted by insertion (bounded at shards x k entries, with k
-// typically in the tens), keeping barriers allocation-free steady-state.
+// observation is later than its shard's recorded ones. Until the union
+// holds k entries the merge returns before touching its buffer. That is
+// always the case on an undetected one-shard set, whose k-th observation
+// records the detection inline (Network.observe), so a one-shard run never
+// allocates the buffer. The buffer is reused and sorted by insertion
+// (bounded at shards x k entries, with k typically in the tens), keeping
+// barriers allocation-free steady-state.
 func (ss *ShardSet) mergeDetection() (time.Duration, bool) {
-	k := ss.nets[0].Gateway().DetectThreshold()
+	k, total := ss.detectK, 0
+	for _, net := range ss.nets {
+		total += len(net.obsTimes)
+	}
+	if total < k {
+		return 0, false
+	}
 	ss.detScratch = ss.detScratch[:0]
 	for _, net := range ss.nets {
-		for _, t := range net.Gateway().ObservationTimes() {
+		for _, t := range net.obsTimes {
 			ss.detScratch = append(ss.detScratch, t)
 			i := len(ss.detScratch) - 1
 			for i > 0 && ss.detScratch[i-1] > t {
@@ -156,9 +173,6 @@ func (ss *ShardSet) mergeDetection() (time.Duration, bool) {
 			}
 			ss.detScratch[i] = t
 		}
-	}
-	if len(ss.detScratch) < k {
-		return 0, false
 	}
 	return ss.detScratch[k-1], true
 }
@@ -172,12 +186,7 @@ func (ss *ShardSet) mergeDetection() (time.Duration, bool) {
 func (ss *ShardSet) barrierSync(p *pool.Pool) error {
 	if !ss.detected && len(ss.onDetected) > 0 {
 		if at, ok := ss.mergeDetection(); ok {
-			ss.detected = true
-			ss.detectedAt = at
-			for _, fn := range ss.onDetected {
-				fn(at)
-			}
-			ss.onDetected = nil
+			ss.detect(at)
 		}
 	}
 	if len(ss.onShard) == 0 {

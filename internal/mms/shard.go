@@ -140,10 +140,12 @@ type ShardSet struct {
 	winWG      sync.WaitGroup
 
 	// Response-mechanism state (response.go): mechanisms attached via
-	// AttachResponse, barrier hooks, and the merged gateway detection view.
+	// AttachResponse, barrier hooks, and the run's one gateway detection
+	// record. detectK is the detection threshold, floored at 1.
 	responses  []Response
 	onDetected []func(at time.Duration)
 	onShard    []func(shard int, next time.Duration)
+	detectK    int
 	detected   bool
 	detectedAt time.Duration
 	detScratch []time.Duration // reused merge buffer for mergeDetection
@@ -195,6 +197,7 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 		bounds:     make([]int, shards+1),
 		window:     window,
 		winBarrier: unbounded,
+		detectK:    max(cfg.GatewayDetectThreshold, 1),
 	}
 	if shards > 1 {
 		ss.outbox = make([]remoteBuf, shards)

@@ -2,7 +2,6 @@ package response
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -21,14 +20,11 @@ type Blacklist struct {
 	// phone is blacklisted (paper: 10, 20, 30, or 40).
 	Threshold int
 
-	counts      map[mms.PhoneID]int
-	blacklisted map[mms.PhoneID]bool
-
-	// Attach installs one sub-blacklist per shard counting that shard's
-	// senders (an exact partition — every send is controlled on its
-	// sender's shard), with this instance serving as the merged view.
-	set  *mms.ShardSet
-	subs []*Blacklist
+	// counts holds each phone's suspected infected messages by global
+	// phone id, each slot written only by the sender's owner shard (every
+	// send is controlled on its sender's shard). A phone is cut off once
+	// its count reaches Threshold.
+	counts []int32
 }
 
 var (
@@ -48,68 +44,49 @@ func (b *Blacklist) Name() string {
 	return fmt.Sprintf("blacklist(threshold=%d)", b.Threshold)
 }
 
-// Attach implements mms.Response: one sub-blacklist per shard, installed
-// as that shard's send controller.
+// Attach implements mms.Response: the blacklist is installed as every
+// shard's send controller.
 func (b *Blacklist) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 	if b.Threshold < 1 {
 		return fmt.Errorf("response: blacklist threshold must be at least 1")
 	}
-	b.set = ss
-	b.subs = make([]*Blacklist, len(ss.Shards()))
-	for s, n := range ss.Shards() {
-		sub := &Blacklist{
-			Threshold:   b.Threshold,
-			counts:      make(map[mms.PhoneID]int),
-			blacklisted: make(map[mms.PhoneID]bool),
-		}
-		n.AddController(sub)
-		b.subs[s] = sub
+	b.counts = make([]int32, ss.N())
+	for _, n := range ss.Shards() {
+		n.AddController(b)
 	}
 	return nil
 }
 
 // OnSendAttempt implements mms.SendController.
 func (b *Blacklist) OnSendAttempt(p mms.PhoneID, _ time.Duration) mms.SendVerdict {
-	if b.blacklisted[p] {
+	if int(b.counts[p]) >= b.Threshold {
 		return mms.SendVerdict{Action: mms.ActionBlock}
 	}
 	return mms.SendVerdict{Action: mms.ActionAllow}
 }
 
 // OnSent implements mms.SendController: count the suspected infected
-// message and blacklist the phone at the threshold.
+// message. A blocked phone sends nothing more, so the count stops at the
+// threshold.
 func (b *Blacklist) OnSent(p mms.PhoneID, _ time.Duration, _ int) {
 	b.counts[p]++
-	if b.counts[p] >= b.Threshold {
-		b.blacklisted[p] = true
-	}
 }
 
-// Blacklisted reports whether phone p has been cut off.
+// Blacklisted reports whether phone p has been cut off (false for ids
+// outside the population).
 func (b *Blacklist) Blacklisted(p mms.PhoneID) bool {
-	return b.subs[b.set.ShardOf(p)].blacklisted[p]
+	return p >= 0 && int(p) < len(b.counts) && int(b.counts[p]) >= b.Threshold
 }
 
 // BlacklistedPhones returns the phones currently cut off, in ascending ID
-// order — the provider's merged blacklist. The per-shard views concatenate
-// in shard order, which is id order because shards own contiguous ranges.
+// order — the provider's blacklist.
 func (b *Blacklist) BlacklistedPhones() []mms.PhoneID {
 	var out []mms.PhoneID
-	for _, sub := range b.subs {
-		out = append(out, sub.ownBlacklisted()...)
-	}
-	return out
-}
-
-// ownBlacklisted returns a sub-blacklist's phones in ascending ID order.
-func (b *Blacklist) ownBlacklisted() []mms.PhoneID {
-	out := make([]mms.PhoneID, 0, len(b.blacklisted))
-	for p, cut := range b.blacklisted {
-		if cut {
-			out = append(out, p)
+	for p, c := range b.counts {
+		if int(c) >= b.Threshold {
+			out = append(out, mms.PhoneID(p))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -35,11 +35,16 @@ type Detector struct {
 	IndependentPerCopy bool
 
 	// Activation is armed at detection and shared by the per-shard
-	// sub-filters, which keep their own verdict caches and random streams;
-	// those partition exactly because every message is filtered on its
-	// sender's shard.
+	// filters, which keep only their own random streams.
 	armed      bool
 	activateAt time.Duration
+	// verdicts keeps one slot per phone, by global phone id, for the
+	// latest day that phone sent on: (day+1)<<1 | recognized, zero for
+	// none. A copy is inspected on its sender's own shard, so only the
+	// owner shard writes a slot, and at that shard's clock, which never
+	// runs backwards: once a sender's day has passed no copy of it asks
+	// about that day again, so one slot is exact, not an eviction.
+	verdicts []uint32
 }
 
 var _ mms.Response = (*Detector)(nil)
@@ -60,10 +65,10 @@ func (d *Detector) Name() string {
 	return fmt.Sprintf("gateway-detector(acc=%.2f,delay=%v)", d.Accuracy, d.AnalysisDelay)
 }
 
-// Attach implements mms.Response: one sub-filter per shard sharing the
-// activation time. A one-shard detector draws from src directly; with more
-// than one shard each sub-filter draws from a pinned stream ("rsp" |
-// shard) derived from src.
+// Attach implements mms.Response: one filter per shard sharing the
+// activation time and the verdict slots. A one-shard detector draws from
+// src directly; with more than one shard each filter draws from a pinned
+// stream ("rsp" | shard) derived from src.
 func (d *Detector) Attach(ss *mms.ShardSet, src *rng.Source) error {
 	if d.Accuracy < 0 || d.Accuracy > 1 {
 		return fmt.Errorf("response: detector accuracy %v outside [0,1]", d.Accuracy)
@@ -74,14 +79,15 @@ func (d *Detector) Attach(ss *mms.ShardSet, src *rng.Source) error {
 	if src == nil {
 		return fmt.Errorf("response: detector needs a random source")
 	}
+	d.verdicts = make([]uint32, ss.N())
 	shards := ss.Shards()
 	for s, n := range shards {
-		sd := &shardDetector{parent: d, src: src, base: n.Base(), verdicts: make([]uint32, n.OwnedCount())}
+		sd := &shardDetector{parent: d, src: src}
 		if len(shards) > 1 {
 			sd.src = new(rng.Source)
 			src.StreamInto(sd.src, 0x727370<<16|uint64(s)) // "rsp" | shard
 		}
-		n.Gateway().AddFilter(sd)
+		n.AddFilter(sd)
 	}
 	ss.OnVirusDetected(func(at time.Duration) {
 		d.activateAt = at + d.AnalysisDelay
@@ -96,19 +102,11 @@ func (d *Detector) ActiveAt(now time.Duration) bool {
 	return d.armed && now >= d.activateAt
 }
 
-// shardDetector is one shard's view of a Detector: its own verdict cache
-// and random stream over that shard's senders.
-//
-// The cache keeps one slot per owned phone, for the latest day that phone
-// sent on: (day+1)<<1 | recognized, zero for none. That is exact, not an
-// eviction: a copy is inspected on its sender's own shard at that shard's
-// clock, which never runs backwards, so once a sender's day has passed no
-// copy of it asks about that day again.
+// shardDetector is one shard's filter for a Detector: the detector's
+// state plus the shard's own random stream.
 type shardDetector struct {
-	parent   *Detector
-	src      *rng.Source
-	base     int
-	verdicts []uint32 // by sender - base
+	parent *Detector
+	src    *rng.Source
 }
 
 // Name implements mms.Filter.
@@ -128,7 +126,7 @@ func (sd *shardDetector) Inspect(from mms.PhoneID, _ int, now time.Duration) mms
 		}
 		return mms.VerdictDeliver
 	}
-	slot := &sd.verdicts[int(from)-sd.base]
+	slot := &d.verdicts[from]
 	day := uint32(now/(24*time.Hour)) + 1
 	if *slot>>1 != day {
 		*slot = day << 1

@@ -2,7 +2,6 @@ package response
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -27,16 +26,19 @@ type Monitor struct {
 	// a flagged phone (paper: 15, 30, or 60 minutes).
 	ForcedWait time.Duration
 
-	history  map[mms.PhoneID][]time.Duration
-	flagged  map[mms.PhoneID]bool
-	lastSent map[mms.PhoneID]time.Duration
+	// rows holds one entry per phone by global id, written only by the
+	// sender's owner shard (every send is controlled on its sender's
+	// shard). A phone's row is allocated at its first send, so a phone
+	// that never sends costs one nil pointer.
+	rows []*monitorRow
+}
 
-	// Attach installs one sub-monitor per shard, each observing only its
-	// shard's senders (an exact partition — every send is controlled on
-	// its sender's shard), with this instance serving as the merged
-	// reporting view.
-	set  *mms.ShardSet
-	subs []*Monitor
+// monitorRow is one sending phone's state: its send times inside the
+// window, oldest first (so the last entry is its latest send), and whether
+// it is under the forced wait.
+type monitorRow struct {
+	history []time.Duration
+	flagged bool
 }
 
 var (
@@ -75,8 +77,8 @@ func (m *Monitor) Name() string {
 	return fmt.Sprintf("monitor(window=%v,threshold=%d,wait=%v)", m.Window, m.Threshold, m.ForcedWait)
 }
 
-// Attach implements mms.Response: one sub-monitor per shard, installed
-// as that shard's send controller and legitimate-traffic observer.
+// Attach implements mms.Response: the monitor is installed as every
+// shard's send controller and legitimate-traffic observer.
 func (m *Monitor) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 	switch {
 	case m.Window <= 0:
@@ -86,19 +88,9 @@ func (m *Monitor) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 	case m.ForcedWait <= 0:
 		return fmt.Errorf("response: monitor forced wait must be positive")
 	}
-	m.set = ss
-	m.subs = make([]*Monitor, len(ss.Shards()))
-	for s, n := range ss.Shards() {
-		sub := &Monitor{
-			Window:     m.Window,
-			Threshold:  m.Threshold,
-			ForcedWait: m.ForcedWait,
-			history:    make(map[mms.PhoneID][]time.Duration),
-			flagged:    make(map[mms.PhoneID]bool),
-			lastSent:   make(map[mms.PhoneID]time.Duration),
-		}
-		n.AddController(sub)
-		m.subs[s] = sub
+	m.rows = make([]*monitorRow, ss.N())
+	for _, n := range ss.Shards() {
+		n.AddController(m)
 	}
 	return nil
 }
@@ -106,14 +98,12 @@ func (m *Monitor) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 // OnSendAttempt implements mms.SendController: flagged phones must respect
 // the forced wait since their previous message.
 func (m *Monitor) OnSendAttempt(p mms.PhoneID, now time.Duration) mms.SendVerdict {
-	if !m.flagged[p] {
+	r := m.rows[p]
+	if r == nil || !r.flagged {
 		return mms.SendVerdict{Action: mms.ActionAllow}
 	}
-	last, sentBefore := m.lastSent[p]
-	if !sentBefore {
-		return mms.SendVerdict{Action: mms.ActionAllow}
-	}
-	if earliest := last + m.ForcedWait; now < earliest {
+	// A flagged phone has sent, and the window never prunes the latest send.
+	if earliest := r.history[len(r.history)-1] + m.ForcedWait; now < earliest {
 		return mms.SendVerdict{Action: mms.ActionDefer, RetryAt: earliest}
 	}
 	return mms.SendVerdict{Action: mms.ActionAllow}
@@ -122,17 +112,21 @@ func (m *Monitor) OnSendAttempt(p mms.PhoneID, now time.Duration) mms.SendVerdic
 // OnSent implements mms.SendController: record the message, prune the
 // window, and flag the phone when the count exceeds the threshold.
 func (m *Monitor) OnSent(p mms.PhoneID, now time.Duration, _ int) {
-	m.lastSent[p] = now
-	h := append(m.history[p], now)
+	r := m.rows[p]
+	if r == nil {
+		//mvlint:allow hotpath — once per phone, at its first send
+		r = &monitorRow{}
+		m.rows[p] = r
+	}
+	h := append(r.history, now)
 	cutoff := now - m.Window
 	start := 0
 	for start < len(h) && h[start] < cutoff {
 		start++
 	}
-	h = h[start:]
-	m.history[p] = h
-	if len(h) > m.Threshold {
-		m.flagged[p] = true
+	r.history = h[start:]
+	if len(r.history) > m.Threshold {
+		r.flagged = true
 	}
 }
 
@@ -145,32 +139,21 @@ func (m *Monitor) OnLegitSent(p mms.PhoneID, now time.Duration) {
 	m.OnSent(p, now, 1)
 }
 
-// Flagged reports whether phone p is currently under the forced wait.
+// Flagged reports whether phone p is currently under the forced wait
+// (false for ids outside the population).
 func (m *Monitor) Flagged(p mms.PhoneID) bool {
-	return m.subs[m.set.ShardOf(p)].flagged[p]
+	return p >= 0 && int(p) < len(m.rows) && m.rows[p] != nil && m.rows[p].flagged
 }
 
 // FlaggedPhones returns the phones currently flagged, in ascending ID
 // order. Cross-reference with infection state to measure false positives.
-// The per-shard views concatenate in shard order, which is id order
-// because shards own contiguous ranges.
 func (m *Monitor) FlaggedPhones() []mms.PhoneID {
 	var out []mms.PhoneID
-	for _, sub := range m.subs {
-		out = append(out, sub.ownFlagged()...)
-	}
-	return out
-}
-
-// ownFlagged returns a sub-monitor's flagged phones in ascending ID order.
-func (m *Monitor) ownFlagged() []mms.PhoneID {
-	out := make([]mms.PhoneID, 0, len(m.flagged))
-	for p, f := range m.flagged {
-		if f {
-			out = append(out, p)
+	for p, r := range m.rows {
+		if r != nil && r.flagged {
+			out = append(out, mms.PhoneID(p))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -71,7 +71,7 @@ func (s *Scan) Attach(ss *mms.ShardSet, _ *rng.Source) error {
 		return errors.New("response: negative scan activation delay")
 	}
 	for _, n := range ss.Shards() {
-		n.Gateway().AddFilter(s)
+		n.AddFilter(s)
 	}
 	ss.OnVirusDetected(func(at time.Duration) {
 		s.activateAt = at + s.ActivationDelay

@@ -501,3 +501,36 @@ func TestCombinedMechanismsCoexist(t *testing.T) {
 		t.Errorf("outcome = %+v, want sent+gateway-dropped", res)
 	}
 }
+
+func TestPerPhoneQueriesRejectOutOfRangeIDs(t *testing.T) {
+	t.Parallel()
+
+	// Phone 9, the last of 10, trips each mechanism, so the slots around
+	// both ends of the population are live.
+	monNet, _ := harness(t, 1<<30, 27)
+	mon := attach(t, monNet, NewMonitorFull(time.Hour, 1, time.Minute), 28).(*Monitor)
+	blNet, _ := harness(t, 1<<30, 29)
+	bl := attach(t, blNet, NewBlacklist(1), 30).(*Blacklist)
+	for _, net := range []*mms.Network{monNet, monNet, blNet} {
+		if _, err := net.Send(9, []mms.Target{mms.ValidTarget(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests := []struct {
+		name  string
+		query func(mms.PhoneID) bool
+	}{
+		{"Monitor.Flagged", mon.Flagged},
+		{"Blacklist.Blacklisted", bl.Blacklisted},
+	}
+	for _, tt := range tests {
+		if !tt.query(9) {
+			t.Errorf("%s(9) = false after phone 9 tripped it", tt.name)
+		}
+		for _, id := range []mms.PhoneID{-1, 10, 11, 1 << 30} {
+			if tt.query(id) {
+				t.Errorf("%s(%d) = true for an id outside [0, 10)", tt.name, id)
+			}
+		}
+	}
+}

@@ -315,28 +315,27 @@ func (e *Engine) selectTargets(id mms.PhoneID, st *senderState) []mms.Target {
 		if k > len(contacts) {
 			k = len(contacts)
 		}
-		targets := e.scratch[:0]
+		e.scratch = e.scratch[:0]
 		switch e.cfg.ContactOrder {
 		case OrderCycle:
 			for i := 0; i < k; i++ {
 				c := contacts[st.cursor%len(contacts)]
 				st.cursor++
-				targets = append(targets, mms.ValidTarget(mms.PhoneID(c)))
+				e.scratch = append(e.scratch, mms.ValidTarget(mms.PhoneID(c)))
 			}
 		case OrderRandom:
 			for i := 0; i < k; i++ {
 				c := contacts[st.src.Intn(len(contacts))]
-				targets = append(targets, mms.ValidTarget(mms.PhoneID(c)))
+				e.scratch = append(e.scratch, mms.ValidTarget(mms.PhoneID(c)))
 			}
 		}
-		e.scratch = targets
-		return targets
+		return e.scratch
 	case TargetRandom:
-		targets := e.scratch[:0]
+		e.scratch = e.scratch[:0]
 		n := e.net.N()
 		for i := 0; i < k; i++ {
 			if !st.src.Bool(e.cfg.ValidNumberFraction) {
-				targets = append(targets, mms.InvalidTarget())
+				e.scratch = append(e.scratch, mms.InvalidTarget())
 				continue
 			}
 			// Dial a uniformly random real phone other than the sender.
@@ -344,10 +343,9 @@ func (e *Engine) selectTargets(id mms.PhoneID, st *senderState) []mms.Target {
 			if mms.PhoneID(v) == id {
 				v = (v + 1) % n
 			}
-			targets = append(targets, mms.ValidTarget(mms.PhoneID(v)))
+			e.scratch = append(e.scratch, mms.ValidTarget(mms.PhoneID(v)))
 		}
-		e.scratch = targets
-		return targets
+		return e.scratch
 	default:
 		return nil
 	}
