@@ -28,11 +28,11 @@ microbench:
 	$(GO) test -bench=. -benchmem
 
 fmt:
-	gofmt -w cmd examples internal perfbench bench_test.go
+	gofmt -w cmd examples internal perfbench *.go
 
 # Fails (listing the files) instead of rewriting, for CI.
 fmt-check:
-	@unformatted=$$(gofmt -l cmd examples internal perfbench bench_test.go); \
+	@unformatted=$$(gofmt -l cmd examples internal perfbench *.go); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi

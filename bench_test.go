@@ -1,11 +1,11 @@
 // Package repro_test benchmarks regenerate every figure of the paper's
 // evaluation section plus the scaling study, the combined-response
-// extension, the Bluetooth extension, and ablations of this reproduction's
-// design choices (documented in DESIGN.md). Each benchmark iteration runs
-// the full experiment at the paper's population with a small replication
-// count and reports the headline measure (mean final infections) as a
-// custom metric, so `go test -bench=. -benchmem` both times the simulator
-// and re-derives the paper's numbers.
+// extension, and ablations of this reproduction's design choices
+// (documented in DESIGN.md). Each benchmark iteration runs the full
+// experiment at the paper's population with a small replication count and
+// reports the headline measure (mean final infections) as a custom metric,
+// so `go test -bench=. -benchmem` both times the simulator and re-derives
+// the paper's numbers.
 package repro_test
 
 import (
@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/mms"
-	"repro/internal/proximity"
 	"repro/internal/response"
 	"repro/internal/virus"
 )
@@ -126,20 +125,6 @@ func BenchmarkNegativeBlacklistVsVirus2(b *testing.B) {
 // threshold 30 against random dialing and threshold 10 against contacts.
 func BenchmarkBlacklistEquivalence(b *testing.B) {
 	runFigure(b, experiment.BlacklistEquivalenceStudy(experiment.FullScale))
-}
-
-// BenchmarkProximitySpread exercises the Bluetooth extension.
-func BenchmarkProximitySpread(b *testing.B) {
-	cfg := proximity.DefaultConfig()
-	var final int
-	for i := 0; i < b.N; i++ {
-		res, err := proximity.Run(cfg, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = res.FinalInfected
-	}
-	b.ReportMetric(float64(final), "final-infected")
 }
 
 // BenchmarkSingleReplication times one full-scale Virus 1 baseline

@@ -142,6 +142,9 @@ func run(args []string) error {
 		if *baM < 1 {
 			return fmt.Errorf("-ba-m %d must be >= 1", *baM)
 		}
+		if *baM >= cfg.Population {
+			return fmt.Errorf("-ba-m %d must be below -population %d: the seed clique holds m+1 phones; try -ba-m 4", *baM, cfg.Population)
+		}
 		n, m := cfg.Population, *baM
 		cfg.CSRBuilder = func(src *rng.Source) (*graph.CSR, error) {
 			return graph.BarabasiAlbertCSR(n, m, src)

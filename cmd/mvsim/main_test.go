@@ -166,6 +166,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-hours", "1e300"}, "outside"},
 		{[]string{"-shards", "0"}, "-shards must be >= 1"},
 		{[]string{"-shards", "-2"}, "-shards must be >= 1"},
+		{[]string{"-topology", "ba", "-ba-m", "1000"}, "-ba-m 1000 must be below -population 1000"},
+		{[]string{"-topology", "ba", "-ba-m", "1099511627776"}, "must be below -population"},
 		{[]string{"-trace", "t.jsonl", "-topology", "ba", "-shards", "2"}, "-trace needs a one-shard run"},
 		{[]string{"-outage", "nope"}, "outage"},
 		{[]string{"-outage", "0s,6h", "-topology", "ba", "-shards", "2"}, "fault injection"},

@@ -152,7 +152,6 @@ var simPackages = map[string]bool{
 	"faults":     true,
 	"core":       true,
 	"virus":      true,
-	"proximity":  true,
 	"response":   true,
 	"graph":      true,
 	"rng":        true,

@@ -38,7 +38,7 @@ var corpusCases = []struct{ dir, path string }{
 	{"atomicproto", "testmod/cmd/mvtool"},
 	{"hotpath", "testmod/internal/des"},
 	{"goroutineleak", "testmod/internal/experiment"},
-	{"suppress", "testmod/internal/proximity"},
+	{"suppress", "testmod/internal/response"},
 	{"clean", "testmod/internal/virus"},
 }
 

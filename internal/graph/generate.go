@@ -340,8 +340,21 @@ func ErdosRenyi(n int, p float64, src *rng.Source) (*CSR, error) {
 // power-law tail with exponent ~3 and mean degree ~2m. The edge stream
 // feeds a CSRBuilder, so no per-node adjacency slices ever materialize.
 func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
-	edges := m*(m+1)/2 + (n-m-1)*m
-	b, err := NewCSRBuilder(n, edges)
+	if m < 1 {
+		return nil, errors.New("graph: Barabási–Albert needs m >= 1")
+	}
+	if n < m+1 {
+		return nil, fmt.Errorf("graph: Barabási–Albert needs n >= m+1 (n=%d, m=%d)", n, m)
+	}
+	if src == nil {
+		return nil, errors.New("graph: nil rng source")
+	}
+	// The CSR's uint32 offsets index both directions of all m(2n-m-1)/2
+	// edges. Bounding m*n first keeps that product from overflowing.
+	if m > math.MaxUint32/n || m*(2*n-m-1) > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: Barabási–Albert with n=%d, m=%d has more edges than a CSR indexes", n, m)
+	}
+	b, err := NewCSRBuilder(n, m*(2*n-m-1)/2)
 	if err != nil {
 		return nil, err
 	}
@@ -353,17 +366,9 @@ func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
 
 // barabasiAlbertStream is the Barabási–Albert edge stream: it emits the
 // seed clique, then each new node's attachments in ascending target order,
-// so every row reaches the CSRBuilder already sorted.
+// so every row reaches the CSRBuilder already sorted. BarabasiAlbertCSR
+// validates n, m and src.
 func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) error {
-	if m < 1 {
-		return errors.New("graph: Barabási–Albert needs m >= 1")
-	}
-	if n < m+1 {
-		return fmt.Errorf("graph: Barabási–Albert needs n >= m+1 (n=%d, m=%d)", n, m)
-	}
-	if src == nil {
-		return errors.New("graph: nil rng source")
-	}
 	// Seed clique.
 	for u := 0; u <= m; u++ {
 		for v := u + 1; v <= m; v++ {

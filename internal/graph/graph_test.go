@@ -267,14 +267,23 @@ func TestBarabasiAlbert(t *testing.T) {
 	if frac := g.GiantComponentFraction(); frac != 1 {
 		t.Errorf("BA graph not connected: %v", frac)
 	}
-	if _, err := BarabasiAlbertCSR(3, 4, rng.New(1)); err == nil {
-		t.Error("n < m+1 accepted")
-	}
-	if _, err := BarabasiAlbertCSR(10, 0, rng.New(1)); err == nil {
-		t.Error("m=0 accepted")
-	}
-	if _, err := BarabasiAlbertCSR(10, 2, nil); err == nil {
-		t.Error("nil source accepted")
+	// A huge m must come back as an error, not panic while sizing the
+	// edge arrays, and so must more edges than the CSR's offsets index.
+	for _, tc := range []struct {
+		name string
+		n, m int
+		src  *rng.Source
+	}{
+		{"n < m+1", 3, 4, rng.New(1)},
+		{"m=0", 10, 0, rng.New(1)},
+		{"nil source", 10, 2, nil},
+		{"m=2^40", 1000, 1 << 40, rng.New(1)},
+		{"m=4e9", 1000, 4_000_000_000, rng.New(1)},
+		{"m*n past the CSR's offsets", 4_000_000_000, 100_000, rng.New(1)},
+	} {
+		if _, err := BarabasiAlbertCSR(tc.n, tc.m, tc.src); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
