@@ -62,8 +62,8 @@ func TestFigure1Allocs(t *testing.T) {
 	fig := experiment.Figure1(experiment.FullScale)
 	allocs := testing.AllocsPerRun(1, func() { figure(t, fig) })
 	t.Logf("%.0f allocs", allocs)
-	if allocs > 15_954+16 {
-		t.Errorf("%.0f allocs per figure run, want at most %d", allocs, 15_954+16)
+	if allocs > 14_430+14 {
+		t.Errorf("%.0f allocs per figure run, want at most %d", allocs, 14_430+14)
 	}
 }
 

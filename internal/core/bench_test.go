@@ -102,11 +102,10 @@ func BenchmarkPopulation100kResponse(b *testing.B) {
 // testing.AllocsPerRun does), and the per-phone footprint (92.4 B
 // recorded bare and 96.4 B with responses, whose blacklist keeps 4 B per
 // phone, against one bound of 92.4 B plus 15% for heap-measurement
-// jitter). The response run's count repeats exactly: 995, and 1,001
-// under the race detector, whose runtime adds six. Its bound is the race count plus the usual 0.1%. The
-// bare run's varies by process — 1,798 to 1,883 over 30 runs — because
-// its per-shard trial maps grow large enough that where their tables
-// split depends on the per-process hash seed; its slack is 5%.
+// jitter). The response run's count repeats exactly: 907, and 913 under
+// the race detector, whose runtime adds six. The bare run's is 1,111 to
+// 1,112, and 1,135 to 1,136 under the race detector. Each bound is the
+// race count plus the usual 0.1%.
 func TestPopulation100kPins(t *testing.T) {
 	const maxBytesPerPhone = 92.4 * 1.15
 	for _, tc := range []struct {
@@ -115,8 +114,8 @@ func TestPopulation100kPins(t *testing.T) {
 		final     int
 		maxAllocs float64
 	}{
-		{"bare", false, 10_387, 1_845 + 92},
-		{"response", true, 1_597, 1_001 + 1},
+		{"bare", false, 10_387, 1_136 + 1},
+		{"response", true, 1_597, 913 + 1},
 	} {
 		cfg := populationConfig(tc.responses)
 		var final int

@@ -164,53 +164,64 @@ func TestCancelDuringOwnHandler(t *testing.T) {
 // TestFIFOTieBreakSurvivesCancellation exercises the 4-ary heap's stable
 // (at, seq) order under the hardest case: a large batch at one instant,
 // with a cancelled subset punched out of the middle, plus arena-slot reuse
-// in between. Survivors must fire in exact scheduling order.
+// in between. Survivors must fire in exact scheduling order. Cancelling
+// every third event leaves the dead entries in the heap; cancelling two of
+// every three crosses the half-dead mark, so the heap is compacted and the
+// replacements reuse the freed slots.
 func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 	t.Parallel()
 
-	sim := New()
-	const n = 200
-	var fired []int
-	record := func(_ *Simulation, arg uint64) { fired = append(fired, int(arg)) }
-	handles := make([]Handle, n)
-	for i := 0; i < n; i++ {
-		h, err := sim.ScheduleArgAt(time.Second, record, uint64(i))
-		if err != nil {
-			t.Fatal(err)
+	for _, keep := range []func(int) bool{
+		func(i int) bool { return i%3 != 0 },
+		func(i int) bool { return i%3 == 0 },
+	} {
+		sim := New()
+		const n = 200
+		var fired []int
+		record := func(_ *Simulation, arg uint64) { fired = append(fired, int(arg)) }
+		handles := make([]Handle, n)
+		for i := 0; i < n; i++ {
+			h, err := sim.ScheduleArgAt(time.Second, record, uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles[i] = h
 		}
-		handles[i] = h
-	}
-	// Cancel every third event, then schedule replacements at the same
-	// instant: they reuse freed slots but carry later seqs, so they must
-	// fire after every survivor.
-	cancelled := 0
-	for i := 0; i < n; i += 3 {
-		if !sim.Cancel(handles[i]) {
-			t.Fatalf("cancel event %d failed", i)
+		// Cancel the subset, then schedule replacements at the same
+		// instant: they carry later seqs, so they must fire after every
+		// survivor.
+		cancelled := 0
+		for i := 0; i < n; i++ {
+			if keep(i) {
+				continue
+			}
+			if !sim.Cancel(handles[i]) {
+				t.Fatalf("cancel event %d failed", i)
+			}
+			cancelled++
 		}
-		cancelled++
-	}
-	for i := 0; i < cancelled; i++ {
-		if _, err := sim.ScheduleArgAt(time.Second, record, uint64(n+i)); err != nil {
-			t.Fatal(err)
+		for i := 0; i < cancelled; i++ {
+			if _, err := sim.ScheduleArgAt(time.Second, record, uint64(n+i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	sim.Run()
-	want := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if i%3 != 0 {
-			want = append(want, i)
+		sim.Run()
+		want := make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			if keep(i) {
+				want = append(want, i)
+			}
 		}
-	}
-	for i := 0; i < cancelled; i++ {
-		want = append(want, n+i)
-	}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(fired), len(want))
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("position %d fired event %d, want %d (full order %v)", i, fired[i], want[i], fired)
+		for i := 0; i < cancelled; i++ {
+			want = append(want, n+i)
+		}
+		if len(fired) != len(want) {
+			t.Fatalf("fired %d events, want %d", len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("position %d fired event %d, want %d (full order %v)", i, fired[i], want[i], fired)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package des
 import (
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // BenchmarkScheduleAndFire measures raw event throughput: schedule and
@@ -65,4 +67,36 @@ func BenchmarkSelfPerpetuatingChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim.Run()
+}
+
+// BenchmarkCalendarMixed measures the calendar the way the paper workload
+// drives it: a steady heap of about 2,048 pending events (the paper
+// workload's mean heap length, measured at 2,253) where each fired event
+// schedules a successor an exponential delay later, so pushes land at
+// random depths rather than in time order. One op is one pop plus one
+// push. The delays are drawn up front so the op times the heap, not the
+// generator.
+func BenchmarkCalendarMixed(b *testing.B) {
+	const pending = 2048
+	src := rng.New(1)
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = rng.Exponential{MeanD: 30 * time.Minute}.Sample(src)
+	}
+	next := 0
+	var tick ArgHandler
+	tick = func(s *Simulation, _ uint64) {
+		if _, err := s.ScheduleArgAfter(delays[next%len(delays)], tick, 0); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	sim := New()
+	for i := 0; i < pending; i++ {
+		tick(sim, 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.step()
+	}
 }

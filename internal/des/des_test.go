@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,15 +13,25 @@ import (
 // noop is an event handler that does nothing.
 func noop(*Simulation, uint64) {}
 
-// TestEventSize pins the arena slot at 40 bytes: one handler, its argument,
-// the (at, seq) key, the heap index and the generation. The heap's sift
-// loops walk this arena, so a larger event costs cache footprint on every
-// comparison.
+// TestEventSize pins the arena slot at 24 bytes: one handler, its
+// argument and the generation. The (at, seq) key lives in the heap entry
+// instead, so the sift loops never touch the arena.
 func TestEventSize(t *testing.T) {
 	t.Parallel()
 
-	if got := reflect.TypeOf(event{}).Size(); got != 40 {
-		t.Errorf("event is %d bytes, want 40", got)
+	if got := reflect.TypeOf(event{}).Size(); got != 24 {
+		t.Errorf("event is %d bytes, want 24", got)
+	}
+}
+
+// TestEntrySize pins the heap entry at 24 bytes: the (at, seq) key and the
+// arena slot. Every sift step moves and compares entries, so they are the
+// heap's cache footprint.
+func TestEntrySize(t *testing.T) {
+	t.Parallel()
+
+	if got := reflect.TypeOf(entry{}).Size(); got != 24 {
+		t.Errorf("entry is %d bytes, want 24", got)
 	}
 }
 
@@ -155,6 +166,58 @@ func TestCancelAfterFire(t *testing.T) {
 	sim.Run()
 	if sim.Cancel(h) {
 		t.Error("Cancel after fire returned true")
+	}
+}
+
+// TestCancelHeavyHeapStaysBounded schedules far-future events and cancels
+// them with no pops in between, the pattern that lazy cancellation alone
+// would let grow without bound: compaction must keep the heap within twice
+// the pending count, and Pending must count exactly the live events.
+func TestCancelHeavyHeapStaysBounded(t *testing.T) {
+	t.Parallel()
+
+	sim := New()
+	const n = 10000
+	handles := make([]Handle, n)
+	live := 0
+	var fired []time.Duration
+	record := func(s *Simulation, _ uint64) { fired = append(fired, s.Now()) }
+	check := func(op string, i int) {
+		t.Helper()
+		if got := sim.Pending(); got != live {
+			t.Fatalf("after %s %d: Pending = %d, want %d live events", op, i, got, live)
+		}
+		if len(sim.heap) > 2*sim.Pending()+1 {
+			t.Fatalf("after %s %d: heap holds %d entries for %d pending", op, i, len(sim.heap), sim.Pending())
+		}
+	}
+	for i := 0; i < n; i++ {
+		h, err := sim.ScheduleArgAt(time.Duration(n-i)*time.Hour, record, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+		live++
+		check("schedule", i)
+		// Keep every 97th event; cancel the others, each one 5 schedules
+		// after its own, so dead entries build up among live ones.
+		if j := i - 5; j >= 0 && j%97 != 0 {
+			if !sim.Cancel(handles[j]) {
+				t.Fatalf("cancel of pending event %d failed", j)
+			}
+			live--
+			check("cancel", j)
+		}
+	}
+	sim.Run()
+	if got, want := sim.Fired(), uint64(live); got != want || len(fired) != live {
+		t.Errorf("fired %d events (%d handler calls), want the %d never cancelled", got, len(fired), want)
+	}
+	if !slices.IsSorted(fired) {
+		t.Error("survivors of compaction fired out of time order")
+	}
+	if sim.Pending() != 0 || len(sim.heap) != 0 {
+		t.Errorf("after Run: Pending = %d, heap holds %d entries", sim.Pending(), len(sim.heap))
 	}
 }
 

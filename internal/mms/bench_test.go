@@ -97,3 +97,38 @@ func BenchmarkShardExchangeFanIn(b *testing.B) {
 		op()
 	}
 }
+
+// BenchmarkDeliverDuplicates measures the copy that ends in duplicate
+// suppression, the fate of almost every copy in the paper workload: one
+// phone sends to its whole contact row over and over within a day, so
+// after the first message every copy is a trial-set hit. One op is one
+// message to the row of the best-connected phone.
+func BenchmarkDeliverDuplicates(b *testing.B) {
+	net, sim := benchNet(b)
+	from := PhoneID(0)
+	for id := range net.N() {
+		if len(net.Contacts(PhoneID(id))) > len(net.Contacts(from)) {
+			from = PhoneID(id)
+		}
+	}
+	row := net.Contacts(from)
+	targets := make([]Target, len(row))
+	for i, c := range row {
+		targets[i] = ValidTarget(PhoneID(c))
+	}
+	if _, err := net.Send(from, targets); err != nil {
+		b.Fatal(err)
+	}
+	pending := sim.Pending()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.Send(from, targets); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if sim.Pending() != pending {
+		b.Fatalf("duplicate copies scheduled %d reads", sim.Pending()-pending)
+	}
+}

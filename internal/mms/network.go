@@ -169,7 +169,7 @@ type Network struct {
 	// granted, for duplicate suppression. It holds only days that later
 	// copies can still reach (see firstTrial); trialsUntil is the next day
 	// boundary, where the keys of the days before it expire.
-	trials      map[uint64]struct{}
+	trials      trialSet
 	trialsUntil time.Duration
 }
 
@@ -197,13 +197,12 @@ func NewCSR(topo *graph.CSR, vulnerable []bool, cfg Config, sim *des.Simulation,
 // afterwards.
 func newShardNetwork(ss *ShardSet, base, count int, sim *des.Simulation) *Network {
 	n := &Network{
-		sim:    sim,
-		cfg:    ss.cfg,
-		set:    ss,
-		pop:    ss.pop,
-		base:   base,
-		count:  count,
-		trials: make(map[uint64]struct{}),
+		sim:   sim,
+		cfg:   ss.cfg,
+		set:   ss,
+		pop:   ss.pop,
+		base:  base,
+		count: count,
 	}
 	n.readH = func(_ *des.Simulation, arg uint64) {
 		n.read(PhoneID(arg>>40&argIDMask), PhoneID(arg>>16&argIDMask))
@@ -597,7 +596,7 @@ func (n *Network) deliverCopy(from, target PhoneID, attempt int) bool {
 // readCap bounds per-phone read events; see Send.
 const readCap = 64
 
-// trialKey packs (sender, target, day) into a map key for duplicate
+// trialKey packs (sender, target, day) into a set key for duplicate
 // suppression: 24 bits per phone id (populations up to 16.7M) and 16 bits
 // for the day index (horizons up to ~179 years). The key is only ever used
 // for set membership, so the packing never influences event order.
@@ -614,18 +613,13 @@ func trialKey(from, target PhoneID, now time.Duration) uint64 {
 // about from now on, and a key whose day ends before the clock's day can
 // never match again. Each time the clock crosses a day boundary those
 // keys are deleted, keeping the set to the live days (a remote copy may
-// already have recorded the next one). The map keeps its capacity, so the
-// following days reuse its buckets.
+// already have recorded the next one). The set keeps its table, so the
+// following days reuse it.
 func (n *Network) firstTrial(from, target PhoneID, at time.Duration) bool {
 	if now := n.sim.Now(); now >= n.trialsUntil {
 		n.expireTrials(now)
 	}
-	key := trialKey(from, target, at)
-	if _, dup := n.trials[key]; dup {
-		return false
-	}
-	n.trials[key] = struct{}{}
-	return true
+	return n.trials.add(trialKey(from, target, at))
 }
 
 // expireTrials deletes the trial keys of the days before now's and moves
@@ -633,12 +627,7 @@ func (n *Network) firstTrial(from, target PhoneID, at time.Duration) bool {
 func (n *Network) expireTrials(now time.Duration) {
 	day := now / trialPeriod
 	n.trialsUntil = (day + 1) * trialPeriod
-	live := uint64(day) & 0xffff
-	for key := range n.trials {
-		if key&0xffff < live {
-			delete(n.trials, key)
-		}
-	}
+	n.trials.expire(uint64(day) & 0xffff)
 }
 
 // read models the user noticing the message and deciding about the

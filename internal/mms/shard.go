@@ -480,7 +480,7 @@ func (ss *ShardSet) bucket() int {
 
 // inject sorts destination shard d's bucketed copies into the canonical
 // (arrival, sender, target) order and applies them on d's network. It
-// touches only d's state — its queue, its trials map and its own phones'
+// touches only d's state — its queue, its trial set and its own phones'
 // population entries — so destinations run in parallel. The sort need not
 // be stable: two copies with equal keys are the same copy.
 func (ss *ShardSet) inject(d int) {

@@ -29,7 +29,7 @@ func shardExchange(tb testing.TB) (op func(), ss *ShardSet) {
 		tb.Fatal(err)
 	}
 	// An invulnerable population keeps reads from infecting (pure delivery
-	// load), and duplicate trials skip the trials-map inserts that a real
+	// load), and duplicate trials skip the trial-set inserts that a real
 	// epidemic amortizes across its lifetime.
 	vulnerable := make([]bool, phones)
 	cfg := DefaultConfig()

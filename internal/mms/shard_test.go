@@ -208,7 +208,7 @@ func TestShardBarrierHookPanicNamesShard(t *testing.T) {
 func TestTrialsKeepOnlyLiveDays(t *testing.T) {
 	keyDays := func(n *Network) []uint64 {
 		var days []uint64
-		for key := range n.trials {
+		for _, key := range n.trials.keys() {
 			days = append(days, key&0xffff)
 		}
 		slices.Sort(days)

@@ -318,9 +318,13 @@ func (e *Engine) selectTargets(id mms.PhoneID, st *senderState) []mms.Target {
 		e.scratch = e.scratch[:0]
 		switch e.cfg.ContactOrder {
 		case OrderCycle:
+			// The cursor starts below the row length (activate) and the
+			// row never changes, so a compare wraps it.
 			for i := 0; i < k; i++ {
-				c := contacts[st.cursor%len(contacts)]
-				st.cursor++
+				c := contacts[st.cursor]
+				if st.cursor++; st.cursor == len(contacts) {
+					st.cursor = 0
+				}
 				e.scratch = append(e.scratch, mms.ValidTarget(mms.PhoneID(c)))
 			}
 		case OrderRandom:
