@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -28,11 +29,12 @@ func benchOpts() core.Options {
 // figure runs fig once at benchOpts: one op of the figure benchmarks.
 func figure(tb testing.TB, fig experiment.Figure) *experiment.FigureResult {
 	tb.Helper()
-	fr, err := experiment.RunFigure(fig, benchOpts())
+	opts := benchOpts()
+	sr, err := experiment.RunSweep(context.Background(), []experiment.Figure{fig}, opts, experiment.SweepOptions{Jobs: opts.Parallelism})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return fr
+	return sr.Figures[0]
 }
 
 // runFigure executes the figure once per iteration and reports the final

@@ -232,16 +232,17 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "resume: %d units already complete in %s\n", ps.Resumed, *storeDir)
 		}
 	}
-	fr, err := experiment.RunFigureCached(ctx, fig, core.Options{
+	sr, err := experiment.RunSweep(ctx, []experiment.Figure{fig}, core.Options{
 		Replications:    *reps,
 		BaseSeed:        *seed,
 		GridPoints:      *grid,
 		MinReplications: *minReps,
 		Parallelism:     *jobs,
-	}, cache)
+	}, experiment.SweepOptions{Jobs: *jobs, Cache: cache})
 	if err != nil {
 		return err
 	}
+	fr := sr.Figures[0]
 	if cache != nil {
 		st := cache.Stats()
 		fmt.Fprintf(os.Stderr, "store: %d disk hits / %d misses, %d quarantined, %d I/O errors\n",

@@ -1,6 +1,9 @@
 package repro_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -37,6 +40,145 @@ func TestDocPathsExist(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// codeSpan matches one backquoted span of a Markdown line.
+var codeSpan = regexp.MustCompile("`([^`]+)`")
+
+// qualifiedName matches pkg.Name or pkg.Type.Member inside a code span.
+var qualifiedName = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+
+// TestDocSymbolsExist checks that every pkg.Name and pkg.Type.Member that
+// README.md, DESIGN.md and EXPERIMENTS.md backquote, where pkg is a
+// directory under internal/, is declared in that package's non-test
+// files, so a deleted or renamed identifier cannot leave the docs naming
+// it.
+func TestDocSymbolsExist(t *testing.T) {
+	t.Parallel()
+
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := make(map[string]*pkgDecls)
+	for _, dir := range dirs {
+		if info, err := os.Stat(dir); err == nil && info.IsDir() {
+			pkgs[filepath.Base(dir)] = parseDecls(t, dir)
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				for _, m := range qualifiedName.FindAllStringSubmatch(span[1], -1) {
+					decls, ok := pkgs[m[1]]
+					if !ok {
+						continue
+					}
+					if !decls.top[m[2]] {
+						t.Errorf("%s:%d names %s.%s, which internal/%s does not declare", doc, i+1, m[1], m[2], m[1])
+					} else if m[3] != "" && !decls.members[m[2]][m[3]] {
+						t.Errorf("%s:%d names %s.%s.%s, which is not a method or field of %s.%s", doc, i+1, m[1], m[2], m[3], m[1], m[2])
+					}
+				}
+			}
+		}
+	}
+}
+
+// pkgDecls indexes one package's declarations: its top-level names, and
+// per type the methods and fields (interface methods, embedded fields)
+// it declares.
+type pkgDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool
+}
+
+// parseDecls parses the non-test Go files of dir.
+func parseDecls(t *testing.T, dir string) *pkgDecls {
+	t.Helper()
+	d := &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+	addMember := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.top[decl.Name.Name] = true
+				} else {
+					addMember(typeName(decl.Recv.List[0].Type), decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.top[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := spec.Name.Name
+						d.top[typ] = true
+						var fields *ast.FieldList
+						switch tt := spec.Type.(type) {
+						case *ast.StructType:
+							fields = tt.Fields
+						case *ast.InterfaceType:
+							fields = tt.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, field := range fields.List {
+							if len(field.Names) == 0 {
+								addMember(typ, typeName(field.Type))
+							}
+							for _, n := range field.Names {
+								addMember(typ, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// typeName returns the base name of a receiver or embedded field type:
+// T for T, *T and pkg.T.
+func typeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }

@@ -96,20 +96,6 @@ func (c *Curve) Max() float64 {
 	return m
 }
 
-// TimeToReach returns the earliest time at which the curve reaches or
-// exceeds level, and whether it ever does.
-func (c *Curve) TimeToReach(level float64) (time.Duration, bool) {
-	if c.Initial >= level {
-		return 0, true
-	}
-	for _, p := range c.pts {
-		if p.V >= level {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
 // AUC returns the integral of the step function from 0 to end. Steps beyond
 // end are ignored; if the curve's last step precedes end, the final value
 // extends to end.
@@ -170,19 +156,6 @@ func (b *Band) FinalMean() float64 {
 		return 0
 	}
 	return b.Mean[len(b.Mean)-1]
-}
-
-// MeanCurve reconstructs the mean as a Curve for reuse of scalar measures.
-func (b *Band) MeanCurve() *Curve {
-	c := New(0)
-	if len(b.Times) > 0 {
-		c.Initial = b.Mean[0]
-	}
-	for i, t := range b.Times {
-		// Band grids are strictly increasing, so Append cannot fail.
-		_ = c.Append(t, b.Mean[i])
-	}
-	return c
 }
 
 // TimeToReachMean returns the earliest grid time at which the band's mean
@@ -248,20 +221,4 @@ func (c *Curve) Monotone() bool {
 		prev = p.V
 	}
 	return true
-}
-
-// PlateauTime returns the time of the last increase of a monotone curve,
-// i.e. when it reached its final plateau. For an empty curve it returns 0.
-func (c *Curve) PlateauTime() time.Duration {
-	for i := len(c.pts) - 1; i >= 0; i-- {
-		prev := c.Initial
-		if i > 0 {
-			prev = c.pts[i-1].V
-		}
-		//mvlint:allow floateq — step values are stored verbatim and compared unmodified, so equality is exact
-		if c.pts[i].V != prev {
-			return c.pts[i].T
-		}
-	}
-	return 0
 }

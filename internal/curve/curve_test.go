@@ -83,27 +83,6 @@ func TestFinalAndMax(t *testing.T) {
 	}
 }
 
-func TestTimeToReach(t *testing.T) {
-	t.Parallel()
-
-	c := New(0)
-	mustAppend(t, c, time.Hour, 5)
-	mustAppend(t, c, 2*time.Hour, 12)
-
-	if at, ok := c.TimeToReach(5); !ok || at != time.Hour {
-		t.Errorf("TimeToReach(5) = %v, %v", at, ok)
-	}
-	if at, ok := c.TimeToReach(6); !ok || at != 2*time.Hour {
-		t.Errorf("TimeToReach(6) = %v, %v", at, ok)
-	}
-	if _, ok := c.TimeToReach(13); ok {
-		t.Error("TimeToReach above max returned ok")
-	}
-	if at, ok := c.TimeToReach(-1); !ok || at != 0 {
-		t.Errorf("TimeToReach below Initial = %v, %v", at, ok)
-	}
-}
-
 func TestAUC(t *testing.T) {
 	t.Parallel()
 
@@ -213,7 +192,7 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
-func TestBandMeanCurveAndTimeToReach(t *testing.T) {
+func TestBandTimeToReachMean(t *testing.T) {
 	t.Parallel()
 
 	a := New(0)
@@ -229,10 +208,6 @@ func TestBandMeanCurveAndTimeToReach(t *testing.T) {
 	if _, ok := band.TimeToReachMean(11); ok {
 		t.Error("TimeToReachMean above max returned ok")
 	}
-	mc := band.MeanCurve()
-	if mc.Final() != 10 {
-		t.Errorf("MeanCurve Final = %v, want 10", mc.Final())
-	}
 }
 
 func TestMonotoneAndPlateau(t *testing.T) {
@@ -245,17 +220,11 @@ func TestMonotoneAndPlateau(t *testing.T) {
 	if !c.Monotone() {
 		t.Error("non-decreasing curve reported non-monotone")
 	}
-	if got := c.PlateauTime(); got != 2*time.Hour {
-		t.Errorf("PlateauTime = %v, want 2h", got)
-	}
 
 	d := New(5)
 	mustAppend(t, d, time.Hour, 3)
 	if d.Monotone() {
 		t.Error("decreasing curve reported monotone")
-	}
-	if New(0).PlateauTime() != 0 {
-		t.Error("empty curve PlateauTime not 0")
 	}
 }
 

@@ -1,13 +1,12 @@
-// Package epidemic implements the analytic epidemiological baselines the
-// paper builds on: the Kephart–White directed-graph SIS model of computer
-// viruses [6], the mean-field SIR compartment model [1] and a capped SI
-// (logistic) model, integrated with a fixed-step fourth-order Runge–Kutta
-// scheme, plus a least-squares fit of the capped SI model to a curve.
+// Package epidemic implements mean-field epidemiological baselines,
+// integrated with a fixed-step fourth-order Runge–Kutta scheme: a capped SI
+// (logistic) model and the SIR compartment model [1].
 //
-// The simulator's infection curves are cross-checked against these models in
-// tests and in the customvirus example: an MMS virus without recovery
-// behaves like an SI process whose plateau is capped by the
-// eventual-acceptance probability.
+// The customvirus example cross-checks a simulated infection curve against
+// the capped SI model: an MMS virus without recovery behaves like an SI
+// process whose plateau is capped by the eventual-acceptance probability.
+// SIR has no caller outside its tests yet; it is kept as the analytic
+// oracle for the planned conformance tests of the simulator's curves.
 package epidemic
 
 import (
@@ -66,81 +65,6 @@ func RK4(f Deriv, y0 []float64, t0, t1, h float64) ([]float64, error) {
 		t += step
 	}
 	return y, nil
-}
-
-// KephartWhite is the homogeneous Kephart–White SIS model: each infected
-// node infects each neighbor at rate Beta along a directed graph of average
-// out-degree K, and nodes are cured at rate Delta. The fraction of infected
-// nodes i obeys di/dt = Beta*K*i*(1-i) - Delta*i.
-type KephartWhite struct {
-	// Beta is the per-edge infection rate (per hour).
-	Beta float64
-	// K is the average degree.
-	K float64
-	// Delta is the cure rate (per hour).
-	Delta float64
-}
-
-// Validate checks the parameters.
-func (kw KephartWhite) Validate() error {
-	if kw.Beta < 0 || kw.K < 0 || kw.Delta < 0 {
-		return errors.New("epidemic: Kephart-White parameters must be non-negative")
-	}
-	return nil
-}
-
-// Threshold returns the epidemic threshold ratio Beta*K/Delta; the infection
-// persists iff the ratio exceeds 1. It returns +Inf when Delta == 0.
-func (kw KephartWhite) Threshold() float64 {
-	if kw.Delta == 0 {
-		return math.Inf(1)
-	}
-	return kw.Beta * kw.K / kw.Delta
-}
-
-// Equilibrium returns the stable endemic infected fraction:
-// max(0, 1 - Delta/(Beta*K)).
-func (kw KephartWhite) Equilibrium() float64 {
-	bk := kw.Beta * kw.K
-	if bk <= 0 {
-		return 0
-	}
-	eq := 1 - kw.Delta/bk
-	if eq < 0 {
-		return 0
-	}
-	return eq
-}
-
-// Solve integrates the model from infected fraction i0 over hours hours
-// with nPoints+1 uniformly spaced outputs (including both endpoints).
-func (kw KephartWhite) Solve(i0, hours float64, nPoints int) ([]float64, error) {
-	if err := kw.Validate(); err != nil {
-		return nil, err
-	}
-	if i0 < 0 || i0 > 1 {
-		return nil, fmt.Errorf("epidemic: initial fraction %v outside [0,1]", i0)
-	}
-	if nPoints < 1 {
-		return nil, errors.New("epidemic: need at least one output interval")
-	}
-	deriv := func(_ float64, y, dst []float64) {
-		i := y[0]
-		dst[0] = kw.Beta*kw.K*i*(1-i) - kw.Delta*i
-	}
-	out := make([]float64, 0, nPoints+1)
-	out = append(out, i0)
-	y := []float64{i0}
-	dt := hours / float64(nPoints)
-	for p := 1; p <= nPoints; p++ {
-		var err error
-		y, err = RK4(deriv, y, float64(p-1)*dt, float64(p)*dt, dt/50)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, y[0])
-	}
-	return out, nil
 }
 
 // SIR is the mean-field susceptible-infected-recovered model with contact

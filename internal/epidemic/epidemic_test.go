@@ -70,61 +70,6 @@ func TestRK4DoesNotMutateInitial(t *testing.T) {
 	}
 }
 
-func TestKephartWhiteEquilibrium(t *testing.T) {
-	t.Parallel()
-
-	kw := KephartWhite{Beta: 0.01, K: 80, Delta: 0.2}
-	// Threshold = 0.01*80/0.2 = 4 > 1: endemic at 1 - 1/4 = 0.75.
-	if got := kw.Threshold(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("threshold = %v, want 4", got)
-	}
-	if got := kw.Equilibrium(); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("equilibrium = %v, want 0.75", got)
-	}
-	traj, err := kw.Solve(0.001, 2000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final := traj[len(traj)-1]; math.Abs(final-0.75) > 1e-3 {
-		t.Errorf("trajectory converged to %v, want 0.75", final)
-	}
-}
-
-func TestKephartWhiteSubthresholdDies(t *testing.T) {
-	t.Parallel()
-
-	kw := KephartWhite{Beta: 0.001, K: 80, Delta: 0.2}
-	// Threshold = 0.4 < 1: infection dies out.
-	traj, err := kw.Solve(0.1, 500, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final := traj[len(traj)-1]; final > 1e-3 {
-		t.Errorf("subthreshold infection persisted at %v", final)
-	}
-	if kw.Equilibrium() != 0 {
-		t.Errorf("subthreshold equilibrium = %v, want 0", kw.Equilibrium())
-	}
-}
-
-func TestKephartWhiteValidation(t *testing.T) {
-	t.Parallel()
-
-	if err := (KephartWhite{Beta: -1}).Validate(); err == nil {
-		t.Error("negative beta accepted")
-	}
-	kw := KephartWhite{Beta: 0.01, K: 10, Delta: 0.1}
-	if _, err := kw.Solve(-0.1, 10, 5); err == nil {
-		t.Error("negative initial fraction accepted")
-	}
-	if _, err := kw.Solve(0.5, 10, 0); err == nil {
-		t.Error("zero output intervals accepted")
-	}
-	if got := (KephartWhite{Beta: 1, K: 1}).Threshold(); !math.IsInf(got, 1) {
-		t.Errorf("threshold without cure = %v, want +Inf", got)
-	}
-}
-
 func TestSIRConservationAndFinalSize(t *testing.T) {
 	t.Parallel()
 

@@ -6,15 +6,6 @@ import (
 	"repro/internal/epidemic"
 )
 
-// The Kephart–White SIS model predicts an epidemic threshold at
-// Beta*K/Delta = 1 and an endemic level of 1 − Delta/(Beta*K) above it.
-func ExampleKephartWhite() {
-	kw := epidemic.KephartWhite{Beta: 0.01, K: 80, Delta: 0.2}
-	fmt.Printf("threshold ratio %.1f, endemic fraction %.2f\n",
-		kw.Threshold(), kw.Equilibrium())
-	// Output: threshold ratio 4.0, endemic fraction 0.75
-}
-
 // The MMS virus is a capped SI process: no recovery, and only
 // susceptible-share x eventual-acceptance of the population is reachable.
 // Its mean-field solution is a logistic that plateaus at the cap — the

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -75,10 +76,11 @@ func RunCombinationMatrix(s Scale, v virus.Config, variants []MechanismVariant, 
 			add(variants[i].Name+" + "+variants[j].Name, variants[i].Factory, variants[j].Factory)
 		}
 	}
-	fr, err := RunFigure(fig, opts)
+	sr, err := RunSweep(context.TODO(), []Figure{fig}, opts, SweepOptions{Jobs: opts.Parallelism})
 	if err != nil {
 		return nil, 0, err
 	}
+	fr := sr.Figures[0]
 
 	// Read the series back in the order they were added.
 	singles := fr.Series[1 : 1+len(variants)]

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,13 +67,21 @@ func TestScaleShrinksPopulation(t *testing.T) {
 	}
 }
 
-func TestRunFigureSmoke(t *testing.T) {
-	t.Parallel()
-
-	fr, err := RunFigure(Figure6(testScale), testOpts)
+// runFigure runs fig as a one-figure sweep at opts.Parallelism through
+// cache (nil runs uncached) and fails the test on any error.
+func runFigure(t testing.TB, fig Figure, opts core.Options, cache *ReplicationCache) *FigureResult {
+	t.Helper()
+	sr, err := RunSweep(context.Background(), []Figure{fig}, opts, SweepOptions{Jobs: opts.Parallelism, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sr.Figures[0]
+}
+
+func TestSweepOneFigureSmoke(t *testing.T) {
+	t.Parallel()
+
+	fr := runFigure(t, Figure6(testScale), testOpts, nil)
 	if len(fr.Series) != 4 {
 		t.Fatalf("got %d series results", len(fr.Series))
 	}
@@ -92,10 +101,10 @@ func TestRunFigureSmoke(t *testing.T) {
 	}
 }
 
-func TestRunFigureEmpty(t *testing.T) {
+func TestSweepRejectsEmptyFigure(t *testing.T) {
 	t.Parallel()
 
-	if _, err := RunFigure(Figure{ID: "empty"}, testOpts); err == nil {
+	if _, err := RunSweep(context.Background(), []Figure{{ID: "empty"}}, testOpts, SweepOptions{}); err == nil {
 		t.Error("empty figure accepted")
 	}
 }
@@ -103,10 +112,7 @@ func TestRunFigureEmpty(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	t.Parallel()
 
-	fr, err := RunFigure(Figure7(testScale), testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure7(testScale), testOpts, nil)
 	var sb strings.Builder
 	if err := fr.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -124,10 +130,7 @@ func TestWriteCSV(t *testing.T) {
 func TestRenderASCIIAndSummary(t *testing.T) {
 	t.Parallel()
 
-	fr, err := RunFigure(Figure6(testScale), testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure6(testScale), testOpts, nil)
 	chart, err := fr.RenderASCII()
 	if err != nil {
 		t.Fatal(err)

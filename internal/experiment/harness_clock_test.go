@@ -26,10 +26,7 @@ func TestElapsedUsesInjectedClock(t *testing.T) {
 		Title:  "clock",
 		Series: []Series{{Label: "baseline", Config: cfg}},
 	}
-	fr, err := RunFigure(fig, core.Options{Replications: 1, GridPoints: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, fig, core.Options{Replications: 1, GridPoints: 5}, nil)
 	if fr.Elapsed != 3*time.Second {
 		t.Fatalf("Elapsed = %v through stepped clock, want 3s", fr.Elapsed)
 	}

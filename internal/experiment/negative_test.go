@@ -66,10 +66,7 @@ func TestPaperClaimsNegativeResults(t *testing.T) {
 		{BlacklistVsVirus1Study(FullScale), CheckBlacklistVsVirus1},
 		{BlacklistEquivalenceStudy(FullScale), CheckBlacklistEquivalence},
 	} {
-		fr, err := RunFigure(s.fig, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fr := runFigure(t, s.fig, opts, nil)
 		checks, err := s.check(fr)
 		if err != nil {
 			t.Fatal(err)

@@ -20,10 +20,7 @@ func TestPaperClaimsScan(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure2(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure2(FullScale), fullOpts, nil)
 	checks, cerr := CheckScanClaims(fr)
 	assertChecks(t, checks, cerr)
 }
@@ -35,10 +32,7 @@ func TestPaperClaimsDetector(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure3(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure3(FullScale), fullOpts, nil)
 	checks, cerr := CheckDetectorClaims(fr)
 	assertChecks(t, checks, cerr)
 }
@@ -50,10 +44,7 @@ func TestPaperClaimsEducation(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure4(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure4(FullScale), fullOpts, nil)
 	checks, cerr := CheckEducationClaims(fr)
 	assertChecks(t, checks, cerr)
 }
@@ -66,10 +57,7 @@ func TestPaperClaimsImmunization(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure5(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure5(FullScale), fullOpts, nil)
 	checks, cerr := CheckImmunizationClaims(fr)
 	assertChecks(t, checks, cerr)
 }
@@ -81,10 +69,7 @@ func TestPaperClaimsMonitoring(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure6(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure6(FullScale), fullOpts, nil)
 	checks, cerr := CheckMonitoringClaims(fr)
 	assertChecks(t, checks, cerr)
 }
@@ -96,10 +81,7 @@ func TestPaperClaimsBlacklist(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure7(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure7(FullScale), fullOpts, nil)
 	checks, cerr := CheckBlacklistClaims(fr)
 	assertChecks(t, checks, cerr)
 }
@@ -126,10 +108,7 @@ func TestPaperClaimsEducationQuarter(t *testing.T) {
 		{Label: "Baseline", Config: base},
 		{Label: "Educated", Config: educated},
 	}
-	fr, err := RunFigure(fig, fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, fig, fullOpts, nil)
 	b, _ := fr.SeriesByLabel("Baseline")
 	e, _ := fr.SeriesByLabel("Educated")
 	r := e.FinalMean / b.FinalMean
@@ -159,10 +138,7 @@ func TestPaperClaimsBaselinePlateaus(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(Figure1(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, Figure1(FullScale), fullOpts, nil)
 	for _, s := range fr.Series {
 		if s.FinalMean < 280 || s.FinalMean > 360 {
 			t.Errorf("%s plateau = %.1f, want ~320", s.Label, s.FinalMean)
@@ -178,10 +154,7 @@ func TestPaperClaimsScaling(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(ScalingStudy(FullScale), core.Options{Replications: 3, GridPoints: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, ScalingStudy(FullScale), core.Options{Replications: 3, GridPoints: 50}, nil)
 	small, ok := fr.SeriesByLabel("1000 phones")
 	if !ok {
 		t.Fatal("1000-phone series missing")
@@ -205,10 +178,7 @@ func TestPaperClaimsCombined(t *testing.T) {
 	}
 	t.Parallel()
 
-	fr, err := RunFigure(CombinedStudy(FullScale), fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, CombinedStudy(FullScale), fullOpts, nil)
 	base, ok := fr.SeriesByLabel("Baseline")
 	if !ok {
 		t.Fatal("baseline missing")

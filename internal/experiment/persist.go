@@ -17,7 +17,7 @@ type PersistentSweep struct {
 	// Journal is the open sweep journal inside the store directory.
 	Journal *store.Journal
 	// Cache is a persistent replication cache over Store and Journal,
-	// ready to pass to RunSweep / RunFigureCached.
+	// ready to pass to RunSweep.
 	Cache *ReplicationCache
 	// Resumed is the number of completed units replayed from the journal:
 	// zero for a fresh sweep, the prior run's progress under -resume.

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -16,10 +15,7 @@ func figureCSV(t *testing.T, cache *ReplicationCache) ([]byte, CacheStats) {
 	t.Helper()
 	fig := Figure1(Scale{Factor: 20})
 	opts := core.Options{Replications: 2, GridPoints: 20, BaseSeed: 1}
-	fr, err := RunFigureCached(context.Background(), fig, opts, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, fig, opts, cache)
 	var buf bytes.Buffer
 	if err := fr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -145,9 +141,7 @@ func TestUncacheableConfigBypassesStore(t *testing.T) {
 		fig.Series[i].Config.PostRun = func(*mms.ShardSet) {}
 	}
 	opts := core.Options{Replications: 2, GridPoints: 20, BaseSeed: 1}
-	if _, err := RunFigureCached(context.Background(), fig, opts, cache); err != nil {
-		t.Fatal(err)
-	}
+	runFigure(t, fig, opts, cache)
 	stats := cache.Stats()
 	if stats.Uncacheable == 0 {
 		t.Error("opaque config not counted as uncacheable")

@@ -91,20 +91,20 @@ func TestSweepSalvagesPartialFailure(t *testing.T) {
 	}
 }
 
-// RunFigure forwards the scheduler's salvage contract: the partial
-// FigureResult arrives alongside the joined error instead of being
-// discarded.
+// A one-figure sweep hands back its partial FigureResult alongside the
+// joined error instead of discarding it, and the failed series is absent.
 func TestRunFigurePartialResult(t *testing.T) {
 	t.Parallel()
 	fig := Figure1(Scale{Factor: 20})
 	fig.Series[0].Config.Population = -1
-	fr, err := RunFigure(fig, core.Options{Replications: 2, GridPoints: 20})
+	sr, err := RunSweep(context.Background(), []Figure{fig}, core.Options{Replications: 2, GridPoints: 20}, SweepOptions{})
 	if err == nil {
 		t.Fatal("invalid series reported success")
 	}
-	if fr == nil {
+	if sr == nil || len(sr.Figures) != 1 || sr.Figures[0] == nil {
 		t.Fatal("partial figure result discarded")
 	}
+	fr := sr.Figures[0]
 	if got, want := len(fr.Series), len(fig.Series)-1; got != want {
 		t.Errorf("kept %d series, want the %d survivors", got, want)
 	}
@@ -130,11 +130,11 @@ func TestSweepCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRunMatchesRunFigure pins that core.Run and a one-series RunFigure,
+// TestRunMatchesOneSeriesSweep pins that core.Run and a one-series sweep,
 // uncached, return the same RunSet for the same config and options: seeds,
 // per-replication results, band and recorded failures, including a
 // replication that panics under a salvage quorum that still holds.
-func TestRunMatchesRunFigure(t *testing.T) {
+func TestRunMatchesOneSeriesSweep(t *testing.T) {
 	t.Parallel()
 	// panicFirst returns a PostRun hook that panics in the first
 	// replication to reach it; Parallelism 1 makes that replication 0.
@@ -165,10 +165,7 @@ func TestRunMatchesRunFigure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("core.Run: %v", err)
 			}
-			fr, err := RunFigure(Figure{ID: "match", Series: []Series{{Label: "only", Config: figCfg}}}, tc.opts)
-			if err != nil {
-				t.Fatalf("RunFigure: %v", err)
-			}
+			fr := runFigure(t, Figure{ID: "match", Series: []Series{{Label: "only", Config: figCfg}}}, tc.opts, nil)
 			got := fr.Series[0].RunSet
 			if !reflect.DeepEqual(got.Seeds, want.Seeds) {
 				t.Errorf("seeds %v, core.Run has %v", got.Seeds, want.Seeds)

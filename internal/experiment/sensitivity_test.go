@@ -30,10 +30,7 @@ func TestSensitivitySmokeScaled(t *testing.T) {
 	t.Parallel()
 
 	fig := SensitivityReadDelay(testScale, virus.Virus3())
-	fr, err := RunFigure(fig, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, fig, testOpts, nil)
 	for _, s := range fr.Series {
 		if s.FinalMean < 1 {
 			t.Errorf("%s: no infections", s.Label)
@@ -59,10 +56,7 @@ func TestPaperClaimsSensitivity(t *testing.T) {
 		SensitivityDetectThreshold(FullScale, virus.Virus3()),
 		SensitivityCongestion(FullScale, virus.Virus3()),
 	} {
-		fr, err := RunFigure(fig, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fr := runFigure(t, fig, opts, nil)
 		for _, c := range CheckPlateauInvariance(fr, 320, 0.12) {
 			if !c.Pass {
 				t.Errorf("%s", c)

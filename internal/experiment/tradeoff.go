@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -118,10 +119,11 @@ func RunMonitorTradeoff(tc TradeoffConfig, opts core.Options) ([]TradeoffPoint, 
 		cfg.PostRun = counts[ti].collect
 		fig.Series = append(fig.Series, Series{Label: fmt.Sprintf("threshold %d", threshold), Config: cfg})
 	}
-	fr, err := RunFigure(fig, opts)
+	sr, err := RunSweep(context.TODO(), []Figure{fig}, opts, SweepOptions{Jobs: opts.Parallelism})
 	if err != nil {
 		return nil, err
 	}
+	fr := sr.Figures[0]
 
 	points := make([]TradeoffPoint, 0, len(tc.Thresholds))
 	for ti, threshold := range tc.Thresholds {

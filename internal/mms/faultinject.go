@@ -78,15 +78,6 @@ func (n *Network) fireFault(ev FaultEvent) {
 	}
 }
 
-// PoweredOn reports whether phone id is currently powered on. Phones are
-// always on unless the fault schedule configures churn.
-func (n *Network) PoweredOn(id PhoneID) bool {
-	if !n.pop.valid(id) {
-		return false
-	}
-	return !n.phoneOff(id)
-}
-
 func (n *Network) phoneOff(id PhoneID) bool {
 	return n.churnOff != nil && n.churnOff[id]
 }

@@ -163,7 +163,7 @@ func TestChurnDefersSendsWhileOff(t *testing.T) {
 	}
 	net, sim := buildFaultNet(t, 2, cfg, 1)
 
-	if !net.PoweredOn(0) {
+	if net.phoneOff(0) {
 		t.Fatal("phone 0 not powered on at start")
 	}
 	var res SendResult

@@ -26,9 +26,7 @@ type Immunizer struct {
 
 	// Deployment state: at detection the wave is drawn once in canonical
 	// phone order; shards[s] holds shard s's contiguous segment of it.
-	armed    bool
-	deployAt time.Duration
-	shards   []shardWave
+	shards []shardWave
 }
 
 // patchEntry is one phone's patch installation in a deployment wave.
@@ -108,8 +106,6 @@ func (im *Immunizer) Attach(ss *mms.ShardSet, src *rng.Source) error {
 // contiguous id ranges in shard order, so each shard's entries form one
 // segment of the wave.
 func (im *Immunizer) draw(ss *mms.ShardSet, src *rng.Source, start time.Duration) {
-	im.armed = true
-	im.deployAt = start
 	wave := make([]patchEntry, 0, ss.N())
 	scratch := make([]patchEntry, ss.N())
 	for s, n := range ss.Shards() {
@@ -196,12 +192,6 @@ func sortWave(entries, scratch []patchEntry) {
 	if &src[0] != &entries[0] {
 		copy(entries, src)
 	}
-}
-
-// DeploymentStart reports whether the virus has been detected and, if so,
-// when patch deployment begins (or began).
-func (im *Immunizer) DeploymentStart() (time.Duration, bool) {
-	return im.deployAt, im.armed
 }
 
 // Descriptor implements mms.ResponseDescriber: immunization is fully

@@ -234,8 +234,7 @@ func TestImmunizerPatchesPopulation(t *testing.T) {
 
 	net, sim := harness(t, 1, 10)
 	r := attach(t, net, NewImmunizer(24*time.Hour, 6*time.Hour), 11)
-	im, ok := r.(*Immunizer)
-	if !ok {
+	if _, ok := r.(*Immunizer); !ok {
 		t.Fatal("factory did not produce *Immunizer")
 	}
 
@@ -246,11 +245,8 @@ func TestImmunizerPatchesPopulation(t *testing.T) {
 	if _, err := net.Send(0, []mms.Target{mms.ValidTarget(1)}); err != nil {
 		t.Fatal(err)
 	}
-	// Detection at t=0 fixes the deployment start at the end of
-	// development; no phone is patched before it.
-	if at, armed := im.DeploymentStart(); !armed || at != 24*time.Hour {
-		t.Errorf("deployment start = %v, %v; want 24h, true", at, armed)
-	}
+	// Detection at t=0 starts deployment at the end of development: no
+	// phone is patched before 24h, and all are by the window's end.
 	sim.RunUntil(24*time.Hour - time.Nanosecond)
 	if net.Metrics().Patched != 0 {
 		t.Fatal("phones patched before development finished")

@@ -17,8 +17,8 @@ import (
 
 // Source is a deterministic xoshiro256** pseudo-random generator.
 //
-// The zero value is not usable; construct Sources with New, NewFromState, or
-// by splitting an existing Source. Source is not safe for concurrent use;
+// The zero value is not usable; construct Sources with New or by splitting
+// an existing Source. Source is not safe for concurrent use;
 // derive one Source per goroutine instead of sharing.
 type Source struct {
 	s0, s1, s2, s3 uint64
@@ -183,15 +183,8 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// State returns the generator's internal state, for checkpointing.
+// State returns the generator's internal state. Two Sources with equal
+// states produce equal streams.
 func (s *Source) State() [4]uint64 {
 	return [4]uint64{s.s0, s.s1, s.s2, s.s3}
-}
-
-// NewFromState reconstructs a Source from a previously captured state.
-func NewFromState(state [4]uint64) *Source {
-	if state[0]|state[1]|state[2]|state[3] == 0 {
-		state[0] = 0x9e3779b97f4a7c15
-	}
-	return &Source{s0: state[0], s1: state[1], s2: state[2], s3: state[3]}
 }

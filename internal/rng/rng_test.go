@@ -231,25 +231,23 @@ func TestSplitAdvancesParent(t *testing.T) {
 func TestStateRoundTrip(t *testing.T) {
 	t.Parallel()
 
-	a := New(77)
+	a, b := New(77), New(77)
 	for i := 0; i < 10; i++ {
 		a.Uint64()
 	}
-	st := a.State()
-	b := NewFromState(st)
+	if a.State() == b.State() {
+		t.Fatal("State did not change as the source advanced")
+	}
+	for i := 0; i < 10; i++ {
+		b.Uint64()
+	}
+	if a.State() != b.State() {
+		t.Fatalf("same seed and draws gave states %v and %v", a.State(), b.State())
+	}
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
-			t.Fatal("restored source diverged from original")
+			t.Fatal("sources with equal states diverged")
 		}
-	}
-}
-
-func TestNewFromStateZeroState(t *testing.T) {
-	t.Parallel()
-
-	s := NewFromState([4]uint64{})
-	if s.Uint64() == 0 && s.Uint64() == 0 {
-		t.Fatal("NewFromState with zero state is degenerate")
 	}
 }
 

@@ -26,16 +26,19 @@ import (
 // may break it, when:
 //
 //   - its mtime is older than the TTL (authoritative on its own; Renew
-//     pushes the mtime forward), or
+//     pushes the mtime forward),
 //   - it was written on this host and its pid fails a signal-0 probe —
-//     the fast path that reclaims a SIGKILLed owner's work immediately.
+//     the fast path that reclaims a SIGKILLed owner's work immediately, or
+//   - it is empty and its mtime is older than emptyLeaseGrace: its owner
+//     died between the exclusive create and the body write, which a live
+//     owner finishes at once.
 //
 // A lease written on another host names a pid that means nothing here:
 // probing it would either find an unrelated local process (the lease
 // never breaks) or nothing (a live lease broken at once, duplicating work
 // and racing the owner's publish). Foreign-host, torn and unparseable
 // bodies — and every body when this host's name is unknown — therefore
-// fall back to the TTL alone.
+// fall back to the TTL alone, unless they are empty.
 type Leases struct {
 	fsys      FS
 	now       clock.Clock
@@ -45,6 +48,12 @@ type Leases struct {
 	body      []byte
 	takeovers atomic.Uint64
 }
+
+// emptyLeaseGrace is how long an empty lease may stand before it counts
+// as stale. A live owner writes the body right after the exclusive
+// create, so an older empty lease was left by a process killed between
+// the two; without this bound only the TTL would break it.
+const emptyLeaseGrace = 5 * time.Second
 
 // selfPid is read once: getpid is a system call, and a sweep opens its
 // store once per setup.
@@ -105,9 +114,9 @@ func (l *Leases) TryAcquire(path string) (bool, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		f, err := l.fsys.OpenExcl(path)
 		if err == nil {
-			_, _ = f.Write(l.body)
+			_, werr := f.Write(l.body)
 			_ = f.Sync()
-			if err := f.Close(); err != nil {
+			if err := errors.Join(werr, f.Close()); err != nil {
 				_ = l.fsys.Remove(path)
 				return false, fmt.Errorf("store: write lease %s: %w", path, err)
 			}
@@ -134,7 +143,8 @@ func (l *Leases) Stale(path string) bool {
 	if err != nil {
 		return true
 	}
-	if l.now().Sub(info.ModTime()) > l.ttl {
+	age := l.now().Sub(info.ModTime())
+	if age > l.ttl || (info.Size() == 0 && age > emptyLeaseGrace) {
 		return true
 	}
 	data, err := l.fsys.ReadFile(path)

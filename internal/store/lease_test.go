@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // reapedPid returns the pid of a child process that has been killed and
@@ -107,5 +109,54 @@ func TestLeaseStaleness(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEmptyLeaseBrokenAfterGrace covers the two ways a lease ends up
+// empty. A failed body write must fail the acquire and leave no lease
+// behind; a lease left empty by an owner killed between the exclusive
+// create and the write holds for emptyLeaseGrace and is then broken, far
+// sooner than the TTL.
+func TestEmptyLeaseBrokenAfterGrace(t *testing.T) {
+	t.Parallel()
+
+	const ttl = 5 * time.Minute
+	path := filepath.Join(t.TempDir(), "unit.lease")
+	ffs := NewFaultFS(OS)
+	ffs.FailWriteIn(1)
+	failed := NewLeases(ffs, ttl, LeaseOptions{Hostname: "hostA"})
+	if ok, err := failed.TryAcquire(path); ok || err == nil {
+		t.Errorf("acquire with a failed body write: ok=%v err=%v, want an error", ok, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("failed acquire left a lease behind (stat err %v)", err)
+	}
+
+	// An empty lease, as an owner killed between OpenExcl and Write
+	// leaves one.
+	f, err := OS.OpenExcl(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The clock reads 1s after the create, then steps past the grace.
+	l := NewLeases(OS, ttl, LeaseOptions{
+		Hostname: "hostA",
+		Clock:    clock.Stepped(info.ModTime().Add(time.Second), emptyLeaseGrace),
+	})
+	if ok, err := l.TryAcquire(path); ok || err != nil {
+		t.Fatalf("empty lease inside the grace: ok=%v err=%v, want held", ok, err)
+	}
+	if ok, err := l.TryAcquire(path); !ok || err != nil {
+		t.Fatalf("empty lease past the grace: ok=%v err=%v, want acquired", ok, err)
+	}
+	if got := l.Takeovers(); got != 1 {
+		t.Errorf("takeovers = %d, want 1", got)
 	}
 }

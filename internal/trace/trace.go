@@ -128,15 +128,6 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// CountByKind tallies retained events per kind.
-func (r *Recorder) CountByKind() map[Kind]int {
-	out := make(map[Kind]int, 4)
-	for _, e := range r.events {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // WriteJSONL emits one JSON object per line.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -167,19 +158,4 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadJSONL parses a log written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode event %d: %w", len(out), err)
-		}
-		out = append(out, e)
-	}
 }

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +47,34 @@ func tracedNet(t *testing.T, rec *Recorder) (*mms.Network, *des.Simulation) {
 	return net, sim
 }
 
+// countByKind tallies the recorder's retained events per kind.
+func countByKind(rec *Recorder) map[Kind]int {
+	out := make(map[Kind]int)
+	for _, e := range rec.Events() {
+		out[e.Kind]++
+	}
+	return out
+}
+
+// decodeJSONL parses a log written by WriteJSONL, failing the test on
+// malformed input.
+func decodeJSONL(t *testing.T, log string) []Event {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(log))
+	var out []Event
+	for {
+		var e Event
+		err := dec.Decode(&e)
+		if errors.Is(err, io.EOF) {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("decode event %d: %v", len(out), err)
+		}
+		out = append(out, e)
+	}
+}
+
 func TestRecorderCapturesLifecycle(t *testing.T) {
 	t.Parallel()
 
@@ -60,7 +91,7 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	counts := rec.CountByKind()
+	counts := countByKind(rec)
 	if counts[KindInfected] != 2 {
 		t.Errorf("infected events = %d, want 2 (seed + target)", counts[KindInfected])
 	}
@@ -131,10 +162,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := rec.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeJSONL(t, sb.String())
 	if len(back) != rec.Len() {
 		t.Fatalf("round trip changed count: %d -> %d", rec.Len(), len(back))
 	}
@@ -142,18 +170,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if back[i] != e {
 			t.Fatalf("event %d changed: %+v -> %+v", i, e, back[i])
 		}
-	}
-}
-
-func TestReadJSONLBadInput(t *testing.T) {
-	t.Parallel()
-
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
-		t.Error("malformed input accepted")
-	}
-	events, err := ReadJSONL(strings.NewReader(""))
-	if err != nil || len(events) != 0 {
-		t.Errorf("empty input: %v, %v", events, err)
 	}
 }
 
@@ -250,7 +266,7 @@ func TestFaultEventsRecorded(t *testing.T) {
 	}
 	sim.RunUntil(3 * time.Hour)
 
-	counts := rec.CountByKind()
+	counts := countByKind(rec)
 	if counts[KindOutageQueued] != 1 || counts[KindOutageDrained] != 1 {
 		t.Errorf("outage events = %+v, want one queued and one drained", counts)
 	}
@@ -263,10 +279,7 @@ func TestFaultEventsRecorded(t *testing.T) {
 	if err := rec.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeJSONL(t, sb.String())
 	if len(back) != rec.Len() {
 		t.Errorf("round-trip length %d != %d", len(back), rec.Len())
 	}
