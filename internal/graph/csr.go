@@ -97,8 +97,8 @@ func FromGraph(c *CSR) *CSR { return c }
 
 // CSRBuilder accumulates a streamed sequence of undirected edges and
 // finalizes them into a CSR. The builder holds each edge once as a flat
-// (u, v) pair — never a per-node map or adjacency slice — so generating a
-// million-node topology peaks at a few flat arrays of edge endpoints.
+// (u, v) pair — never a per-node map or adjacency slice — so a streamed
+// topology peaks at a few flat arrays of edge endpoints.
 type CSRBuilder struct {
 	n      int
 	us, vs []uint32
@@ -141,10 +141,8 @@ func (b *CSRBuilder) AddEdge(u, v int) error {
 
 // Finalize builds the CSR with one scatter: degrees are prefix-summed into
 // the offsets, then each edge is written into its two rows in emission
-// order. A row that arrives out of order is sorted in place;
-// a stream that emits each node's neighbors ascending, as
-// barabasiAlbertStream does, never reaches that sort. Duplicate edges surface
-// as adjacent equal targets and are rejected.
+// order. ascendRows then sorts any row that arrived out of order and
+// rejects duplicate edges.
 func (b *CSRBuilder) Finalize() (*CSR, error) {
 	n := b.n
 	offsets := make([]uint32, n+1)
@@ -164,18 +162,28 @@ func (b *CSRBuilder) Finalize() (*CSR, error) {
 		targets[fill[v]] = u
 		fill[v]++
 	}
+	if err := ascendRows(offsets, targets); err != nil {
+		return nil, err
+	}
+	return &CSR{offsets: offsets, targets: targets}, nil
+}
 
-	// Sorted rows make duplicate detection a single adjacency scan.
-	for u := 0; u < n; u++ {
+// ascendRows makes every row of a CSR's arrays strictly ascending: it sorts
+// in place any row that is not ascending, then rejects a row holding the
+// same target twice. Sorted rows make duplicate detection a single
+// adjacency scan. A generator that writes its rows ascending, as
+// BarabasiAlbertCSR does, never reaches the sort.
+func ascendRows(offsets, targets []uint32) error {
+	for u := 0; u+1 < len(offsets); u++ {
 		row := targets[offsets[u]:offsets[u+1]]
 		if !slices.IsSorted(row) {
 			slices.Sort(row)
 		}
 		for i := 1; i < len(row); i++ {
 			if row[i] == row[i-1] {
-				return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", u, row[i])
+				return fmt.Errorf("graph: duplicate edge {%d,%d}", u, row[i])
 			}
 		}
 	}
-	return &CSR{offsets: offsets, targets: targets}, nil
+	return nil
 }

@@ -227,43 +227,108 @@ func TestGeneratorsPinned(t *testing.T) {
 	}
 }
 
-// Pin: the order invariant that keeps BarabasiAlbertCSR off Finalize's
-// per-row sort. Every node receives its neighbors from the stream strictly
-// ascending, in whichever orientation each edge is emitted.
-func TestBarabasiAlbertStreamRowOrdered(t *testing.T) {
+// referenceBarabasiAlbert is the Barabási–Albert generator written the
+// plain way, as the oracle BarabasiAlbertCSR must match byte for byte: an
+// explicit repeated-endpoint list, one node at a time, edges streamed
+// through a CSRBuilder and Finalize. It also counts the nodes whose first m
+// draws hold a duplicate, which send BarabasiAlbertCSR back to the
+// rejection loop and restart its batch, and how many of those fall on a
+// batch's last node.
+func referenceBarabasiAlbert(n, m int, src *rng.Source) (c *CSR, restarts, lastRestarts int, err error) {
+	b, err := NewCSRBuilder(n, m*(2*n-m-1)/2)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for u := 0; u <= m; u++ {
+		for v := u + 1; v <= m; v++ {
+			if err := b.AddEdge(u, v); err != nil {
+				return nil, 0, 0, err
+			}
+		}
+	}
+	var endpoints []int
+	for u := 0; u <= m; u++ {
+		for i := 0; i < m; i++ {
+			endpoints = append(endpoints, u)
+		}
+	}
+	batchStart := m + 1
+	for u := m + 1; u < n; u++ {
+		var chosen []int
+		insert := func(v int) {
+			i, found := slices.BinarySearch(chosen, v)
+			if !found {
+				chosen = slices.Insert(chosen, i, v)
+			}
+		}
+		for i := 0; i < m; i++ {
+			insert(endpoints[src.Intn(len(endpoints))])
+		}
+		last := u == min(batchStart+baBatch, n)-1
+		if len(chosen) < m {
+			restarts++
+			if last {
+				lastRestarts++
+			}
+			batchStart = u + 1
+		} else if last {
+			batchStart = u + 1
+		}
+		for guard := m; len(chosen) < m && guard < 100*m; guard++ {
+			insert(endpoints[src.Intn(len(endpoints))])
+		}
+		for _, v := range chosen {
+			if err := b.AddEdge(u, v); err != nil {
+				return nil, 0, 0, err
+			}
+			endpoints = append(endpoints, u, v)
+		}
+	}
+	c, err = b.Finalize()
+	return c, restarts, lastRestarts, err
+}
+
+// BarabasiAlbertCSR must build exactly the reference generator's CSR and
+// leave the source where the reference leaves it, across batch-boundary
+// sizes, the restart path and a restart at a batch's last node.
+func TestBarabasiAlbertMatchesReference(t *testing.T) {
 	t.Parallel()
 
-	cases := []struct {
-		n, m int
-		seed uint64
-	}{
-		{5, 4, 1},
-		{50, 1, 2},
-		{300, 3, 3},
-		{2000, 4, 7},
-		{2000, 8, 11},
-	}
-	for _, tc := range cases {
-		last := make([]int, tc.n)
-		for i := range last {
-			last[i] = -1
+	type size struct{ n, m int }
+	sizes := []size{{2, 1}, {4, 3}, {9, 8}, {1000, 1}, {1000, 8}, {300, 3}, {100_000, 4}}
+	for _, m := range []int{3, 8} {
+		for _, k := range []int{baBatch - 1, baBatch, baBatch + 1, 2*baBatch + 1} {
+			sizes = append(sizes, size{m + 1 + k, m})
 		}
-		edges := 0
-		emit := func(u, v int) error {
-			for _, e := range [][2]int{{u, v}, {v, u}} {
-				if e[1] <= last[e[0]] {
-					t.Fatalf("n=%d m=%d seed=%d: node %d receives %d after %d", tc.n, tc.m, tc.seed, e[0], e[1], last[e[0]])
-				}
-				last[e[0]] = e[1]
+	}
+	restarts, lastRestarts := 0, 0
+	for _, sz := range sizes {
+		for seed := uint64(1); seed <= 4; seed++ {
+			ref := rng.New(seed)
+			want, r, lr, err := referenceBarabasiAlbert(sz.n, sz.m, ref)
+			if err != nil {
+				t.Fatalf("reference(%d,%d,%d): %v", sz.n, sz.m, seed, err)
 			}
-			edges++
-			return nil
-		}
-		if err := barabasiAlbertStream(tc.n, tc.m, rng.New(tc.seed), emit); err != nil {
-			t.Fatal(err)
-		}
-		if want := tc.m*(tc.m+1)/2 + (tc.n-tc.m-1)*tc.m; edges != want {
-			t.Errorf("n=%d m=%d seed=%d: %d edges, want %d", tc.n, tc.m, tc.seed, edges, want)
+			restarts += r
+			lastRestarts += lr
+			src := rng.New(seed)
+			got, err := BarabasiAlbertCSR(sz.n, sz.m, src)
+			if err != nil {
+				t.Fatalf("BarabasiAlbertCSR(%d,%d,%d): %v", sz.n, sz.m, seed, err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("BarabasiAlbertCSR(%d,%d,%d): %v", sz.n, sz.m, seed, err)
+			}
+			if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.targets, want.targets) {
+				t.Errorf("BarabasiAlbertCSR(%d,%d,%d) differs from the reference", sz.n, sz.m, seed)
+			}
+			if g, w := src.Uint64(), ref.Uint64(); g != w {
+				t.Errorf("BarabasiAlbertCSR(%d,%d,%d): next draw %#x, reference %#x", sz.n, sz.m, seed, g, w)
+			}
 		}
 	}
+	if restarts == 0 || lastRestarts == 0 {
+		t.Errorf("grid hit %d restarts, %d at a batch's last node; want at least one of each", restarts, lastRestarts)
+	}
+	t.Logf("%d restarts, %d at a batch's last node", restarts, lastRestarts)
 }

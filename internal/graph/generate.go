@@ -337,8 +337,13 @@ func ErdosRenyi(n int, p float64, src *rng.Source) (*CSR, error) {
 // BarabasiAlbertCSR generates a preferential-attachment graph: starting
 // from a clique of m+1 nodes, each new node attaches to m existing nodes
 // chosen with probability proportional to degree. The result has a
-// power-law tail with exponent ~3 and mean degree ~2m. The edge stream
-// feeds a CSRBuilder, so no per-node adjacency slices ever materialize.
+// power-law tail with exponent ~3 and mean degree ~2m. The generator keeps
+// only each new node's m chosen targets and writes the CSR rows from them
+// directly, so no edge list or per-node slices ever materialize.
+//
+// Every new node must attach exactly m targets. A node whose rejection loop
+// ends short (100·m draws over at least m+1 distinct nodes) is reported as
+// an error rather than attached to fewer; that has never been observed.
 func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
 	if m < 1 {
 		return nil, errors.New("graph: Barabási–Albert needs m >= 1")
@@ -354,83 +359,172 @@ func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
 	if m > math.MaxUint32/n || m*(2*n-m-1) > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: Barabási–Albert with n=%d, m=%d has more edges than a CSR indexes", n, m)
 	}
-	b, err := NewCSRBuilder(n, m*(2*n-m-1)/2)
+	chosen, err := barabasiAlbertChoose(n, m, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := barabasiAlbertStream(n, m, src, b.AddEdge); err != nil {
+	c := barabasiAlbertRows(n, m, chosen)
+	if err := ascendRows(c.offsets, c.targets); err != nil {
 		return nil, err
 	}
-	return b.Finalize()
+	return c, nil
 }
 
-// barabasiAlbertStream is the Barabási–Albert edge stream: it emits the
-// seed clique, then each new node's attachments in ascending target order,
-// so every row reaches the CSRBuilder already sorted. BarabasiAlbertCSR
-// validates n, m and src.
-func barabasiAlbertStream(n, m int, src *rng.Source, emit func(u, v int) error) error {
-	// Seed clique.
-	for u := 0; u <= m; u++ {
-		for v := u + 1; v <= m; v++ {
-			if err := emit(u, v); err != nil {
-				return err
+// baBatch is how many nodes barabasiAlbertChoose draws ahead of resolving
+// them, so the endpoint loads of a whole batch overlap.
+const baBatch = 64
+
+// barabasiAlbertChoose draws every new node's m targets, ascending, into
+// chosen[(w-m-1)*m:(w-m)*m] for node w > m. BarabasiAlbertCSR validates n,
+// m and src.
+//
+// Preferential attachment samples an index uniformly from a repeated
+// endpoint list: m copies of each clique node, then for each new node w its
+// m edges as pairs (w, target). That list is never stored. Entry k < m(m+1)
+// is the clique node k/m; past the clique, at offset o = k - m(m+1), an even
+// o is the new node m+1 + (o/2)/m and an odd o is chosen[o/2]. Only odd
+// entries cost a load. The layout holds because every node attaches exactly
+// m targets, so node w draws from the first L_w = m(m+1) + 2m(w-m-1)
+// entries: earlier nodes only, never w itself.
+//
+// L_w depends on w alone, so a node's first m draws (which always happen)
+// are a fixed function of the generator state and can be taken ahead: a
+// batch draws them for up to baBatch nodes on a copy of src, saving the
+// state after each node, then loads every index below the batch's first L
+// together so the cache misses overlap. Nodes then resolve in order, the
+// rest of their indices reading earlier batch nodes' slots, and each
+// node's m values are insertion-sorted in place. A duplicate sends src back
+// to the state after that node's m draws, where the rejection loop
+// continues as the one-node-at-a-time generator would, and the next batch
+// starts at the following node; so the draws and their order are exactly
+// the one-at-a-time generator's.
+func barabasiAlbertChoose(n, m int, src *rng.Source) ([]uint32, error) {
+	mu := uint32(m)
+	clique := mu * (mu + 1)
+	chosen := make([]uint32, (n-m-1)*m)
+	idx := make([]uint32, baBatch*m)
+	states := make([]rng.Source, baBatch)
+batches:
+	for w0 := m + 1; w0 < n; {
+		end := min(w0+baBatch, n)
+		s := *src
+		for w := w0; w < end; w++ {
+			l := int(clique + 2*mu*uint32(w-m-1))
+			for j := (w - w0) * m; j < (w-w0+1)*m; j++ {
+				idx[j] = uint32(s.Intn(l))
+			}
+			states[w-w0] = s
+		}
+		// Indices below l0 name entries fixed before the batch.
+		l0 := clique + 2*mu*uint32(w0-m-1)
+		base := (w0 - m - 1) * m
+		batch := chosen[base : base+(end-w0)*m]
+		for i, k := range idx[:len(batch)] {
+			if k < l0 {
+				batch[i] = baEndpoint(chosen, mu, k)
 			}
 		}
-	}
-	// Repeated-endpoint list implements preferential attachment in O(1);
-	// every clique node starts with degree m. It holds only nodes before u
-	// while u draws, so a draw never picks u itself.
-	endpoints := make([]int32, 0, 2*m*n)
-	for u := 0; u <= m; u++ {
-		for i := 0; i < m; i++ {
-			endpoints = append(endpoints, int32(u))
-		}
-	}
-	// chosen is kept as a small sorted slice: membership tests draw the same
-	// verdicts a set would, and iterating it yields the ascending attach
-	// order directly — no post-hoc sort, and no map iteration order anywhere
-	// near the RNG stream. A node's first m draws always happen, so picks
-	// loads all their endpoints before any is tested and the loads overlap;
-	// the rejection loop then resumes at guard = m, with the same draws in
-	// the same order.
-	chosen := make([]int32, 0, m)
-	picks := make([]int32, m)
-	for u := m + 1; u < n; u++ {
-		for i := range picks {
-			picks[i] = endpoints[src.Intn(len(endpoints))]
-		}
-		chosen = chosen[:0]
-		for _, v := range picks {
-			chosen = insertNew(chosen, v)
-		}
-		for guard := m; len(chosen) < m && guard < 100*m; guard++ {
-			chosen = insertNew(chosen, endpoints[src.Intn(len(endpoints))])
-		}
-		for _, v := range chosen {
-			if err := emit(u, int(v)); err != nil {
-				return err
+		for w := w0; w < end; w++ {
+			slot := batch[(w-w0)*m : (w-w0+1)*m]
+			have := 0
+			for j, k := range idx[(w-w0)*m : (w-w0+1)*m] {
+				v := slot[j]
+				if k >= l0 {
+					v = baEndpoint(chosen, mu, k)
+				}
+				have = insertSorted(slot, have, v)
 			}
-			endpoints = append(endpoints, int32(u), v)
+			if have == m {
+				continue
+			}
+			*src = states[w-w0]
+			l := int(clique + 2*mu*uint32(w-m-1))
+			for guard := m; have < m && guard < 100*m; guard++ {
+				have = insertSorted(slot, have, baEndpoint(chosen, mu, uint32(src.Intn(l))))
+			}
+			if have < m {
+				return nil, fmt.Errorf("graph: Barabási–Albert node %d found %d of %d distinct targets in %d draws", w, have, m, 100*m)
+			}
+			w0 = w + 1
+			continue batches
 		}
+		*src = states[end-1-w0]
+		w0 = end
 	}
-	return nil
+	return chosen, nil
 }
 
-// insertNew inserts v into the ascending slice chosen unless it is already
-// present. chosen holds at most m entries, so a linear scan beats a binary
-// search.
-func insertNew(chosen []int32, v int32) []int32 {
-	i := 0
-	for i < len(chosen) && chosen[i] < v {
-		i++
+// baEndpoint resolves index k of the endpoint list barabasiAlbertChoose
+// describes.
+func baEndpoint(chosen []uint32, m, k uint32) uint32 {
+	clique := m * (m + 1)
+	if k < clique {
+		return k / m
 	}
-	if i < len(chosen) && chosen[i] == v {
-		return chosen
+	o := k - clique
+	if o&1 != 0 {
+		return chosen[o>>1]
 	}
-	chosen = append(chosen, 0)
-	copy(chosen[i+1:], chosen[i:])
-	chosen[i] = v
-	return chosen
+	return m + 1 + (o>>1)/m
+}
+
+// insertSorted inserts v into the ascending prefix slot[:have] unless it is
+// already there, and returns the prefix's new length. slot[have:] may hold
+// values not yet inserted; only slot[have] is overwritten. A slot holds m
+// entries, so a linear scan beats a binary search.
+func insertSorted(slot []uint32, have int, v uint32) int {
+	i := have
+	for i > 0 && slot[i-1] > v {
+		i--
+	}
+	if i > 0 && slot[i-1] == v {
+		return have
+	}
+	for j := have; j > i; j-- {
+		slot[j] = slot[j-1]
+	}
+	slot[i] = v
+	return have + 1
+}
+
+// barabasiAlbertRows writes the CSR of the graph barabasiAlbertChoose drew.
+// Node u's row is its m own neighbours (the rest of the clique for u <= m,
+// else its chosen targets, all below u), then every later node that chose
+// it. Scanning the choosers w ascending appends each w to its targets' rows
+// in order, so every row comes out ascending with no sort. offsets serves
+// as each row's fill cursor and is shifted back into place at the end.
+func barabasiAlbertRows(n, m int, chosen []uint32) *CSR {
+	offsets := make([]uint32, n+1)
+	for _, v := range chosen {
+		offsets[v+1]++
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u] + uint32(m)
+	}
+	targets := make([]uint32, offsets[n])
+	for u := 0; u <= m; u++ {
+		row := targets[offsets[u] : offsets[u]+uint32(m)]
+		for i := range row {
+			v := uint32(i)
+			if i >= u {
+				v++
+			}
+			row[i] = v
+		}
+		offsets[u] += uint32(m)
+	}
+	for w := m + 1; w < n; w++ {
+		own := chosen[(w-m-1)*m : (w-m)*m]
+		copy(targets[offsets[w]:], own)
+		offsets[w] += uint32(m)
+		for _, v := range own {
+			targets[offsets[v]] = uint32(w)
+			offsets[v]++
+		}
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	return &CSR{offsets: offsets, targets: targets}
 }
 
 // WattsStrogatz generates a small-world ring lattice of n nodes, each linked

@@ -165,13 +165,17 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
 }
 
-// Perm returns a uniformly random permutation of [0, n).
+// Perm returns a uniformly random permutation of [0, n): the identity
+// shuffled with Shuffle's draws, in Shuffle's order, with the swap inlined.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
 	}
-	s.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := n - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 	return p
 }
 

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -197,6 +198,29 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid or duplicate element %d", v)
 		}
 		seen[v] = true
+	}
+}
+
+// Pin: Perm is the identity shuffled by Shuffle, consuming the same draws.
+func TestPermMatchesShuffle(t *testing.T) {
+	t.Parallel()
+
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			a, b := New(seed), New(seed)
+			got := a.Perm(n)
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			b.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			if !slices.Equal(got, want) {
+				t.Errorf("Perm(%d) seed %d = %v, Shuffle gives %v", n, seed, got, want)
+			}
+			if g, w := a.Uint64(), b.Uint64(); g != w {
+				t.Errorf("Perm(%d) seed %d: next draw %#x, after Shuffle %#x", n, seed, g, w)
+			}
+		}
 	}
 }
 
