@@ -9,7 +9,7 @@
 //	mvlint -disable errcheck ./...        # rule selection
 //	mvlint -list                          # print the rule catalog
 //	mvlint -roots des.Simulation.step ./...   # override hot-path roots
-//	mvlint -why des.Simulation.siftUp ./...   # explain hot-path reachability
+//	mvlint -why des.Simulation.put ./...      # explain hot-path reachability
 //	mvlint -staleallow ./...              # also report stale suppressions
 //
 // Findings are suppressed per line with

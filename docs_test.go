@@ -53,8 +53,10 @@ var qualifiedName = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(
 // TestDocSymbolsExist checks that every pkg.Name and pkg.Type.Member that
 // README.md, DESIGN.md and EXPERIMENTS.md backquote, where pkg is a
 // directory under internal/, is declared in that package's non-test
-// files, so a deleted or renamed identifier cannot leave the docs naming
-// it.
+// files, and that every TestX, BenchmarkX, FuzzX and ExampleX they
+// backquote is declared in some _test.go file of the repository (a name
+// ending in * needs one declaration with that prefix), so a deleted or
+// renamed identifier or test cannot leave the docs naming it.
 func TestDocSymbolsExist(t *testing.T) {
 	t.Parallel()
 
@@ -62,6 +64,7 @@ func TestDocSymbolsExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tests := testFuncs(t)
 	pkgs := make(map[string]*pkgDecls)
 	for _, dir := range dirs {
 		if info, err := os.Stat(dir); err == nil && info.IsDir() {
@@ -75,6 +78,11 @@ func TestDocSymbolsExist(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				for _, m := range testFuncName.FindAllStringSubmatch(span[1], -1) {
+					if !declaredTest(tests, m[1], m[2] == "*") {
+						t.Errorf("%s:%d names %s%s, which no _test.go file declares", doc, i+1, m[1], m[2])
+					}
+				}
 				for _, m := range qualifiedName.FindAllStringSubmatch(span[1], -1) {
 					decls, ok := pkgs[m[1]]
 					if !ok {
@@ -89,6 +97,60 @@ func TestDocSymbolsExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testFuncName matches a test, benchmark, fuzz target or example name
+// inside a code span, with an optional trailing * that makes it a prefix.
+var testFuncName = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*)(\*?)`)
+
+// testFuncs returns the names of the top-level functions declared in
+// every _test.go file under the repository root.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// declaredTest reports whether name is declared, or with prefix set,
+// whether some declared name starts with it.
+func declaredTest(declared map[string]bool, name string, prefix bool) bool {
+	if !prefix {
+		return declared[name]
+	}
+	for d := range declared {
+		if strings.HasPrefix(d, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // pkgDecls indexes one package's declarations: its top-level names, and

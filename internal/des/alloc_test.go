@@ -12,7 +12,7 @@ import (
 func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 	sim := New()
 	const batch = 512
-	// Warm the arena and the heap backing array to the working-set size.
+	// Warm the arena and the calendar's chunk pool to the working-set size.
 	for i := 0; i < batch; i++ {
 		if _, err := sim.ScheduleArgAfter(time.Duration(i)*time.Millisecond, noop, uint64(i)); err != nil {
 			t.Fatal(err)
@@ -161,13 +161,13 @@ func TestCancelDuringOwnHandler(t *testing.T) {
 	}
 }
 
-// TestFIFOTieBreakSurvivesCancellation exercises the 4-ary heap's stable
+// TestFIFOTieBreakSurvivesCancellation exercises the calendar's stable
 // (at, seq) order under the hardest case: a large batch at one instant,
 // with a cancelled subset punched out of the middle, plus arena-slot reuse
 // in between. Survivors must fire in exact scheduling order. Cancelling
-// every third event leaves the dead entries in the heap; cancelling two of
-// every three crosses the half-dead mark, so the heap is compacted and the
-// replacements reuse the freed slots.
+// every third event leaves the dead entries stored; cancelling two of
+// every three crosses the half-dead mark, so the calendar is compacted and
+// the replacements reuse the freed slots.
 func TestFIFOTieBreakSurvivesCancellation(t *testing.T) {
 	t.Parallel()
 

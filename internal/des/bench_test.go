@@ -70,14 +70,23 @@ func BenchmarkSelfPerpetuatingChain(b *testing.B) {
 }
 
 // BenchmarkCalendarMixed measures the calendar the way the paper workload
-// drives it: a steady heap of about 2,048 pending events (the paper
-// workload's mean heap length, measured at 2,253) where each fired event
+// drives it: a steady calendar of about 2,048 pending events (the paper
+// workload's mean queue length, measured at 2,253) where each fired event
 // schedules a successor an exponential delay later, so pushes land at
-// random depths rather than in time order. One op is one pop plus one
-// push. The delays are drawn up front so the op times the heap, not the
-// generator.
-func BenchmarkCalendarMixed(b *testing.B) {
-	const pending = 2048
+// random positions rather than in time order. One op is one pop plus one
+// push.
+func BenchmarkCalendarMixed(b *testing.B) { benchCalendar(b, 2048) }
+
+// BenchmarkCalendarScale is BenchmarkCalendarMixed at 9,338 pending
+// events, the mean per-shard queue length of the 10^6-phone, 32-shard
+// outbreak (perfbench's scale-outbreak), where the calendar no longer
+// fits in L1 and shares L2 with the shard's phone state.
+func BenchmarkCalendarScale(b *testing.B) { benchCalendar(b, 9338) }
+
+// benchCalendar times pops and pushes against a steady calendar of
+// pending events. The delays are drawn up front so the op times the
+// calendar, not the generator.
+func benchCalendar(b *testing.B, pending int) {
 	src := rng.New(1)
 	delays := make([]time.Duration, 4096)
 	for i := range delays {

@@ -14,8 +14,8 @@ import (
 func noop(*Simulation, uint64) {}
 
 // TestEventSize pins the arena slot at 24 bytes: one handler, its
-// argument and the generation. The (at, seq) key lives in the heap entry
-// instead, so the sift loops never touch the arena.
+// argument and the generation. The (at, seq) key lives in the calendar
+// entry instead, so placing and moving entries never touches the arena.
 func TestEventSize(t *testing.T) {
 	t.Parallel()
 
@@ -24,14 +24,18 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
-// TestEntrySize pins the heap entry at 24 bytes: the (at, seq) key and the
-// arena slot. Every sift step moves and compares entries, so they are the
-// heap's cache footprint.
+// TestEntrySize pins the calendar entry at 24 bytes, the (at, seq) key
+// and the arena slot, and the storage chunk at 392 bytes, 16 entries and
+// a link word. Every pop moves entries between chunks, so they are the
+// calendar's cache and memory footprint.
 func TestEntrySize(t *testing.T) {
 	t.Parallel()
 
 	if got := reflect.TypeOf(entry{}).Size(); got != 24 {
 		t.Errorf("entry is %d bytes, want 24", got)
+	}
+	if got := reflect.TypeOf(chunk{}).Size(); got != 392 {
+		t.Errorf("chunk is %d bytes, want 392", got)
 	}
 }
 
@@ -171,8 +175,9 @@ func TestCancelAfterFire(t *testing.T) {
 
 // TestCancelHeavyHeapStaysBounded schedules far-future events and cancels
 // them with no pops in between, the pattern that lazy cancellation alone
-// would let grow without bound: compaction must keep the heap within twice
-// the pending count, and Pending must count exactly the live events.
+// would let grow without bound: compaction must keep the entries the
+// calendar stores, live or dead, at most 2 × pending + 1, and Pending must
+// count exactly the live events.
 func TestCancelHeavyHeapStaysBounded(t *testing.T) {
 	t.Parallel()
 
@@ -187,8 +192,8 @@ func TestCancelHeavyHeapStaysBounded(t *testing.T) {
 		if got := sim.Pending(); got != live {
 			t.Fatalf("after %s %d: Pending = %d, want %d live events", op, i, got, live)
 		}
-		if len(sim.heap) > 2*sim.Pending()+1 {
-			t.Fatalf("after %s %d: heap holds %d entries for %d pending", op, i, len(sim.heap), sim.Pending())
+		if sim.queued > 2*sim.Pending()+1 {
+			t.Fatalf("after %s %d: calendar stores %d entries for %d pending", op, i, sim.queued, sim.Pending())
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -216,8 +221,8 @@ func TestCancelHeavyHeapStaysBounded(t *testing.T) {
 	if !slices.IsSorted(fired) {
 		t.Error("survivors of compaction fired out of time order")
 	}
-	if sim.Pending() != 0 || len(sim.heap) != 0 {
-		t.Errorf("after Run: Pending = %d, heap holds %d entries", sim.Pending(), len(sim.heap))
+	if sim.Pending() != 0 || sim.queued != 0 {
+		t.Errorf("after Run: Pending = %d, calendar stores %d entries", sim.Pending(), sim.queued)
 	}
 }
 

@@ -13,7 +13,7 @@ set -eu
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
 PAIRS=10 SLOWER=9 THRESHOLD=1.15 BENCHTIME=200ms
 # One package per line: its directory, then a regexp of its benchmarks.
-SET='internal/des ^Benchmark(ScheduleAndFireWarm|SelfPerpetuatingChain|ScheduleCancel|CalendarMixed)$
+SET='internal/des ^Benchmark(ScheduleAndFireWarm|SelfPerpetuatingChain|ScheduleCancel|CalendarMixed|CalendarScale)$
 internal/graph ^BenchmarkBarabasiAlbertCSR(1M)?$
 internal/mms ^Benchmark(ShardExchange(FanIn)?|DeliverDuplicates)$
 internal/response ^BenchmarkImmunizerWave$
