@@ -206,7 +206,7 @@ func claimsFor(fr *experiment.FigureResult) []experiment.Check {
 	if fr.Figure.Claims == nil {
 		return nil
 	}
-	checks, err := fr.Figure.Claims(fr)
+	checks, err := experiment.EvaluateClaims(fr)
 	if err != nil {
 		return []experiment.Check{{
 			ID:        fr.Figure.ID,

@@ -11,7 +11,7 @@ func TestClaimsForUnknownFigure(t *testing.T) {
 
 	fr := &experiment.FigureResult{Figure: experiment.Figure{ID: "figure1"}}
 	if checks := claimsFor(fr); checks != nil {
-		t.Errorf("figure1 (no claims) returned %v", checks)
+		t.Errorf("figure1 without claim rows returned %v", checks)
 	}
 	fr = &experiment.FigureResult{Figure: experiment.Figure{ID: "unknown"}}
 	if checks := claimsFor(fr); checks != nil {
@@ -37,24 +37,25 @@ func TestClaimsForMissingSeriesBecomesFailingCheck(t *testing.T) {
 func TestEveryClaimFigureIsWired(t *testing.T) {
 	t.Parallel()
 
-	// Each study with a claim check must resolve through claimsFor
-	// without returning nil for the wrong reason; IDs with checks are
-	// exactly these.
-	withClaims := map[string]bool{
-		"figure2": true, "figure3": true, "figure4": true,
-		"figure5": true, "figure6": true, "figure7": true,
-		"neg-scan-v3": true, "neg-monitor-slow": true,
-		"neg-blacklist-v2": true, "neg-blacklist-v1": true,
-		"blacklist-equivalence": true,
-	}
+	// claimsFor evaluates exactly the studies carrying claim rows: on a
+	// result without series each of them yields its one failing error
+	// check, and every other study yields nothing. Which studies carry
+	// rows is pinned in the experiment package.
+	wired := 0
 	for _, fig := range experiment.AllStudies(experiment.Scale{Factor: 10}) {
-		fr := &experiment.FigureResult{Figure: fig}
-		checks := claimsFor(fr)
-		if withClaims[fig.ID] && checks == nil {
-			t.Errorf("%s has a claim check but claimsFor returned nil", fig.ID)
+		checks := claimsFor(&experiment.FigureResult{Figure: fig})
+		if fig.Claims == nil {
+			if checks != nil {
+				t.Errorf("%s has no claim rows but claimsFor returned %v", fig.ID, checks)
+			}
+			continue
 		}
-		if !withClaims[fig.ID] && checks != nil {
-			t.Errorf("%s has no claim check but claimsFor returned %v", fig.ID, checks)
+		wired++
+		if len(checks) != 1 || checks[0].Pass || checks[0].ID != fig.ID {
+			t.Errorf("%s: claimsFor on a result without series returned %v, want one failing check", fig.ID, checks)
 		}
+	}
+	if wired == 0 {
+		t.Error("no study carries claim rows")
 	}
 }

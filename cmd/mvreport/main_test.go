@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/virus"
 )
 
 func TestWriteReportScaled(t *testing.T) {
@@ -114,29 +116,34 @@ func TestWriteReportSurfacesWriteErrors(t *testing.T) {
 func TestClaimEvaluatorsMatchStudies(t *testing.T) {
 	t.Parallel()
 
-	// writeReport evaluates the claim check each study carries; the
-	// studies carrying one are exactly the paper's in-text claims.
-	want := map[string]bool{
-		"figure2": true, "figure3": true, "figure4": true,
-		"figure5": true, "figure6": true, "figure7": true,
-		"neg-scan-v3": true, "neg-monitor-slow": true,
-		"neg-blacklist-v2": true, "neg-blacklist-v1": true,
-		"blacklist-equivalence": true,
-	}
-	got := make(map[string]bool)
-	for _, fig := range experiment.AllStudies(experiment.Scale{Factor: 10}) {
-		if fig.Claims != nil {
-			got[fig.ID] = true
+	// writeReport renders every study and sensitivity study through
+	// writeStudies, which evaluates the claim rows each carries: on a
+	// result without series a study with rows fails with
+	// ErrSeriesMissing and one without rows prints only its table. Every
+	// sensitivity study carries its plateau-invariance row.
+	sc := experiment.Scale{Factor: 10}
+	sensitivity := experiment.SensitivityStudies(sc, virus.Virus3())
+	for _, fig := range sensitivity {
+		if fig.Claims == nil {
+			t.Errorf("sensitivity study %s carries no plateau claim row", fig.ID)
 		}
 	}
-	for id := range got {
-		if !want[id] {
-			t.Errorf("claim check carried by unexpected study %q", id)
+	wired := 0
+	for _, fig := range append(experiment.AllStudies(sc), sensitivity...) {
+		rw := &reportWriter{w: io.Discard}
+		err := writeStudies(rw, []*experiment.FigureResult{{Figure: fig}})
+		if fig.Claims == nil {
+			if err != nil {
+				t.Errorf("%s has no claim rows but writeStudies returned %v", fig.ID, err)
+			}
+			continue
+		}
+		wired++
+		if !errors.Is(err, experiment.ErrSeriesMissing) {
+			t.Errorf("%s: writeStudies on a result without series returned %v, want ErrSeriesMissing", fig.ID, err)
 		}
 	}
-	for id := range want {
-		if !got[id] {
-			t.Errorf("no study carries the claim check for %q", id)
-		}
+	if wired <= len(sensitivity) {
+		t.Errorf("only %d studies carry claim rows", wired)
 	}
 }

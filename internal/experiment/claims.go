@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"time"
 )
 
@@ -26,241 +28,172 @@ func (c Check) String() string {
 	return fmt.Sprintf("[%s] %-4s %s\n        measured: %s", c.ID, status, c.Statement, c.Measured)
 }
 
-// CheckScanClaims evaluates the Figure 2 claims: a 6-hour signature delay
-// contains Virus 1 to a small fraction of the baseline (paper: ~5%), a
-// 24-hour delay still contains it (paper: ~25%), and effectiveness is
-// monotone in promptness.
-func CheckScanClaims(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
-	}
-	d6, ok := fr.SeriesByLabel("6-Hour Delay")
-	if !ok {
-		return nil, fmt.Errorf("%w: 6-Hour Delay", ErrSeriesMissing)
-	}
-	d12, ok := fr.SeriesByLabel("12-Hour Delay")
-	if !ok {
-		return nil, fmt.Errorf("%w: 12-Hour Delay", ErrSeriesMissing)
-	}
-	d24, ok := fr.SeriesByLabel("24-Hour Delay")
-	if !ok {
-		return nil, fmt.Errorf("%w: 24-Hour Delay", ErrSeriesMissing)
-	}
-	r6 := ratio(d6.FinalMean, base.FinalMean)
-	r24 := ratio(d24.FinalMean, base.FinalMean)
-	return []Check{
-		{
-			ID:        "C1a",
-			Statement: "Scan with 6h delay contains Virus 1 to a small fraction of baseline (paper ~5%)",
-			Measured:  fmt.Sprintf("final %.1f vs baseline %.1f (%.0f%%)", d6.FinalMean, base.FinalMean, 100*r6),
-			Pass:      r6 < 0.20,
-		},
-		{
-			ID:        "C1b",
-			Statement: "Scan with 24h delay still contains Virus 1 (paper ~25% of baseline)",
-			Measured:  fmt.Sprintf("final %.1f vs baseline %.1f (%.0f%%)", d24.FinalMean, base.FinalMean, 100*r24),
-			Pass:      r24 < 0.55,
-		},
-		{
-			ID:        "C1c",
-			Statement: "Scan effectiveness is monotone in promptness (6h < 12h < 24h < baseline)",
-			Measured: fmt.Sprintf("finals %.1f < %.1f < %.1f < %.1f",
-				d6.FinalMean, d12.FinalMean, d24.FinalMean, base.FinalMean),
-			Pass: d6.FinalMean <= d12.FinalMean &&
-				d12.FinalMean <= d24.FinalMean &&
-				d24.FinalMean < base.FinalMean,
-		},
-	}, nil
+// Stat is the statistic a claim row computes for each of its A series.
+type Stat int
+
+const (
+	// FinalRatio is A's final over B's (0 when B's final is 0).
+	FinalRatio Stat = iota + 1
+	// FinalDiff is A's final minus B's.
+	FinalDiff
+	// ReachRatio is the time A's mean curve takes to reach Level x B's
+	// final over the time B's takes (0 when B's time is 0). An A that
+	// never reaches the level holds whenever B does; a B that never
+	// reaches it fails the row.
+	ReachRatio
+	// Agreement is the smaller final over the larger of A and B (1 when
+	// both are 0).
+	Agreement
+	// PlateauDev is |A's final / Level - 1|, Level being the predicted
+	// plateau (0 when Level is 0).
+	PlateauDev
+)
+
+// Cond is one comparison a claim's statistic x must satisfy: x Op V.
+type Cond struct {
+	// Op is "<", "<=", ">" or ">=".
+	Op string
+	// V is the threshold.
+	V float64
 }
 
-// CheckDetectorClaims evaluates the Figure 3 claim: with 95% accuracy the
-// detector multiplies the time for Virus 2 to reach a reference infection
-// level (paper: 135 phones moves from ~2 days to ~9 days, a 4.5x delay) and
-// slows but does not stop the spread.
-func CheckDetectorClaims(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
+func (c Cond) holds(x float64) bool {
+	switch c.Op {
+	case "<":
+		return x < c.V
+	case "<=":
+		return x <= c.V
+	case ">":
+		return x > c.V
+	case ">=":
+		return x >= c.V
 	}
-	d95, ok := fr.SeriesByLabel("0.95 Accuracy")
-	if !ok {
-		return nil, fmt.Errorf("%w: 0.95 Accuracy", ErrSeriesMissing)
-	}
-	// The reference level is the paper's 135/320 = 42% of the baseline
-	// plateau, which transfers across scales.
-	level := 0.42 * base.FinalMean
-	tBase, okBase := base.Band.TimeToReachMean(level)
-	tDet, okDet := d95.Band.TimeToReachMean(level)
-	slowdown := 0.0
-	if okBase && okDet && tBase > 0 {
-		slowdown = float64(tDet) / float64(tBase)
-	}
-	detDelayed := !okDet || slowdown >= 2
-	return []Check{
-		{
-			ID: "C2",
-			Statement: "Detector at 95% accuracy multiplies Virus 2's time to the reference level " +
-				"(paper: 135 infected at ~9 days vs ~2 days baseline)",
-			Measured: fmt.Sprintf("level %.0f reached at %s baseline vs %s with detector (%.1fx)",
-				level, fmtReach(tBase, okBase), fmtReach(tDet, okDet), slowdown),
-			Pass: okBase && detDelayed,
-		},
-	}, nil
+	return false
 }
 
-// CheckEducationClaims evaluates the Figure 4 claim: halving the eventual
-// acceptance (0.40 to 0.20) halves the final infection level for every
-// virus. (The paper's prose also quotes a 25% figure for its plotted curve;
-// the 0.20-acceptance level is mathematically half, see EXPERIMENTS.md.)
-func CheckEducationClaims(fr *FigureResult) ([]Check, error) {
-	var checks []Check
-	for _, name := range []string{"Virus 1", "Virus 2", "Virus 3", "Virus 4"} {
-		base, ok := fr.SeriesByLabel(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrSeriesMissing, name)
+// Claim is one of the paper's in-text claims as data: a statistic over
+// named series of the study that carries it, and the bound it must meet.
+type Claim struct {
+	// ID and Statement are printed with the verdict.
+	ID, Statement string
+	// Stat is the statistic computed for each A series.
+	Stat Stat
+	// A names the series judged; the row holds only when every one does.
+	A []string
+	// B names the reference series (unused by PlateauDev).
+	B string
+	// Ordered additionally requires A's finals to be non-decreasing in
+	// the order listed.
+	Ordered bool
+	// Level is the fraction of B's final to reach (ReachRatio) or the
+	// predicted plateau (PlateauDev).
+	Level float64
+	// Bound lists the conditions the statistic must meet, all of them.
+	Bound []Cond
+}
+
+// EvaluateClaims judges every claim row of fr's study, in order. A row
+// naming a series the result lacks is an error wrapping ErrSeriesMissing.
+func EvaluateClaims(fr *FigureResult) ([]Check, error) {
+	checks := make([]Check, 0, len(fr.Figure.Claims))
+	for _, c := range fr.Figure.Claims {
+		check, err := c.judge(fr)
+		if err != nil {
+			return nil, err
 		}
-		edu, ok := fr.SeriesByLabel(name + " User Ed")
-		if !ok {
-			return nil, fmt.Errorf("%w: %s User Ed", ErrSeriesMissing, name)
-		}
-		r := ratio(edu.FinalMean, base.FinalMean)
-		checks = append(checks, Check{
-			ID:        "C3-" + name[len(name)-1:],
-			Statement: fmt.Sprintf("Education (0.40->0.20 acceptance) halves the %s plateau", name),
-			Measured:  fmt.Sprintf("final %.1f vs baseline %.1f (%.0f%%)", edu.FinalMean, base.FinalMean, 100*r),
-			Pass:      r > 0.30 && r < 0.70,
-		})
+		checks = append(checks, check)
 	}
 	return checks, nil
 }
 
-// CheckImmunizationClaims evaluates the Figure 5 claims: slower deployment
-// lets more phones get infected (paper: ~60% more for 24h vs 1h deployment
-// at 24h development), and later development starts limiting later.
-func CheckImmunizationClaims(fr *FigureResult) ([]Check, error) {
-	fast, ok := fr.SeriesByLabel("Hours 24-25")
-	if !ok {
-		return nil, fmt.Errorf("%w: Hours 24-25", ErrSeriesMissing)
+func (c Claim) judge(fr *FigureResult) (Check, error) {
+	series := func(label string) (*SeriesResult, error) {
+		if s, ok := fr.SeriesByLabel(label); ok {
+			return s, nil
+		}
+		return nil, fmt.Errorf("%w: %s / %s", ErrSeriesMissing, fr.Figure.ID, label)
 	}
-	slow, ok := fr.SeriesByLabel("Hours 24-48")
-	if !ok {
-		return nil, fmt.Errorf("%w: Hours 24-48", ErrSeriesMissing)
+	var b *SeriesResult
+	ref := fmt.Sprintf("predicted %.1f", c.Level)
+	if c.Stat != PlateauDev {
+		var err error
+		if b, err = series(c.B); err != nil {
+			return Check{}, err
+		}
+		ref = fmt.Sprintf("%s %.1f", b.Label, b.FinalMean)
+		if c.Stat == ReachRatio {
+			ref = b.Label + " " + fmtReach(b.Band.TimeToReachMean(c.Level*b.FinalMean))
+		}
 	}
-	lateFast, ok := fr.SeriesByLabel("Hours 48-49")
-	if !ok {
-		return nil, fmt.Errorf("%w: Hours 48-49", ErrSeriesMissing)
+	pass := true
+	parts := make([]string, 0, len(c.A))
+	var prev *SeriesResult
+	for _, label := range c.A {
+		a, err := series(label)
+		if err != nil {
+			return Check{}, err
+		}
+		ok, text := c.measure(a, b)
+		if c.Ordered && prev != nil && a.FinalMean < prev.FinalMean {
+			ok = false
+		}
+		pass = pass && ok
+		parts = append(parts, text)
+		prev = a
 	}
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
+	measured := strings.Join(parts, ", ") + " vs " + ref
+	if c.Stat == ReachRatio {
+		measured = fmt.Sprintf("level %.0f: %s", c.Level*b.FinalMean, measured)
 	}
-	excess := 0.0
-	if fast.FinalMean > 0 {
-		excess = slow.FinalMean/fast.FinalMean - 1
-	}
-	return []Check{
-		{
-			ID: "C4a",
-			Statement: "With 24h development, a 24h deployment infects substantially more phones " +
-				"than a 1h deployment (paper: ~60% more)",
-			Measured: fmt.Sprintf("final %.1f (24h deploy) vs %.1f (1h deploy): +%.0f%%",
-				slow.FinalMean, fast.FinalMean, 100*excess),
-			Pass: excess > 0.15,
-		},
-		{
-			ID:        "C4b",
-			Statement: "Patch development time dominates: 24h development beats 48h development",
-			Measured: fmt.Sprintf("final %.1f (dev 24h) vs %.1f (dev 48h)",
-				fast.FinalMean, lateFast.FinalMean),
-			Pass: fast.FinalMean < lateFast.FinalMean,
-		},
-		{
-			ID:        "C4c",
-			Statement: "All immunization variants beat the baseline",
-			Measured: fmt.Sprintf("worst immunized %.1f vs baseline %.1f",
-				maxFinal(fr, "Hours 24-25", "Hours 24-48", "Hours 24-30", "Hours 48-49", "Hours 48-72", "Hours 48-54"),
-				base.FinalMean),
-			Pass: maxFinal(fr, "Hours 24-25", "Hours 24-48", "Hours 24-30",
-				"Hours 48-49", "Hours 48-72", "Hours 48-54") < base.FinalMean,
-		},
-	}, nil
+	return Check{ID: c.ID, Statement: c.Statement, Measured: measured, Pass: pass}, nil
 }
 
-// CheckMonitoringClaims evaluates the Figure 6 claim: with a 15-minute
-// forced wait, monitoring multiplies the time for Virus 3 to reach the
-// paper's reference level of 150 infected (47% of plateau; paper: ~20h vs
-// ~2.5h baseline).
-func CheckMonitoringClaims(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
+// measure computes the row's statistic for one A series against b and
+// reports whether it holds, with the text that shows it.
+func (c Claim) measure(a, b *SeriesResult) (bool, string) {
+	var x float64
+	var text string
+	switch c.Stat {
+	case FinalRatio:
+		x = ratio(a.FinalMean, b.FinalMean)
+		text = fmt.Sprintf("%s %.1f (%.0f%%)", a.Label, a.FinalMean, 100*x)
+	case FinalDiff:
+		x = a.FinalMean - b.FinalMean
+		text = fmt.Sprintf("%s %.1f", a.Label, a.FinalMean)
+	case Agreement:
+		x = 1
+		if hi := max(a.FinalMean, b.FinalMean); hi > 0 {
+			x = min(a.FinalMean, b.FinalMean) / hi
+		}
+		text = fmt.Sprintf("%s %.1f (agreement %.0f%%)", a.Label, a.FinalMean, 100*x)
+	case PlateauDev:
+		if c.Level > 0 {
+			x = math.Abs(a.FinalMean/c.Level - 1)
+		}
+		text = fmt.Sprintf("%s %.1f (dev %.0f%%)", a.Label, a.FinalMean, 100*x)
+	case ReachRatio:
+		level := c.Level * b.FinalMean
+		tB, okB := b.Band.TimeToReachMean(level)
+		tA, okA := a.Band.TimeToReachMean(level)
+		if !okA {
+			return okB, a.Label + " never (contained)"
+		}
+		x = ratio(float64(tA), float64(tB))
+		return okB && c.holds(x), fmt.Sprintf("%s %s (%.1fx)", a.Label, fmtReach(tA, okA), x)
+	default:
+		return false, fmt.Sprintf("%s: unknown statistic %d", a.Label, c.Stat)
 	}
-	w15, ok := fr.SeriesByLabel("15-Minute Wait")
-	if !ok {
-		return nil, fmt.Errorf("%w: 15-Minute Wait", ErrSeriesMissing)
-	}
-	w60, ok := fr.SeriesByLabel("60-Minute Wait")
-	if !ok {
-		return nil, fmt.Errorf("%w: 60-Minute Wait", ErrSeriesMissing)
-	}
-	level := 0.47 * base.FinalMean
-	tBase, okBase := base.Band.TimeToReachMean(level)
-	t15, ok15 := w15.Band.TimeToReachMean(level)
-	slowdown := 0.0
-	if okBase && ok15 && tBase > 0 {
-		slowdown = float64(t15) / float64(tBase)
-	}
-	delayed := !ok15 || slowdown >= 3
-	return []Check{
-		{
-			ID: "C5a",
-			Statement: "Monitoring (15m wait) multiplies Virus 3's time to 47% of plateau " +
-				"(paper: ~20h vs ~2.5h)",
-			Measured: fmt.Sprintf("level %.0f at %s baseline vs %s monitored (%.1fx)",
-				level, fmtReach(tBase, okBase), fmtReach(t15, ok15), slowdown),
-			Pass: okBase && delayed,
-		},
-		{
-			ID:        "C5b",
-			Statement: "Longer forced waits slow Virus 3 more",
-			Measured: fmt.Sprintf("final %.1f (60m wait) <= %.1f (15m wait)",
-				w60.FinalMean, w15.FinalMean),
-			Pass: w60.FinalMean <= w15.FinalMean+1,
-		},
-	}, nil
+	return c.holds(x), text
 }
 
-// CheckBlacklistClaims evaluates the Figure 7 claims: lower thresholds
-// contain Virus 3 more, and every threshold beats the baseline.
-func CheckBlacklistClaims(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
+// holds reports whether x meets every condition of the row's bound.
+func (c Claim) holds(x float64) bool {
+	for _, cond := range c.Bound {
+		if !cond.holds(x) {
+			return false
+		}
 	}
-	t10, ok := fr.SeriesByLabel("10 Messages")
-	if !ok {
-		return nil, fmt.Errorf("%w: 10 Messages", ErrSeriesMissing)
-	}
-	t40, ok := fr.SeriesByLabel("40 Messages")
-	if !ok {
-		return nil, fmt.Errorf("%w: 40 Messages", ErrSeriesMissing)
-	}
-	return []Check{
-		{
-			ID:        "C6a",
-			Statement: "Blacklisting contains Virus 3 at every threshold",
-			Measured: fmt.Sprintf("final %.1f (t=10), %.1f (t=40) vs baseline %.1f",
-				t10.FinalMean, t40.FinalMean, base.FinalMean),
-			Pass: t10.FinalMean < base.FinalMean && t40.FinalMean < base.FinalMean,
-		},
-		{
-			ID:        "C6b",
-			Statement: "Lower thresholds contain Virus 3 more (10 <= 40 messages)",
-			Measured:  fmt.Sprintf("final %.1f (t=10) vs %.1f (t=40)", t10.FinalMean, t40.FinalMean),
-			Pass:      t10.FinalMean <= t40.FinalMean+1,
-		},
-	}, nil
+	return true
 }
 
 func ratio(a, b float64) float64 {
@@ -270,21 +203,11 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-func maxFinal(fr *FigureResult, labels ...string) float64 {
-	m := 0.0
-	for _, l := range labels {
-		if s, ok := fr.SeriesByLabel(l); ok && s.FinalMean > m {
-			m = s.FinalMean
-		}
-	}
-	return m
-}
-
-// fmtReach renders a time-to-level, or "never (contained)" when the level
-// was not reached within the horizon.
+// fmtReach renders a time-to-level, or "never" when the level was not
+// reached within the horizon.
 func fmtReach(d time.Duration, ok bool) string {
 	if !ok {
-		return "never (contained)"
+		return "never"
 	}
-	return d.Round(time.Minute).String()
+	return "at " + d.Round(time.Minute).String()
 }

@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/virus"
 )
 
 // testScale shrinks the population 10x so every figure runs in seconds.
@@ -144,59 +147,87 @@ func TestRenderASCIIAndSummary(t *testing.T) {
 	}
 }
 
-func TestClaimEvaluationsNeedSeries(t *testing.T) {
-	t.Parallel()
-
-	empty := &FigureResult{Figure: Figure{ID: "x"}}
-	if _, err := CheckScanClaims(empty); err == nil {
-		t.Error("scan claims without series accepted")
-	}
-	if _, err := CheckDetectorClaims(empty); err == nil {
-		t.Error("detector claims without series accepted")
-	}
-	if _, err := CheckEducationClaims(empty); err == nil {
-		t.Error("education claims without series accepted")
-	}
-	if _, err := CheckImmunizationClaims(empty); err == nil {
-		t.Error("immunization claims without series accepted")
-	}
-	if _, err := CheckMonitoringClaims(empty); err == nil {
-		t.Error("monitoring claims without series accepted")
-	}
-	if _, err := CheckBlacklistClaims(empty); err == nil {
-		t.Error("blacklist claims without series accepted")
-	}
-}
-
-// TestEveryClaimStudyIsWired: the studies carrying a claim check are
-// exactly the figures and negative results with in-text claims, and each
-// check is live — evaluating it on a result without series reports an
-// error (which mvfigures prints as a failing check and mvreport returns).
+// TestEveryClaimStudyIsWired: the studies carrying claim rows are exactly
+// the figures, extensions and negative results with in-text claims, and
+// each is live: evaluating it on a result without series reports
+// ErrSeriesMissing (which mvfigures prints as a failing check and mvreport
+// returns).
 func TestEveryClaimStudyIsWired(t *testing.T) {
 	t.Parallel()
 
 	want := map[string]bool{
-		"figure2": true, "figure3": true, "figure4": true,
+		"figure1": true, "figure2": true, "figure3": true, "figure4": true,
 		"figure5": true, "figure6": true, "figure7": true,
+		"scaling": true, "combined": true,
 		"neg-scan-v3": true, "neg-monitor-slow": true,
 		"neg-blacklist-v2": true, "neg-blacklist-v1": true,
 		"blacklist-equivalence": true,
 	}
 	wired := 0
 	for _, fig := range AllStudies(testScale) {
-		if (fig.Claims != nil) != want[fig.ID] {
-			t.Errorf("%s: has claim check = %v, want %v", fig.ID, fig.Claims != nil, want[fig.ID])
+		if has := fig.Claims != nil; has != want[fig.ID] {
+			t.Errorf("%s: has claim rows = %v, want %v", fig.ID, has, want[fig.ID])
 		}
 		if fig.Claims == nil {
 			continue
 		}
 		wired++
-		if _, err := fig.Claims(&FigureResult{Figure: fig}); err == nil {
-			t.Errorf("%s: claim check accepted a result without series", fig.ID)
+		if _, err := EvaluateClaims(&FigureResult{Figure: fig}); !errors.Is(err, ErrSeriesMissing) {
+			t.Errorf("%s: evaluating a result without series gave %v, want ErrSeriesMissing", fig.ID, err)
 		}
 	}
 	if wired != len(want) {
-		t.Errorf("%d studies carry claim checks, want %d", wired, len(want))
+		t.Errorf("%d studies carry claim rows, want %d", wired, len(want))
+	}
+}
+
+// TestClaimRowsResolve checks every claim row without simulating: its
+// labels name series of its own study, at full and reduced scale, and its
+// statistic, level and bound are well formed.
+func TestClaimRowsResolve(t *testing.T) {
+	t.Parallel()
+
+	for _, sc := range []Scale{FullScale, {Factor: 10}} {
+		figs := append(AllStudies(sc), SensitivityStudies(sc, virus.Virus3())...)
+		for _, fig := range figs {
+			labels := make(map[string]bool, len(fig.Series))
+			for _, s := range fig.Series {
+				labels[s.Label] = true
+			}
+			for _, c := range fig.Claims {
+				where := fmt.Sprintf("scale %d / %s / %s", sc.Factor, fig.ID, c.ID)
+				if c.ID == "" || c.Statement == "" || len(c.A) == 0 || len(c.Bound) == 0 {
+					t.Errorf("%s: incomplete row %+v", where, c)
+				}
+				for _, l := range c.A {
+					if !labels[l] {
+						t.Errorf("%s: A label %q is not a series of the study", where, l)
+					}
+				}
+				switch c.Stat {
+				case FinalRatio, FinalDiff, Agreement, ReachRatio:
+					if !labels[c.B] {
+						t.Errorf("%s: B label %q is not a series of the study", where, c.B)
+					}
+				case PlateauDev:
+					if c.B != "" {
+						t.Errorf("%s: plateau row names a B series %q", where, c.B)
+					}
+				default:
+					t.Errorf("%s: unknown statistic %d", where, c.Stat)
+				}
+				if (c.Stat == ReachRatio || c.Stat == PlateauDev) != (c.Level > 0) {
+					t.Errorf("%s: level %v does not fit statistic %d", where, c.Level, c.Stat)
+				}
+				for _, cond := range c.Bound {
+					switch cond.Op {
+					case "<", "<=", ">", ">=":
+					default:
+						t.Errorf("%s: unknown operator %q", where, cond.Op)
+					}
+				}
+			}
+		}
 	}
 }
 

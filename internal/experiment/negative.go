@@ -14,6 +14,14 @@ import (
 // the "optimal response strategy" conclusion of Section 5.3. These studies
 // reproduce each of them.
 
+// scanVsVirus3Claims is the Section 5.2 negative result N1.
+var scanVsVirus3Claims = []Claim{{
+	ID:        "N1",
+	Statement: "Gateway scan is ineffectual against Virus 3 (penetration completes before the signature lands)",
+	Stat:      FinalRatio, A: []string{"6-Hour Delay"}, B: "Baseline",
+	Bound: []Cond{{">", 0.60}},
+}}
+
 // ScanVsVirus3Study reproduces "the gateway virus scan is completely
 // ineffectual against rapid viruses like Virus 3 because the virus has
 // already completely penetrated the entire susceptible population before
@@ -24,7 +32,7 @@ func ScanVsVirus3Study(s Scale) Figure {
 		Title:  "Negative result: Gateway Scan vs fast Virus 3",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
-		Claims: CheckScanVsVirus3,
+		Claims: scanVsVirus3Claims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus3())})
 	for _, delay := range []time.Duration{6 * time.Hour, 12 * time.Hour} {
@@ -38,6 +46,27 @@ func ScanVsVirus3Study(s Scale) Figure {
 	return fig
 }
 
+// monitorVsSlowVirusesClaims are the Section 5.2 negative results N2, one
+// per self-throttled virus.
+var monitorVsSlowVirusesClaims = func() []Claim {
+	var claims []Claim
+	for _, v := range slowViruses() {
+		claims = append(claims, Claim{
+			ID:        "N2-" + v.Name[len(v.Name)-1:],
+			Statement: fmt.Sprintf("Monitoring is ineffectual against %s (volume within normal traffic)", v.Name),
+			Stat:      FinalRatio, A: []string{v.Name + " Monitored"}, B: v.Name,
+			Bound: []Cond{{">", 0.70}},
+		})
+	}
+	return claims
+}()
+
+// slowViruses are the viruses whose own pacing keeps them under the
+// monitor's threshold.
+func slowViruses() []virus.Config {
+	return []virus.Config{virus.Virus1(), virus.Virus2(), virus.Virus4()}
+}
+
 // MonitorVsSlowVirusesStudy reproduces "the monitoring response mechanism
 // is ineffectual against Viruses 1, 2, and 4 because the self-imposed
 // constraints of those viruses limit the total number of messages sent from
@@ -48,9 +77,9 @@ func MonitorVsSlowVirusesStudy(s Scale) Figure {
 		Title:  "Negative result: Monitoring vs self-throttled Viruses 1, 2, 4",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
-		Claims: CheckMonitorVsSlowViruses,
+		Claims: monitorVsSlowVirusesClaims,
 	}
-	for _, v := range []virus.Config{virus.Virus1(), virus.Virus2(), virus.Virus4()} {
+	for _, v := range slowViruses() {
 		fig.Series = append(fig.Series, Series{Label: v.Name, Config: s.paperConfig(v)})
 		cfg := s.paperConfig(v)
 		cfg.Responses = []mms.ResponseFactory{response.NewMonitor(30 * time.Minute)}
@@ -58,6 +87,14 @@ func MonitorVsSlowVirusesStudy(s Scale) Figure {
 	}
 	return fig
 }
+
+// blacklistVsVirus2Claims is the Section 5.2 negative result N3.
+var blacklistVsVirus2Claims = []Claim{{
+	ID:        "N3",
+	Statement: "Blacklisting is ineffective against Virus 2 (message counts miss multi-recipient spread)",
+	Stat:      FinalRatio, A: []string{"10 Messages"}, B: "Baseline",
+	Bound: []Cond{{">", 0.60}},
+}}
 
 // BlacklistVsVirus2Study reproduces "blacklisting is completely ineffective
 // for Virus 2 at any threshold level because Virus 2 sends each infected
@@ -70,7 +107,7 @@ func BlacklistVsVirus2Study(s Scale) Figure {
 		Title:  "Negative result: Blacklisting vs multi-recipient Virus 2",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
-		Claims: CheckBlacklistVsVirus2,
+		Claims: blacklistVsVirus2Claims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus2())})
 	for _, threshold := range []int{10, 40} {
@@ -84,6 +121,22 @@ func BlacklistVsVirus2Study(s Scale) Figure {
 	return fig
 }
 
+// blacklistVsVirus1Claims are the Section 5.2 results N4a and N4b.
+var blacklistVsVirus1Claims = []Claim{
+	{
+		ID:        "N4a",
+		Statement: "Blacklist@10 restricts Virus 1 to ~60% of baseline penetration",
+		Stat:      FinalRatio, A: []string{"10 Messages"}, B: "Baseline",
+		Bound: []Cond{{">", 0.35}, {"<", 0.85}},
+	},
+	{
+		ID:        "N4b",
+		Statement: "Blacklist at higher thresholds is ineffective for Virus 1",
+		Stat:      FinalRatio, A: []string{"40 Messages"}, B: "Baseline",
+		Bound: []Cond{{">", 0.80}},
+	},
+}
+
 // BlacklistVsVirus1Study reproduces "blacklisting at a threshold level of
 // 10 infected messages is somewhat effective for Viruses 1 and 4: the
 // infection penetration is restricted to approximately 60% of the baseline
@@ -95,7 +148,7 @@ func BlacklistVsVirus1Study(s Scale) Figure {
 		Title:  "Blacklisting vs single-recipient Virus 1 (threshold 10 vs 40)",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
-		Claims: CheckBlacklistVsVirus1,
+		Claims: blacklistVsVirus1Claims,
 	}
 	fig.Series = append(fig.Series, Series{Label: "Baseline", Config: s.paperConfig(virus.Virus1())})
 	for _, threshold := range []int{10, 40} {
@@ -109,6 +162,15 @@ func BlacklistVsVirus1Study(s Scale) Figure {
 	return fig
 }
 
+// blacklistEquivalenceClaims is the Section 5.2 equivalence N5.
+var blacklistEquivalenceClaims = []Claim{{
+	ID: "N5",
+	Statement: "Blacklist@30 vs random targeting is equivalent to blacklist@10 vs contact targeting " +
+		"(1/3 of random dials are valid)",
+	Stat: Agreement, A: []string{"Random @ threshold 30"}, B: "Contacts @ threshold 10",
+	Bound: []Cond{{">", 0.45}},
+}}
+
 // BlacklistEquivalenceStudy reproduces the Section 5.2 equivalence:
 // "blacklisting with a threshold level of 30 infected messages implemented
 // against a virus with random propagation is equivalent, in terms of
@@ -121,7 +183,7 @@ func BlacklistEquivalenceStudy(s Scale) Figure {
 		Title:  "Blacklist equivalence: threshold 30 vs random == threshold 10 vs contacts",
 		XLabel: "Hours",
 		YLabel: "Infection Count",
-		Claims: CheckBlacklistEquivalence,
+		Claims: blacklistEquivalenceClaims,
 	}
 	// Virus 3 variant restricted to Virus 1's pacing so only the targeting
 	// differs, plus the true Virus 1, both over the same horizon.
@@ -153,129 +215,4 @@ func NegativeStudies(s Scale) []Figure {
 		BlacklistVsVirus1Study(s),
 		BlacklistEquivalenceStudy(s),
 	}
-}
-
-// CheckScanVsVirus3 asserts the scan barely dents Virus 3.
-func CheckScanVsVirus3(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
-	}
-	d6, ok := fr.SeriesByLabel("6-Hour Delay")
-	if !ok {
-		return nil, fmt.Errorf("%w: 6-Hour Delay", ErrSeriesMissing)
-	}
-	r := ratio(d6.FinalMean, base.FinalMean)
-	return []Check{{
-		ID:        "N1",
-		Statement: "Gateway scan is ineffectual against Virus 3 (penetration completes before the signature lands)",
-		Measured:  fmt.Sprintf("final %.1f with 6h scan vs baseline %.1f (%.0f%%)", d6.FinalMean, base.FinalMean, 100*r),
-		Pass:      r > 0.60,
-	}}, nil
-}
-
-// CheckMonitorVsSlowViruses asserts monitoring leaves Viruses 1, 2, 4
-// essentially untouched.
-func CheckMonitorVsSlowViruses(fr *FigureResult) ([]Check, error) {
-	var checks []Check
-	for _, name := range []string{"Virus 1", "Virus 2", "Virus 4"} {
-		base, ok := fr.SeriesByLabel(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrSeriesMissing, name)
-		}
-		mon, ok := fr.SeriesByLabel(name + " Monitored")
-		if !ok {
-			return nil, fmt.Errorf("%w: %s Monitored", ErrSeriesMissing, name)
-		}
-		r := ratio(mon.FinalMean, base.FinalMean)
-		checks = append(checks, Check{
-			ID:        "N2-" + name[len(name)-1:],
-			Statement: fmt.Sprintf("Monitoring is ineffectual against %s (volume within normal traffic)", name),
-			Measured:  fmt.Sprintf("final %.1f monitored vs %.1f baseline (%.0f%%)", mon.FinalMean, base.FinalMean, 100*r),
-			Pass:      r > 0.70,
-		})
-	}
-	return checks, nil
-}
-
-// CheckBlacklistVsVirus2 asserts blacklisting fails against Virus 2 at any
-// threshold.
-func CheckBlacklistVsVirus2(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
-	}
-	t10, ok := fr.SeriesByLabel("10 Messages")
-	if !ok {
-		return nil, fmt.Errorf("%w: 10 Messages", ErrSeriesMissing)
-	}
-	r := ratio(t10.FinalMean, base.FinalMean)
-	return []Check{{
-		ID:        "N3",
-		Statement: "Blacklisting is ineffective against Virus 2 (message counts miss multi-recipient spread)",
-		Measured:  fmt.Sprintf("final %.1f at threshold 10 vs baseline %.1f (%.0f%%)", t10.FinalMean, base.FinalMean, 100*r),
-		Pass:      r > 0.60,
-	}}, nil
-}
-
-// CheckBlacklistVsVirus1 asserts the 60%-of-baseline containment at
-// threshold 10 and ineffectiveness at 40 for Virus 1.
-func CheckBlacklistVsVirus1(fr *FigureResult) ([]Check, error) {
-	base, ok := fr.SeriesByLabel("Baseline")
-	if !ok {
-		return nil, fmt.Errorf("%w: Baseline", ErrSeriesMissing)
-	}
-	t10, ok := fr.SeriesByLabel("10 Messages")
-	if !ok {
-		return nil, fmt.Errorf("%w: 10 Messages", ErrSeriesMissing)
-	}
-	t40, ok := fr.SeriesByLabel("40 Messages")
-	if !ok {
-		return nil, fmt.Errorf("%w: 40 Messages", ErrSeriesMissing)
-	}
-	r10 := ratio(t10.FinalMean, base.FinalMean)
-	r40 := ratio(t40.FinalMean, base.FinalMean)
-	return []Check{
-		{
-			ID:        "N4a",
-			Statement: "Blacklist@10 restricts Virus 1 to ~60% of baseline penetration",
-			Measured:  fmt.Sprintf("final %.1f vs baseline %.1f (%.0f%%)", t10.FinalMean, base.FinalMean, 100*r10),
-			Pass:      r10 > 0.35 && r10 < 0.85,
-		},
-		{
-			ID:        "N4b",
-			Statement: "Blacklist at higher thresholds is ineffective for Virus 1",
-			Measured:  fmt.Sprintf("final %.1f at threshold 40 vs baseline %.1f (%.0f%%)", t40.FinalMean, base.FinalMean, 100*r40),
-			Pass:      r40 > 0.80,
-		},
-	}, nil
-}
-
-// CheckBlacklistEquivalence asserts the threshold-30-random vs
-// threshold-10-contacts equivalence.
-func CheckBlacklistEquivalence(fr *FigureResult) ([]Check, error) {
-	random, ok := fr.SeriesByLabel("Random @ threshold 30")
-	if !ok {
-		return nil, fmt.Errorf("%w: Random @ threshold 30", ErrSeriesMissing)
-	}
-	contacts, ok := fr.SeriesByLabel("Contacts @ threshold 10")
-	if !ok {
-		return nil, fmt.Errorf("%w: Contacts @ threshold 10", ErrSeriesMissing)
-	}
-	hi, lo := random.FinalMean, contacts.FinalMean
-	if lo > hi {
-		hi, lo = lo, hi
-	}
-	r := 1.0
-	if hi > 0 {
-		r = lo / hi
-	}
-	return []Check{{
-		ID: "N5",
-		Statement: "Blacklist@30 vs random targeting is equivalent to blacklist@10 vs contact targeting " +
-			"(1/3 of random dials are valid)",
-		Measured: fmt.Sprintf("final %.1f (random@30) vs %.1f (contacts@10), agreement %.0f%%",
-			random.FinalMean, contacts.FinalMean, 100*r),
-		Pass: r > 0.45,
-	}}, nil
 }

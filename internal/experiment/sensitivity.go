@@ -15,9 +15,9 @@ import (
 // paper's qualitative findings are insensitive to it — the justification
 // for the substitution rule.
 
-// SensitivityReadDelay sweeps the mean user read delay around the
+// sensitivityReadDelay sweeps the mean user read delay around the
 // calibrated 30 minutes for the given virus.
-func SensitivityReadDelay(s Scale, v virus.Config) Figure {
+func sensitivityReadDelay(s Scale, v virus.Config) Figure {
 	fig := Figure{
 		ID:     "sens-readdelay",
 		Title:  fmt.Sprintf("Sensitivity: mean read delay (%s)", v.Name),
@@ -35,8 +35,8 @@ func SensitivityReadDelay(s Scale, v virus.Config) Figure {
 	return fig
 }
 
-// SensitivityDeliveryDelay sweeps the gateway delivery latency.
-func SensitivityDeliveryDelay(s Scale, v virus.Config) Figure {
+// sensitivityDeliveryDelay sweeps the gateway delivery latency.
+func sensitivityDeliveryDelay(s Scale, v virus.Config) Figure {
 	fig := Figure{
 		ID:     "sens-delivery",
 		Title:  fmt.Sprintf("Sensitivity: delivery latency (%s)", v.Name),
@@ -54,10 +54,10 @@ func SensitivityDeliveryDelay(s Scale, v virus.Config) Figure {
 	return fig
 }
 
-// SensitivityTopology compares the default clustered power-law contact
+// sensitivityTopology compares the default clustered power-law contact
 // lists with a configuration-model power law, Erdős–Rényi, and
 // Watts–Strogatz wiring at the same mean degree.
-func SensitivityTopology(s Scale, v virus.Config) Figure {
+func sensitivityTopology(s Scale, v virus.Config) Figure {
 	fig := Figure{
 		ID:     "sens-topology",
 		Title:  fmt.Sprintf("Sensitivity: contact-list topology (%s)", v.Name),
@@ -94,9 +94,9 @@ func SensitivityTopology(s Scale, v virus.Config) Figure {
 	return fig
 }
 
-// SensitivityDetectThreshold sweeps the gateway detectability threshold
+// sensitivityDetectThreshold sweeps the gateway detectability threshold
 // that starts every response timer.
-func SensitivityDetectThreshold(s Scale, v virus.Config) Figure {
+func sensitivityDetectThreshold(s Scale, v virus.Config) Figure {
 	fig := Figure{
 		ID:     "sens-detect",
 		Title:  fmt.Sprintf("Sensitivity: gateway detectability threshold (%s)", v.Name),
@@ -114,10 +114,10 @@ func SensitivityDetectThreshold(s Scale, v virus.Config) Figure {
 	return fig
 }
 
-// SensitivityCongestion challenges the paper's assumption that "the phone
+// sensitivityCongestion challenges the paper's assumption that "the phone
 // network infrastructure can support the extra volume of MMS messages":
 // each recipient copy is lost with the given probability.
-func SensitivityCongestion(s Scale, v virus.Config) Figure {
+func sensitivityCongestion(s Scale, v virus.Config) Figure {
 	fig := Figure{
 		ID:     "sens-congestion",
 		Title:  fmt.Sprintf("Sensitivity: carrier congestion loss (%s)", v.Name),
@@ -136,37 +136,26 @@ func SensitivityCongestion(s Scale, v virus.Config) Figure {
 }
 
 // SensitivityStudies returns the full sensitivity suite for one virus.
+// Each series carries a claim row: its plateau stays within 12% of the
+// consent-model prediction (susceptible share x eventual acceptance), so
+// the paper's headline numbers do not depend on the substituted parameter.
 func SensitivityStudies(s Scale, v virus.Config) []Figure {
-	return []Figure{
-		SensitivityReadDelay(s, v),
-		SensitivityDeliveryDelay(s, v),
-		SensitivityTopology(s, v),
-		SensitivityDetectThreshold(s, v),
-		SensitivityCongestion(s, v),
+	figs := []Figure{
+		sensitivityReadDelay(s, v),
+		sensitivityDeliveryDelay(s, v),
+		sensitivityTopology(s, v),
+		sensitivityDetectThreshold(s, v),
+		sensitivityCongestion(s, v),
 	}
-}
-
-// CheckPlateauInvariance asserts that every series of a sensitivity figure
-// plateaus near the consent-model prediction (susceptible share x eventual
-// acceptance): the paper's headline numbers do not depend on the
-// substituted parameter. expected is the predicted plateau; tol is the
-// allowed relative deviation.
-func CheckPlateauInvariance(fr *FigureResult, expected, tol float64) []Check {
-	checks := make([]Check, 0, len(fr.Series))
-	for _, s := range fr.Series {
-		dev := 0.0
-		if expected > 0 {
-			dev = s.FinalMean/expected - 1
+	for i, fig := range figs {
+		for _, se := range fig.Series {
+			figs[i].Claims = append(figs[i].Claims, Claim{
+				ID:        "S-" + fig.ID,
+				Statement: fmt.Sprintf("%s: plateau invariant under %q", fig.Title, se.Label),
+				Stat:      PlateauDev, A: []string{se.Label}, Level: s.baselinePlateau(),
+				Bound: []Cond{{"<=", 0.12}},
+			})
 		}
-		if dev < 0 {
-			dev = -dev
-		}
-		checks = append(checks, Check{
-			ID:        "S-" + fr.Figure.ID,
-			Statement: fmt.Sprintf("%s: plateau invariant under %q", fr.Figure.Title, s.Label),
-			Measured:  fmt.Sprintf("final %.1f vs predicted %.1f (dev %.0f%%)", s.FinalMean, expected, 100*dev),
-			Pass:      dev <= tol,
-		})
 	}
-	return checks
+	return figs
 }

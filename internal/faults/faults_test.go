@@ -121,6 +121,17 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 	}
 }
 
+// TestBackoffFloor pins the one-millisecond floor under a sub-millisecond
+// base.
+func TestBackoffFloor(t *testing.T) {
+	t.Parallel()
+
+	p := RetryPolicy{MaxAttempts: 1, Base: time.Microsecond}
+	if got := p.Backoff(1, rng.New(1)); got != time.Millisecond {
+		t.Errorf("Backoff(1) = %v, want %v", got, time.Millisecond)
+	}
+}
+
 func TestBackoffJitterBoundedAndDeterministic(t *testing.T) {
 	t.Parallel()
 

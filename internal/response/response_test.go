@@ -364,6 +364,27 @@ func TestMonitorWindowPruning(t *testing.T) {
 	}
 }
 
+// TestMonitorWindowKeepsSendAtEdge pins the window's closed edge: a send
+// exactly Window before the current one still counts toward the threshold.
+func TestMonitorWindowKeepsSendAtEdge(t *testing.T) {
+	t.Parallel()
+
+	net, sim := harness(t, 1<<30, 17)
+	mon := attach(t, net, NewMonitorFull(time.Hour, 3, 15*time.Minute), 18).(*Monitor)
+	for i := 0; i < 3; i++ {
+		if _, err := net.Send(0, []mms.Target{mms.ValidTarget(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.RunUntil(time.Hour)
+	if _, err := net.Send(0, []mms.Target{mms.ValidTarget(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if !mon.Flagged(0) {
+		t.Error("sends exactly one window apart were not counted together")
+	}
+}
+
 func TestMonitorValidation(t *testing.T) {
 	t.Parallel()
 
