@@ -64,8 +64,8 @@ func TestFigure1Allocs(t *testing.T) {
 	fig := experiment.Figure1(experiment.FullScale)
 	allocs := testing.AllocsPerRun(1, func() { figure(t, fig) })
 	t.Logf("%.0f allocs", allocs)
-	if allocs > 14_389+14 {
-		t.Errorf("%.0f allocs per figure run, want at most %d", allocs, 14_389+14)
+	if allocs > 14_380+14 {
+		t.Errorf("%.0f allocs per figure run, want at most %d", allocs, 14_380+14)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/curve"
@@ -44,7 +45,10 @@ type Config struct {
 	// CSRBuilder, if non-nil, replaces the power-law generator: topology
 	// sensitivity studies and the 10^5+-phone scale runs (see
 	// graph.BarabasiAlbertCSR) supply their own contact topology. It must
-	// return a CSR with Population nodes.
+	// return a CSR with Population nodes. In a run with more than one
+	// shard and worker it is called on a goroutine of its own while the
+	// rest of setup proceeds (NewShardedRun), with a stream of its own; so
+	// anything it shares with other code needs synchronization.
 	CSRBuilder func(src *rng.Source) (*graph.CSR, error)
 	// Virus selects the virus scenario.
 	Virus virus.Config
@@ -210,6 +214,13 @@ type ShardedRun struct {
 // responses and seed choice, and per-phone stream names are global phone
 // ids throughout, so every shard layout derives the same per-phone
 // generators.
+//
+// The mask, the population's per-phone user streams and the seed order
+// never read the topology. A run with more than one shard and more than
+// one worker (the runs ShardSet.Run gives a pool) takes them on the
+// calling goroutine while a second goroutine builds the topology
+// (buildConcurrently); a one-shard run builds everything inline, in the
+// same order. The streams are the same either way, so the run is too.
 func NewShardedRun(cfg Config, seed uint64) (*ShardedRun, error) {
 	return newShardedRun(cfg, seed, nil)
 }
@@ -221,20 +232,28 @@ func newShardedRun(cfg Config, seed uint64, topos *TopologyTable) (*ShardedRun, 
 		return nil, err
 	}
 	root := rng.New(seed)
-	graphSrc := root.Stream(1)
-	maskSrc := root.Stream(2)
 	netSrc := root.Stream(3)
 	virusSrc := root.Stream(4)
 	respSrcBase := root.Stream(5)
-	seedSrc := root.Stream(6)
 
-	topo, err := topos.topology(cfg, seed, graphSrc)
+	shards := max(cfg.Shards, 1)
+	var (
+		topo  *graph.CSR
+		draws setupDraws
+		err   error
+	)
+	if concurrentSetup(cfg, shards) {
+		topo, draws, err = buildConcurrently(cfg, seed, topos, root, netSrc)
+	} else {
+		topo, err = topos.topology(cfg, seed, root.Stream(1))
+		if err == nil {
+			draws, err = drawSetup(cfg, root, netSrc)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	vulnerable := vulnerabilityMask(cfg, maskSrc)
 
-	shards := max(cfg.Shards, 1)
 	window := cfg.ShardWindow
 	if window <= 0 {
 		window = cfg.Horizon / defaultWindows
@@ -246,7 +265,7 @@ func newShardedRun(cfg Config, seed uint64, topos *TopologyTable) (*ShardedRun, 
 	if cfg.Faults != nil {
 		netCfg.Faults = cfg.Faults
 	}
-	set, err := mms.NewShardSet(topo, vulnerable, netCfg, shards, window, netSrc)
+	set, err := mms.NewShardSet(topo, draws.pop, netCfg, shards, window, netSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -277,10 +296,106 @@ func newShardedRun(cfg Config, seed uint64, topos *TopologyTable) (*ShardedRun, 
 		}
 	}
 
-	if err := seedInfections(cfg, set, vulnerable, seedSrc); err != nil {
-		return nil, err
+	for _, id := range draws.seeds[:cfg.InitialInfected] {
+		if err := set.SeedInfection(id); err != nil {
+			return nil, err
+		}
 	}
 	return sr, nil
+}
+
+// setupDraws is the part of a replication's state that never reads the
+// topology: the population, with its vulnerability mask (stream 2) and
+// per-phone user streams (stream 3), and the order in which seed
+// infections are taken from the vulnerable phones (stream 6).
+type setupDraws struct {
+	pop   *mms.Population
+	seeds []mms.PhoneID
+}
+
+// drawSetup takes the setup draws for the seed whose root is root; netSrc
+// is its stream 3. The vulnerable share, as in the paper's random choice
+// of 800 of 1,000 phones, is the first k entries of a random permutation
+// of the phones (rng.Source.Perm's draws, as a Shuffle of the identity).
+// The seed order is the vulnerable phones, ascending, shuffled. One buffer
+// holds the permutation and then the seed order, so neither is a second
+// population-sized allocation.
+func drawSetup(cfg Config, root, netSrc *rng.Source) (setupDraws, error) {
+	n := cfg.Population
+	perm := make([]mms.PhoneID, n)
+	for i := range perm {
+		perm[i] = mms.PhoneID(i)
+	}
+	root.Stream(2).Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	vulnerable := make([]bool, n)
+	for _, id := range perm[:min(int(cfg.SusceptibleFraction*float64(n)+0.5), n)] {
+		vulnerable[id] = true
+	}
+	pop, err := mms.NewPopulation(vulnerable, netSrc)
+	if err != nil {
+		return setupDraws{}, err
+	}
+	seeds := perm[:0]
+	for i, v := range vulnerable {
+		if v {
+			seeds = append(seeds, mms.PhoneID(i))
+		}
+	}
+	root.Stream(6).Shuffle(len(seeds), func(i, j int) { seeds[i], seeds[j] = seeds[j], seeds[i] })
+	return setupDraws{pop: pop, seeds: seeds}, nil
+}
+
+// concurrentSetup reports whether a run of shards shards builds its
+// topology beside its setup draws: with more than one shard, and more
+// than one worker and CPU to run them on. Otherwise a second goroutine
+// buys nothing, and one-shard runs (the paper's model) stay free of its
+// allocations.
+func concurrentSetup(cfg Config, shards int) bool {
+	workers := cfg.ShardWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return shards > 1 && min(workers, runtime.GOMAXPROCS(0)) > 1
+}
+
+// buildConcurrently builds the topology on a second goroutine while the
+// calling one takes the setup draws, and returns once both are done. The
+// goroutine derives its stream 1 from the seed (rng.Source.Stream does not
+// advance its parent, so it equals root.Stream(1)) and shares no source
+// with this one. A topology error comes back unchanged, ahead of any other,
+// as on the inline path; a panic in the builder is raised again here, on
+// the replication's goroutine, where RunReplication recovers it. This is a
+// function of its own so that the state the goroutine writes reaches the
+// heap only on this path.
+func buildConcurrently(cfg Config, seed uint64, topos *TopologyTable, root, netSrc *rng.Source) (*graph.CSR, setupDraws, error) {
+	var (
+		b  topologyBuild
+		wg sync.WaitGroup
+	)
+	wg.Add(1)
+	go b.run(&wg, cfg, seed, topos)
+	draws, err := drawSetup(cfg, root, netSrc)
+	wg.Wait()
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
+	if b.err != nil {
+		return nil, setupDraws{}, b.err
+	}
+	return b.topo, draws, err
+}
+
+// topologyBuild is the outcome of buildConcurrently's topology goroutine.
+type topologyBuild struct {
+	topo     *graph.CSR
+	err      error
+	panicked any
+}
+
+func (b *topologyBuild) run(wg *sync.WaitGroup, cfg Config, seed uint64, topos *TopologyTable) {
+	defer wg.Done()
+	defer func() { b.panicked = recover() }()
+	b.topo, b.err = topos.topology(cfg, seed, rng.New(seed).Stream(1))
 }
 
 // defaultWindows is how many windows the horizon splits into when
@@ -356,39 +471,6 @@ func buildTopology(cfg Config, src *rng.Source) (*graph.CSR, error) {
 		return nil, fmt.Errorf("core: topology has %d nodes, config wants %d", topo.N(), cfg.Population)
 	}
 	return topo, nil
-}
-
-// vulnerabilityMask randomly designates the susceptible share, mirroring the
-// paper's random choice of 800 of 1,000 phones.
-func vulnerabilityMask(cfg Config, src *rng.Source) []bool {
-	n := cfg.Population
-	k := int(cfg.SusceptibleFraction*float64(n) + 0.5)
-	mask := make([]bool, n)
-	perm := src.Perm(n)
-	for i := 0; i < k && i < n; i++ {
-		mask[perm[i]] = true
-	}
-	return mask
-}
-
-// seedInfections infects cfg.InitialInfected distinct vulnerable phones,
-// chosen by shuffling the candidates with src, each on its owner shard.
-func seedInfections(cfg Config, set *mms.ShardSet, vulnerable []bool, src *rng.Source) error {
-	candidates := make([]mms.PhoneID, 0, len(vulnerable))
-	for i, v := range vulnerable {
-		if v {
-			candidates = append(candidates, mms.PhoneID(i))
-		}
-	}
-	src.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	for i := 0; i < cfg.InitialInfected; i++ {
-		if err := set.SeedInfection(candidates[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunSet is the aggregate of several replications of one scenario.

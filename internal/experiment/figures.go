@@ -448,17 +448,46 @@ func ShardedResponseStudy(s Scale) Figure {
 	return fig
 }
 
-// AllFigures returns every paper figure in order.
-func AllFigures(s Scale) []Figure {
-	return []Figure{
-		Figure1(s), Figure2(s), Figure3(s), Figure4(s),
-		Figure5(s), Figure6(s), Figure7(s),
-	}
+// studyTable is the study matrix in report order, one row per study: the
+// paper's seven figures, the scaling, combined and sharded-response
+// studies, and the negative-result and equivalence reproductions. A row
+// builds only its own study, so selecting one study by ID builds one.
+var studyTable = []struct {
+	id    string
+	build func(Scale) Figure
+}{
+	{"figure1", Figure1},
+	{"figure2", Figure2},
+	{"figure3", Figure3},
+	{"figure4", Figure4},
+	{"figure5", Figure5},
+	{"figure6", Figure6},
+	{"figure7", Figure7},
+	{"scaling", ScalingStudy},
+	{"combined", CombinedStudy},
+	{"sharded-response", ShardedResponseStudy},
+	{"neg-scan-v3", ScanVsVirus3Study},
+	{"neg-monitor-slow", MonitorVsSlowVirusesStudy},
+	{"neg-blacklist-v2", BlacklistVsVirus2Study},
+	{"neg-blacklist-v1", BlacklistVsVirus1Study},
+	{"blacklist-equivalence", BlacklistEquivalenceStudy},
 }
+
+// paperFigures is how many of studyTable's rows are the paper's figures.
+const paperFigures = 7
+
+// AllFigures returns every paper figure in order.
+func AllFigures(s Scale) []Figure { return buildStudies(s, paperFigures) }
 
 // AllStudies returns the figures plus the scaling and combined studies and
 // the negative-result reproductions.
-func AllStudies(s Scale) []Figure {
-	studies := append(AllFigures(s), ScalingStudy(s), CombinedStudy(s), ShardedResponseStudy(s))
-	return append(studies, NegativeStudies(s)...)
+func AllStudies(s Scale) []Figure { return buildStudies(s, len(studyTable)) }
+
+// buildStudies builds the first n rows of studyTable.
+func buildStudies(s Scale, n int) []Figure {
+	figs := make([]Figure, n)
+	for i, row := range studyTable[:n] {
+		figs[i] = row.build(s)
+	}
+	return figs
 }

@@ -205,14 +205,3 @@ func BlacklistEquivalenceStudy(s Scale) Figure {
 	)
 	return fig
 }
-
-// NegativeStudies returns every negative-result and equivalence study.
-func NegativeStudies(s Scale) []Figure {
-	return []Figure{
-		ScanVsVirus3Study(s),
-		MonitorVsSlowVirusesStudy(s),
-		BlacklistVsVirus2Study(s),
-		BlacklistVsVirus1Study(s),
-		BlacklistEquivalenceStudy(s),
-	}
-}

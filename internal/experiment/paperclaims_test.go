@@ -61,7 +61,7 @@ func TestPaperClaimsScaling(t *testing.T) {
 }
 
 func TestPaperClaimsNegativeResults(t *testing.T) {
-	judgeFullScale(t, negativeOpts, NegativeStudies(FullScale)...)
+	judgeFullScale(t, negativeOpts, negativeStudies(FullScale)...)
 }
 
 func TestPaperClaimsSensitivity(t *testing.T) {

@@ -20,14 +20,15 @@ import (
 // recomputes it locally instead of trusting a mismatched result.
 
 // SelectStudies resolves a figure selector as the CLIs expose it: "all"
-// for the whole matrix, or one study ID.
+// for the whole matrix, or one study ID, for which it builds that study
+// alone.
 func SelectStudies(figureID string, sc Scale) ([]Figure, error) {
 	if figureID == "all" {
 		return AllStudies(sc), nil
 	}
-	for _, f := range AllStudies(sc) {
-		if f.ID == figureID {
-			return []Figure{f}, nil
+	for _, row := range studyTable {
+		if row.id == figureID {
+			return []Figure{row.build(sc)}, nil
 		}
 	}
 	return nil, fmt.Errorf("experiment: unknown figure %q", figureID)

@@ -28,6 +28,20 @@ func TestSelectStudies(t *testing.T) {
 	if _, err := SelectStudies("figure99", testScale); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
+	// Every row's ID is its study's, so selecting a study by ID builds
+	// the same study as the whole matrix does, and IDs are unique.
+	seen := map[string]bool{}
+	for i, row := range studyTable {
+		got, err := SelectStudies(row.id, testScale)
+		if err != nil || len(got) != 1 || got[0].ID != row.id || !reflect.DeepEqual(got[0].Claims, all[i].Claims) ||
+			len(got[0].Series) != len(all[i].Series) {
+			t.Errorf("row %d (%s): selected %+v, err=%v; want study %s", i, row.id, got, err, all[i].ID)
+		}
+		if seen[row.id] {
+			t.Errorf("study ID %s appears twice", row.id)
+		}
+		seen[row.id] = true
+	}
 }
 
 // TestSweepUnitsMatchesCacheCensus: the distributable unit list is exactly

@@ -345,6 +345,13 @@ func ErdosRenyi(n int, p float64, src *rng.Source) (*CSR, error) {
 // ends short (100·m draws over at least m+1 distinct nodes) is reported as
 // an error rather than attached to fewer; that has never been observed.
 func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
+	return barabasiAlbertCSR(n, m, src, splitWidth(n))
+}
+
+// barabasiAlbertCSR is BarabasiAlbertCSR writing and checking the rows in
+// k parallel ranges (see barabasiAlbertRows and ascendRows). The bytes do
+// not depend on k.
+func barabasiAlbertCSR(n, m int, src *rng.Source, k int) (*CSR, error) {
 	if m < 1 {
 		return nil, errors.New("graph: Barabási–Albert needs m >= 1")
 	}
@@ -363,8 +370,8 @@ func BarabasiAlbertCSR(n, m int, src *rng.Source) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := barabasiAlbertRows(n, m, chosen)
-	if err := ascendRows(c.offsets, c.targets); err != nil {
+	c := barabasiAlbertRows(n, m, chosen, k)
+	if err := ascendRows(c.offsets, c.targets, k); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -490,20 +497,43 @@ func insertSorted(slot []uint32, have int, v uint32) int {
 // barabasiAlbertRows writes the CSR of the graph barabasiAlbertChoose drew.
 // Node u's row is its m own neighbours (the rest of the clique for u <= m,
 // else its chosen targets, all below u), then every later node that chose
-// it. Scanning the choosers w ascending appends each w to its targets' rows
-// in order, so every row comes out ascending with no sort. offsets serves
-// as each row's fill cursor and is shifted back into place at the end.
-func barabasiAlbertRows(n, m int, chosen []uint32) *CSR {
-	offsets := make([]uint32, n+1)
-	for _, v := range chosen {
-		offsets[v+1]++
+// it. Scanning the choosers w ascending appends each w to its targets'
+// rows in order, so every row comes out ascending with no sort.
+//
+// The choosers split into k contiguous ranges, and each range appends its
+// own choosers through its own cursors. Range r's cursor for row u starts
+// at u's start + m + the number of u's choosers in ranges before r, so
+// the ranges fill disjoint, consecutive stretches of every row and the
+// bytes are the serial pass's for any k. A chooser's own m neighbours
+// head its row: every node that chose w comes after w, so when w's range
+// reaches it, that range's cursor for row w still sits at w's start + m.
+// The last range's cursors are offsets itself, which ends at each row's
+// end and shifts back into place; the others are (k-1)·n spare entries.
+func barabasiAlbertRows(n, m int, chosen []uint32, k int) *CSR {
+	mu := uint32(m)
+	b := baSplit{n: n, m: m, k: k, chosen: chosen,
+		offsets: make([]uint32, n+1), spare: make([]uint32, (k-1)*n)}
+	offsets, spare := b.offsets, b.spare
+	// k == 1 calls the range body directly: the closure inParallel takes
+	// would reach the heap even when it starts no goroutine.
+	if k == 1 {
+		baCount(b.counts(0), chosen)
+	} else {
+		inParallel(k, func(r int) { baCount(b.counts(r), b.own(r)) })
 	}
+	var start uint32
 	for u := 0; u < n; u++ {
-		offsets[u+1] += offsets[u] + uint32(m)
+		c := start + mu
+		for i := u; i < len(spare); i += n {
+			spare[i], c = c, c+spare[i]
+		}
+		start = c + offsets[u+1]
+		offsets[u] = c
 	}
-	targets := make([]uint32, offsets[n])
+	targets := make([]uint32, start)
+	head := b.cursors(0)
 	for u := 0; u <= m; u++ {
-		row := targets[offsets[u] : offsets[u]+uint32(m)]
+		row := targets[head[u]-mu : head[u]]
 		for i := range row {
 			v := uint32(i)
 			if i >= u {
@@ -511,20 +541,73 @@ func barabasiAlbertRows(n, m int, chosen []uint32) *CSR {
 			}
 			row[i] = v
 		}
-		offsets[u] += uint32(m)
 	}
-	for w := m + 1; w < n; w++ {
-		own := chosen[(w-m-1)*m : (w-m)*m]
-		copy(targets[offsets[w]:], own)
-		offsets[w] += uint32(m)
-		for _, v := range own {
-			targets[offsets[v]] = uint32(w)
-			offsets[v]++
-		}
+	if k == 1 {
+		baFill(targets, offsets[:n], chosen, m, m+1)
+	} else {
+		inParallel(k, func(r int) { baFill(targets, b.cursors(r), b.own(r), m, b.first(r)) })
 	}
 	copy(offsets[1:], offsets[:n])
 	offsets[0] = 0
 	return &CSR{offsets: offsets, targets: targets}
+}
+
+// baSplit is barabasiAlbertRows' split of the choosers m+1..n-1 into k
+// contiguous ranges, with the arrays each range counts into and fills
+// through.
+type baSplit struct {
+	n, m, k                int
+	chosen, offsets, spare []uint32
+}
+
+// first is range r's first chooser; range r is [first(r), first(r+1)).
+func (b baSplit) first(r int) int { return b.m + 1 + r*(b.n-b.m-1)/b.k }
+
+// own is the chosen targets of range r's choosers.
+func (b baSplit) own(r int) []uint32 {
+	return b.chosen[(b.first(r)-b.m-1)*b.m : (b.first(r+1)-b.m-1)*b.m]
+}
+
+// cursors is range r's fill cursor per row: offsets itself for the last
+// range, else range r's n spare entries.
+func (b baSplit) cursors(r int) []uint32 {
+	if r == b.k-1 {
+		return b.offsets[:b.n]
+	}
+	return b.spare[r*b.n : (r+1)*b.n]
+}
+
+// counts is where range r counts its choosers per row before the prefix
+// sum turns the counts into cursors: the last range counts into offsets
+// shifted by one, so the sum reads each row's count before overwriting it.
+func (b baSplit) counts(r int) []uint32 {
+	if r == b.k-1 {
+		return b.offsets[1:]
+	}
+	return b.cursors(r)
+}
+
+// baCount adds one to count[v] for every target v in chosen.
+func baCount(count, chosen []uint32) {
+	for _, v := range chosen {
+		count[v]++
+	}
+}
+
+// baFill writes the rows of the choosers whose targets chosen holds, m per
+// chooser from w0 on: each chooser's own targets at the head of its row,
+// and the chooser at cursor[v] of each target v's row.
+func baFill(targets, cursor, chosen []uint32, m, w0 int) {
+	mu := uint32(m)
+	for i := 0; i < len(chosen); i += m {
+		w := uint32(w0 + i/m)
+		own := chosen[i : i+m]
+		copy(targets[cursor[w]-mu:], own)
+		for _, v := range own {
+			targets[cursor[v]] = w
+			cursor[v]++
+		}
+	}
 }
 
 // WattsStrogatz generates a small-world ring lattice of n nodes, each linked

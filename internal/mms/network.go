@@ -185,7 +185,11 @@ func NewCSR(topo *graph.CSR, vulnerable []bool, cfg Config, sim *des.Simulation,
 	if sim == nil {
 		return nil, errors.New("mms: nil simulation")
 	}
-	ss, err := newShardSet(topo, vulnerable, cfg, 1, unbounded, src, sim)
+	pop, err := NewPopulation(vulnerable, src)
+	if err != nil {
+		return nil, err
+	}
+	ss, err := newShardSet(topo, pop, cfg, 1, unbounded, src, sim)
 	if err != nil {
 		return nil, err
 	}

@@ -42,24 +42,19 @@ type Population struct {
 	userSrc []rng.Source
 }
 
-// NewPopulation builds SoA state for the topology. vulnerable[i] marks phone
-// i as susceptible (the paper marks 800 of 1,000). src seeds the per-phone
-// user-behaviour streams; the derivation names match the former per-phone
-// Stream calls exactly, which is what keeps 1,000-phone runs byte-identical
-// across the SoA refactor.
-func NewPopulation(topo *graph.CSR, vulnerable []bool, src *rng.Source) (*Population, error) {
-	if topo == nil {
-		return nil, errors.New("mms: nil contact topology")
-	}
+// NewPopulation builds SoA state for n = len(vulnerable) phones.
+// vulnerable[i] marks phone i as susceptible (the paper marks 800 of
+// 1,000). src seeds the per-phone user-behaviour streams; the derivation
+// names match the former per-phone Stream calls exactly, which is what
+// keeps 1,000-phone runs byte-identical across the SoA refactor. Nothing
+// here reads the contact topology, so a population can be built while the
+// topology is still being generated; NewShardSet attaches it.
+func NewPopulation(vulnerable []bool, src *rng.Source) (*Population, error) {
 	if src == nil {
 		return nil, errors.New("mms: nil rng source")
 	}
-	n := topo.N()
-	if len(vulnerable) != n {
-		return nil, fmt.Errorf("mms: vulnerability mask length %d != population %d", len(vulnerable), n)
-	}
+	n := len(vulnerable)
 	p := &Population{
-		topo:       topo,
 		state:      make([]State, n),
 		received:   make([]int32, n),
 		patched:    make([]bool, n),
@@ -77,6 +72,21 @@ func NewPopulation(topo *graph.CSR, vulnerable []bool, src *rng.Source) (*Popula
 		src.StreamInto(&p.userSrc[i], 0x757372<<16|uint64(i)) // "usr" | id
 	}
 	return p, nil
+}
+
+// attach gives the population its contact topology, once.
+func (p *Population) attach(topo *graph.CSR) error {
+	if topo == nil {
+		return errors.New("mms: nil contact topology")
+	}
+	if p.topo != nil {
+		return errors.New("mms: population already has a contact topology")
+	}
+	if topo.N() != p.N() {
+		return fmt.Errorf("mms: topology has %d nodes, population %d phones", topo.N(), p.N())
+	}
+	p.topo = topo
+	return nil
 }
 
 // N returns the population size.

@@ -159,16 +159,19 @@ const unbounded = time.Duration(math.MaxInt64)
 // rejected with more than one shard: infrastructure faults (outage windows
 // and churn mutate global MMSC state mid-window) run on one shard only.
 // Response mechanisms attach via AttachResponse; background legitimate
-// traffic schedules per shard on the owned ranges.
-func NewShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, window time.Duration, src *rng.Source) (*ShardSet, error) {
-	return newShardSet(topo, vulnerable, cfg, shards, window, src, nil)
+// traffic schedules per shard on the owned ranges. pop is a population
+// from NewPopulation, which the set takes over and attaches topo to; src
+// seeds the shards' delivery streams and is normally the source pop's
+// user streams came from.
+func NewShardSet(topo *graph.CSR, pop *Population, cfg Config, shards int, window time.Duration, src *rng.Source) (*ShardSet, error) {
+	return newShardSet(topo, pop, cfg, shards, window, src, nil)
 }
 
 // newShardSet is NewShardSet with an optional caller-supplied event queue
 // for a one-shard set (NewCSR); nil makes a fresh queue per shard.
-func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, window time.Duration, src *rng.Source, sim *des.Simulation) (*ShardSet, error) {
-	if topo == nil {
-		return nil, errors.New("mms: nil contact topology")
+func newShardSet(topo *graph.CSR, pop *Population, cfg Config, shards int, window time.Duration, src *rng.Source, sim *des.Simulation) (*ShardSet, error) {
+	if pop == nil {
+		return nil, errors.New("mms: nil population")
 	}
 	if src == nil {
 		return nil, errors.New("mms: nil rng source")
@@ -176,7 +179,7 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := topo.N()
+	n := pop.N()
 	if shards < 1 || shards > n {
 		return nil, fmt.Errorf("mms: shard count %d outside [1,%d]", shards, n)
 	}
@@ -186,8 +189,7 @@ func newShardSet(topo *graph.CSR, vulnerable []bool, cfg Config, shards int, win
 	if cfg.Faults.Active() && shards > 1 {
 		return nil, errors.New("mms: fault injection requires a one-shard run")
 	}
-	pop, err := NewPopulation(topo, vulnerable, src)
-	if err != nil {
+	if err := pop.attach(topo); err != nil {
 		return nil, err
 	}
 	ss := &ShardSet{

@@ -34,7 +34,12 @@ func shardExchange(tb testing.TB) (op func(), ss *ShardSet) {
 	vulnerable := make([]bool, phones)
 	cfg := DefaultConfig()
 	cfg.AllowDuplicateTrials = true
-	ss, err = NewShardSet(topo, vulnerable, cfg, 2, time.Minute, root.Stream(3))
+	src := root.Stream(3)
+	pop, err := NewPopulation(vulnerable, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ss, err = NewShardSet(topo, pop, cfg, 2, time.Minute, src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -99,7 +104,12 @@ func shardExchangeFanIn(tb testing.TB) (op func(), ss *ShardSet) {
 	vulnerable := make([]bool, phones)
 	cfg := DefaultConfig()
 	cfg.AllowDuplicateTrials = true
-	ss, err = NewShardSet(topo, vulnerable, cfg, shards, time.Minute, root.Stream(3))
+	src := root.Stream(3)
+	pop, err := NewPopulation(vulnerable, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ss, err = NewShardSet(topo, pop, cfg, shards, time.Minute, src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -166,7 +176,12 @@ func TestShardSetRunWindowLoopAllocations(t *testing.T) {
 		{4, 128, 10},
 		{4, 1024, 10},
 	} {
-		ss, err := NewShardSet(topo, vulnerable, DefaultConfig(), tc.shards, horizon/time.Duration(tc.windows), root.Stream(3))
+		src := root.Stream(3)
+		pop, err := NewPopulation(vulnerable, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := NewShardSet(topo, pop, DefaultConfig(), tc.shards, horizon/time.Duration(tc.windows), src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,12 @@ func exchangeTestSet(t *testing.T, phones, shards int) *ShardSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewShardSet(topo, make([]bool, phones), DefaultConfig(), shards, time.Minute, root.Stream(3))
+	src := root.Stream(3)
+	pop, err := NewPopulation(make([]bool, phones), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShardSet(topo, pop, DefaultConfig(), shards, time.Minute, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,12 @@ func waveSet(tb testing.TB, phones, shards int) (*mms.ShardSet, *Immunizer) {
 	for i := range vulnerable {
 		vulnerable[i] = true
 	}
-	ss, err := mms.NewShardSet(topo, vulnerable, mms.DefaultConfig(), shards, time.Hour, root.Stream(3))
+	src := root.Stream(3)
+	pop, err := mms.NewPopulation(vulnerable, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ss, err := mms.NewShardSet(topo, pop, mms.DefaultConfig(), shards, time.Hour, src)
 	if err != nil {
 		tb.Fatal(err)
 	}

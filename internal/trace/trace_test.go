@@ -212,7 +212,12 @@ func TestAttachRejectsManyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := mms.NewShardSet(topo, make([]bool, 100), mms.DefaultConfig(), 2, time.Minute, rng.New(2))
+	src := rng.New(2)
+	pop, err := mms.NewPopulation(make([]bool, 100), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := mms.NewShardSet(topo, pop, mms.DefaultConfig(), 2, time.Minute, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,12 @@ func TestSenderStreamsShardInvariant(t *testing.T) {
 		vuln[i] = true
 	}
 	engines := func(shards int) []*Engine {
-		set, err := mms.NewShardSet(topo, vuln, fastNetConfig(), shards, time.Minute, rng.New(47))
+		src := rng.New(47)
+		pop, err := mms.NewPopulation(vuln, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := mms.NewShardSet(topo, pop, fastNetConfig(), shards, time.Minute, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +172,12 @@ func BenchmarkAttach100k(b *testing.B) {
 	for i := range vuln {
 		vuln[i] = true
 	}
-	set, err := mms.NewShardSet(topo, vuln, fastNetConfig(), 1, time.Minute, rng.New(2))
+	src := rng.New(2)
+	pop, err := mms.NewPopulation(vuln, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := mms.NewShardSet(topo, pop, fastNetConfig(), 1, time.Minute, src)
 	if err != nil {
 		b.Fatal(err)
 	}
