@@ -58,11 +58,15 @@ func perCopyDetector() mms.Response {
 // goldenCases are the scenarios whose trajectories are pinned: at paper
 // scale (1,000 phones, one shard) the baseline, each of the six
 // mechanisms, the full stack, monitoring under legitimate traffic, and a
-// fault schedule; and a few 4-shard runs, whose trajectories additionally
-// depend on the shard layout and window. The "-fast" cases react within
-// one window of detection (Virus 3's default window is 11.25 min), so
-// they also pin that one-shard detection is reported inside the detecting
-// event rather than at the next barrier.
+// fault schedule; and a few sharded runs, whose trajectories additionally
+// depend on the shard layout and window: four shards for each mechanism
+// family, and all six mechanisms with legitimate traffic at two shards
+// and at seven, whose bounds over 2,000 phones are uneven. Those two use
+// a slower stack than fullStack, which stops the outbreak after a handful
+// of copies, so that hundreds of copies cross shards before the patch
+// wave. The "-fast" cases react within one window of detection (Virus 3's
+// default window is 11.25 min), so they also pin that one-shard detection
+// is reported inside the detecting event rather than at the next barrier.
 func goldenCases() map[string]Config {
 	v3 := func(responses ...mms.ResponseFactory) Config {
 		cfg := Default(virus.Virus3())
@@ -96,9 +100,24 @@ func goldenCases() map[string]Config {
 	}
 	shardedStack := sharded(fullStack...)
 	shardedStack.Network.LegitSendInterval = rng.Exponential{MeanD: time.Hour}
+	slowStack := func(shards int) Config {
+		cfg := sharded(
+			response.NewScan(6*time.Hour),
+			response.NewDetector(0.5, 3*time.Hour),
+			response.NewEducation(0.3),
+			response.NewImmunizer(3*time.Hour, 2*time.Hour),
+			response.NewMonitorFull(30*time.Minute, 6, 2*time.Minute),
+			response.NewBlacklist(100),
+		)
+		cfg.Shards = shards
+		cfg.Network.LegitSendInterval = rng.Exponential{MeanD: time.Hour}
+		return cfg
+	}
 	return map[string]Config{
 		"sharded-baseline":  sharded(),
 		"sharded-stack":     shardedStack,
+		"sharded-stack-2":   slowStack(2),
+		"sharded-stack-7":   slowStack(7),
 		"sharded-immunize":  sharded(response.NewImmunizer(time.Hour, 3*time.Hour)),
 		"sharded-detector":  sharded(perCopyDetector),
 		"baseline":          v3(),
@@ -143,6 +162,8 @@ var goldenDigests = map[string][2]string{
 	"sharded-detector":  {"74f3c6598f3fbc8d", "7814274ec90bb7f2"},
 	"sharded-immunize":  {"4b1f9f0d62ff7b6e", "1c396d0d0345e020"},
 	"sharded-stack":     {"780e2fddb1bc42ff", "33286331e54cbddf"},
+	"sharded-stack-2":   {"6e033e7483e8d439", "fffe10cba96925a6"},
+	"sharded-stack-7":   {"9d3eaebd8498f0e6", "09ce49d96e746e4c"},
 	"virus1-immunize":   {"4e3c28d3f7cfea44", "4258a10779bfa218"},
 	"virus2-detector":   {"07311a59f6c92d3e", "8e9f63f925ff3ae6"},
 }
