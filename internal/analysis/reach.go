@@ -21,22 +21,18 @@ var DefaultHotPathRoots = []string{
 	"des.Simulation.ScheduleArgAt",
 	"des.Simulation.ScheduleArgAfter",
 	"des.Simulation.Cancel",
-	// internal/mms: per-message delivery, plus the sharded cross-shard
-	// exchange (outbox bucketing by destination, then each destination's
-	// canonical sort and injection) and the barrier detection merge, which
-	// run once per window over batches proportional to traffic.
-	// ShardSet.inject and ShardSet.shardHooks, the per-shard barrier-hook
-	// task, run as pool tasks submitted as func values, which the call
-	// graph does not follow from exchange or barrierSync, so each is a
-	// root of its own.
+	// internal/mms: per-message delivery, plus the sharded window step
+	// (outbox bucketing by destination, the barrier detection merge and the
+	// hand-off of the shard tasks), which runs once per window over batches
+	// proportional to traffic. ShardSet.shardBarrier, a shard's barrier
+	// task (canonical sort and injection of its copies, then its barrier
+	// hooks), runs as a pool task submitted as a func value, which the call
+	// graph does not follow from step, so it is a root of its own.
 	"mms.Network.transit",
 	"mms.Network.deliverCopy",
 	"mms.Network.read",
-	"mms.ShardSet.exchange",
-	"mms.ShardSet.inject",
-	"mms.Network.receiveRemote",
-	"mms.ShardSet.mergeDetection",
-	"mms.ShardSet.shardHooks",
+	"mms.ShardSet.step",
+	"mms.ShardSet.shardBarrier",
 	// The send path: Network.Send and the virus engine's per-attempt
 	// send run from des.ArgHandler func values, which the call graph does
 	// not follow, so each is a root of its own. Send reaches the send

@@ -315,20 +315,29 @@ type setupDraws struct {
 
 // drawSetup takes the setup draws for the seed whose root is root; netSrc
 // is its stream 3. The vulnerable share, as in the paper's random choice
-// of 800 of 1,000 phones, is the first k entries of a random permutation
-// of the phones (rng.Source.Perm's draws, as a Shuffle of the identity).
-// The seed order is the vulnerable phones, ascending, shuffled. One buffer
-// holds the permutation and then the seed order, so neither is a second
+// of 800 of 1,000 phones, is the set of the first k entries of a random
+// permutation of the phones: rng.Source.Shuffle's Fisher–Yates steps on
+// the identity, i = n-1 down to 1. Step i fixes position i, so after step
+// k every position from k up is final, and so is the set in [0, k); the
+// later steps only permute inside it and are skipped, which saves k-1
+// draws on stream 2 (nothing else reads it). The seed order is the
+// vulnerable phones, ascending, shuffled. One buffer holds the
+// permutation and then the seed order, so neither is a second
 // population-sized allocation.
 func drawSetup(cfg Config, root, netSrc *rng.Source) (setupDraws, error) {
 	n := cfg.Population
+	k := min(int(cfg.SusceptibleFraction*float64(n)+0.5), n)
 	perm := make([]mms.PhoneID, n)
 	for i := range perm {
 		perm[i] = mms.PhoneID(i)
 	}
-	root.Stream(2).Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	maskSrc := root.Stream(2)
+	for i := n - 1; i >= max(k, 1); i-- {
+		j := maskSrc.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
 	vulnerable := make([]bool, n)
-	for _, id := range perm[:min(int(cfg.SusceptibleFraction*float64(n)+0.5), n)] {
+	for _, id := range perm[:k] {
 		vulnerable[id] = true
 	}
 	pop, err := mms.NewPopulation(vulnerable, netSrc)

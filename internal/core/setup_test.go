@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mms"
 	"repro/internal/rng"
 )
 
@@ -46,6 +47,49 @@ func TestConcurrentSetupRule(t *testing.T) {
 		})
 	}
 }
+
+// TestDrawSetupMatchesFullShuffle pins drawSetup's vulnerability mask and
+// seed order to the ones a complete Fisher–Yates shuffle on stream 2
+// gives, at several population sizes and vulnerable counts k: the mask
+// shuffle stops once [0, k) is final, which must not move a single phone.
+// The seed order is the mask's phones, ascending, shuffled on stream 6, so
+// comparing it compares the mask too.
+func TestDrawSetupMatchesFullShuffle(t *testing.T) {
+	for _, n := range []int{2, 3, 1_000, 100_000} {
+		for _, k := range []int{1, n / 2, int(0.8*float64(n) + 0.5), n} {
+			cfg := Config{Population: n, SusceptibleFraction: float64(k) / float64(n)}
+			const seed = 7
+			root := rng.New(seed)
+			draws, err := drawSetup(cfg, root, root.Stream(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			perm := make([]int, n)
+			for i := range perm {
+				perm[i] = i
+			}
+			rng.New(seed).Stream(2).Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			vulnerable := make([]bool, n)
+			for _, id := range perm[:k] {
+				vulnerable[id] = true
+			}
+			var want []mms.PhoneID
+			for id, v := range vulnerable {
+				if v {
+					want = append(want, mms.PhoneID(id))
+				}
+			}
+			rng.New(seed).Stream(6).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+			if !slices.Equal(draws.seeds, want) {
+				t.Errorf("n %d, k %d: seed order %v, want %v", n, k, head(draws.seeds), head(want))
+			}
+		}
+	}
+}
+
+// head returns at most the first eight phones of ids, for messages.
+func head(ids []mms.PhoneID) []mms.PhoneID { return ids[:min(len(ids), 8)] }
 
 // TestConcurrentSetupMatchesInline builds the many-shard response scenario
 // of TestPopulation100kPins inline (GOMAXPROCS 1) and with the topology on

@@ -145,10 +145,10 @@ type Network struct {
 	powerOffH des.ArgHandler // arg = phone id
 	powerOnH  des.ArgHandler // arg = phone id
 
-	// remote, when non-nil, receives recipient copies addressed outside the
-	// owned range instead of local delivery (many-shard sets batch them at
-	// the next window barrier). Nil on a one-shard set.
-	remote func(at time.Duration, from, target PhoneID)
+	// outbox holds the recipient copies addressed outside the owned range,
+	// which only a many-shard set has: this network appends to it during a
+	// window, and the set's coordinator drains it at the next barrier.
+	outbox []remoteCopy
 
 	// Fault-injection state (nil/empty when cfg.Faults injects nothing).
 	faults   *faults.Schedule
@@ -568,24 +568,14 @@ func (n *Network) deliverCopy(from, target PhoneID, attempt int) bool {
 		return false
 	}
 	n.metrics.Deliveries++
-	// A copy addressed outside the owned range is handed to the shard
-	// exchange: the receiving shard applies the consent pipeline (read cap,
-	// duplicate suppression, read scheduling) at the next window barrier.
-	if n.remote != nil && !n.Owns(target) {
-		n.remote(now+n.cfg.DeliveryDelay.Sample(&n.netSrc), from, target)
+	// A copy addressed outside the owned range goes to the shard exchange:
+	// the receiving shard admits it and schedules its read at the next
+	// window barrier (receiveRemote).
+	if !n.Owns(target) {
+		n.outbox = append(n.outbox, remoteCopy{now + n.cfg.DeliveryDelay.Sample(&n.netSrc), from, target})
 		return true
 	}
-	// Users who have already received readCap infected messages have an
-	// acceptance probability below the generator's resolution (AF/2^64
-	// < 2^-53); their reads can no longer change any state, so the
-	// event is elided. This keeps the event count bounded under the
-	// multi-recipient Virus 2 flood without altering the dynamics.
-	if n.pop.received[target] >= readCap {
-		return true
-	}
-	// Duplicate suppression: at most one consent trial per sender per
-	// target per day (Config.AllowDuplicateTrials disables this).
-	if !n.cfg.AllowDuplicateTrials && !n.firstTrial(from, target, now) {
+	if !n.admit(from, target, now) {
 		return true
 	}
 	// Inboxes need no explicit queue: each message independently
@@ -597,8 +587,24 @@ func (n *Network) deliverCopy(from, target PhoneID, attempt int) bool {
 	return true
 }
 
-// readCap bounds per-phone read events; see Send.
+// readCap bounds per-phone read events; see admit.
 const readCap = 64
+
+// admit is the inbox admission rule of local and remote copies alike, for
+// a copy from sender to target arriving at virtual time at. Users who have
+// already received readCap infected messages have an acceptance
+// probability below the generator's resolution (AF/2^64 < 2^-53); their
+// reads can no longer change any state, so the read is elided. This keeps
+// the event count bounded under the multi-recipient Virus 2 flood without
+// altering the dynamics. Then duplicate suppression allows at most one
+// consent trial per sender per target per day (Config.AllowDuplicateTrials
+// disables it).
+func (n *Network) admit(from, target PhoneID, at time.Duration) bool {
+	if n.pop.received[target] >= readCap {
+		return false
+	}
+	return n.cfg.AllowDuplicateTrials || n.firstTrial(from, target, at)
+}
 
 // trialKey packs (sender, target, day) into a set key for duplicate
 // suppression: 24 bits per phone id (populations up to 16.7M) and 16 bits
@@ -611,14 +617,14 @@ func trialKey(from, target PhoneID, now time.Duration) uint64 {
 
 // firstTrial reports whether the copy from sender to target arriving at
 // virtual time at is the pair's first on at's day, and records it. It is
-// the duplicate-suppression rule of both inbox paths: deliverCopy asks at
-// the current time, receiveRemote at an arrival clamped to the barrier
-// the clock stands at. So the clock is a lower bound on every time asked
-// about from now on, and a key whose day ends before the clock's day can
-// never match again. Each time the clock crosses a day boundary those
-// keys are deleted, keeping the set to the live days (a remote copy may
-// already have recorded the next one). The set keeps its table, so the
-// following days reuse it.
+// the duplicate-suppression rule of both inbox paths (admit): deliverCopy
+// asks at the current time, receiveRemote at an arrival clamped up to the
+// clock. So the clock is a lower bound on every time asked about from now
+// on, and a key whose day ends before the clock's day can never match
+// again. Each time the clock crosses a day boundary those keys are
+// deleted, keeping the set to the live days (a remote copy may already
+// have recorded the next one). The set keeps its table, so the following
+// days reuse it.
 func (n *Network) firstTrial(from, target PhoneID, at time.Duration) bool {
 	if now := n.sim.Now(); now >= n.trialsUntil {
 		n.expireTrials(now)

@@ -3,7 +3,6 @@ package mms
 import (
 	"time"
 
-	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -29,7 +28,10 @@ import (
 //   - Work drawn globally at detection and released onto owner shards
 //     window by window (patch waves). The coordinator draws it; each
 //     shard's barrier hook (OnShardBarrier) then orders and schedules its
-//     own share, in parallel with the other shards'.
+//     own share, in parallel with the other shards'. Detection callbacks
+//     run before any shard injects its barrier's copies, so they must not
+//     read what injection writes: the duplicate-suppression trials and
+//     the shard queues.
 type Response interface {
 	// Name identifies the mechanism in reports.
 	Name() string
@@ -104,15 +106,16 @@ func (ss *ShardSet) OnVirusDetected(fn func(at time.Duration)) {
 	ss.onDetected = append(ss.onDetected, fn)
 }
 
-// OnShardBarrier registers a per-shard hook run at every barrier after the
-// exchange and the detection callbacks, once per shard with the shard
-// index and the next barrier. Each shard runs its hooks in registration
-// order as one task: on the worker pool under Run, inline under RunWindow
-// and on one shard. A hook may touch only its own shard's queue and
-// phones, and may read state the detection callbacks wrote earlier in the
-// barrier; work committed for the upcoming window must be scheduled before
-// next. With more than one shard, a panicking hook fails Run with an error
-// naming the shard and the next barrier.
+// OnShardBarrier registers a per-shard hook run at every barrier, once per
+// shard with the shard index and the next barrier. Each shard runs its
+// hooks in registration order in its barrier task, after the detection
+// callbacks and after that shard's injection of the copies exchanged at
+// the barrier: on the worker pool under Run, inline under RunWindow and on
+// one shard. A hook may touch only its own shard's queue and phones, and
+// may read state the detection callbacks wrote earlier in the barrier;
+// work committed for the upcoming window must be scheduled before next.
+// With more than one shard, a panicking hook fails Run with an error
+// naming the shard and the barrier.
 func (ss *ShardSet) OnShardBarrier(fn func(shard int, next time.Duration)) {
 	if fn != nil {
 		ss.onShard = append(ss.onShard, fn)
@@ -175,38 +178,4 @@ func (ss *ShardSet) mergeDetection() (time.Duration, bool) {
 		}
 	}
 	return ss.detScratch[k-1], true
-}
-
-// barrierSync runs the response protocol at a window barrier: merged
-// detection first on the coordinator (so activation times arm before any
-// same-barrier hook reads them), then each shard's hooks as one task on p
-// (inline when p is nil or there is one shard). Runs with no shard event
-// loop live. Skipped work is genuinely free: a run with no responses
-// attached performs no merge, no hook calls and no task submission.
-func (ss *ShardSet) barrierSync(p *pool.Pool) error {
-	if !ss.detected && len(ss.onDetected) > 0 {
-		if at, ok := ss.mergeDetection(); ok {
-			ss.detect(at)
-		}
-	}
-	if len(ss.onShard) == 0 {
-		return nil
-	}
-	if len(ss.nets) == 1 {
-		ss.shardHooks(0)
-		return nil
-	}
-	for _, fn := range ss.hookFns {
-		ss.runTask(p, fn)
-	}
-	return ss.join()
-}
-
-// shardHooks runs shard s's OnShardBarrier hooks in registration order.
-// The next barrier is winBarrier, which barrierStep opened before
-// synchronizing.
-func (ss *ShardSet) shardHooks(s int) {
-	for _, fn := range ss.onShard {
-		fn(s, ss.winBarrier)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,56 +23,27 @@ type InfectionEvent struct {
 	ID PhoneID
 }
 
-// remoteBuf is one shard's cross-shard outbox in SoA form: a copy i left
-// the sender's gateway during the window and arrives in the target shard's
-// inbox pipeline at at[i] (send time plus delivery latency; clamped up to
-// the exchange barrier on injection). Phone ids are uint32 columns rather
-// than a slice of structs, so the buffers are reused across windows with
-// zero steady-state allocation and no per-element padding.
-type remoteBuf struct {
-	at     []time.Duration
-	from   []uint32
-	target []uint32
+// remoteCopy is one cross-shard copy: it left sender from's gateway during
+// the window and reaches target's inbox pipeline at at (send time plus
+// delivery latency, clamped up to the barrier on injection). PhoneID is an
+// int32, so a copy is 16 bytes with no padding.
+type remoteCopy struct {
+	at     time.Duration
+	from   PhoneID
+	target PhoneID
 }
 
-func (b *remoteBuf) push(at time.Duration, from, target PhoneID) {
-	b.at = append(b.at, at)
-	b.from = append(b.from, uint32(from))
-	b.target = append(b.target, uint32(target))
-}
-
-func (b *remoteBuf) reset() {
-	b.at = b.at[:0]
-	b.from = b.from[:0]
-	b.target = b.target[:0]
-}
-
-// exchangeBatch is one destination shard's incoming copies for a barrier:
-// its contiguous range of the bucketed merge batch. It implements
-// sort.Interface over the canonical (arrival, sender, target) order. Each
-// destination's view is preallocated and sorted through a pointer, so
-// neither the interface conversion nor the sort allocates (sort.Slice
-// would allocate a closure and a reflect-based swapper per call).
-type exchangeBatch struct {
-	remoteBuf
-}
-
-func (b *exchangeBatch) Len() int { return len(b.at) }
-
-func (b *exchangeBatch) Less(i, j int) bool {
-	if b.at[i] != b.at[j] {
-		return b.at[i] < b.at[j]
+// compareCopies is the canonical copy order: arrival, then sender, then
+// target. Two copies with equal keys are the same copy, so any sort by it
+// gives one order.
+func compareCopies(a, b remoteCopy) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	if b.from[i] != b.from[j] {
-		return b.from[i] < b.from[j]
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
 	}
-	return b.target[i] < b.target[j]
-}
-
-func (b *exchangeBatch) Swap(i, j int) {
-	b.at[i], b.at[j] = b.at[j], b.at[i]
-	b.from[i], b.from[j] = b.from[j], b.from[i]
-	b.target[i], b.target[j] = b.target[j], b.target[i]
+	return cmp.Compare(a.target, b.target)
 }
 
 // ShardSet partitions a Population into contiguous id ranges, each advanced
@@ -83,23 +53,21 @@ func (b *exchangeBatch) Swap(i, j int) {
 // phone regime splits the population across many shards.
 //
 // With more than one shard, shards run each window in parallel on a worker
-// pool and touch only their owned state plus their private outbox. At each
-// barrier the coordinator buckets all outboxes by destination shard; each
-// destination then sorts its own copies into the canonical (arrival,
-// sender, target) order and injects them, one pool task per destination.
-// Injection touches only the destination's state, and the canonical order
-// restricted to one destination is that destination's sort, so the
-// parallel exchange injects exactly what a serial global merge would.
-// Barrier synchronization follows (response.go): the coordinator merges
-// gateway detection and runs the serial barrier hooks, then each shard
-// runs its own barrier hooks — patch-wave release, say — as one pool task
-// that touches only that shard's queue and phones, in a fixed order per
-// shard. The trajectory is therefore a pure function of (config,
-// seed, shard count, window) — worker count and scheduling cannot perturb
-// it. A cross-shard copy whose delivery latency expires mid-window is
-// clamped to the barrier, and globally merged response state advances only
-// at barriers, so a many-shard trajectory matches the one-shard model only
-// in distribution (DESIGN.md §15).
+// pool and touch only their owned state plus their own outbox. At each
+// barrier the coordinator buckets all outboxes by destination shard, opens
+// the next window, and merges gateway detection, firing the detection
+// callbacks (response.go). Then each shard runs one barrier task on the
+// pool: it sorts its incoming copies into the canonical (arrival, sender,
+// target) order and injects them, then runs its OnShardBarrier hooks —
+// patch-wave release, say. The task touches only that shard's queue and
+// phones, and the canonical order restricted to one destination is that
+// destination's sort, so the parallel exchange injects exactly what a
+// serial global merge would. The trajectory is therefore a pure function
+// of (config, seed, shard count, window) — worker count and scheduling
+// cannot perturb it. A cross-shard copy whose delivery latency expires
+// mid-window is clamped to the barrier, and globally merged response state
+// advances only at barriers, so a many-shard trajectory matches the
+// one-shard model only in distribution (DESIGN.md §15).
 //
 // One shard has no exchange partner: it runs inline on the calling
 // goroutine, keeps the unsharded stream names, reports gateway detection
@@ -112,29 +80,23 @@ type ShardSet struct {
 	bounds []int // len(nets)+1; shard s owns [bounds[s], bounds[s+1])
 	window time.Duration
 
-	// outbox[s] is appended only by shard s's goroutine during a window and
-	// drained only by the coordinator between windows.
-	outbox []remoteBuf
 	// Exchange state reused across barriers: batch holds every outbox's
 	// copies bucketed by destination shard, destination d's range being
 	// batch[offsets[d]:offsets[d+1]]; cursor is the bucketing pass's write
-	// position per destination, and views[d] is destination d's range as
-	// a sortable exchangeBatch.
-	batch   remoteBuf
+	// position per destination.
+	batch   []remoteCopy
 	offsets []int
 	cursor  []int
-	views   []exchangeBatch
 
 	// Window-loop state reused across windows so Run allocates nothing per
-	// barrier: winFns are the per-shard window thunks, injectFns the
-	// per-destination exchange thunks and hookFns the per-shard barrier-hook
-	// thunks submitted to the pool, reading winBarrier (written by the
-	// coordinator before each submission round, ordered by the pool's queue
-	// lock). winBarrier is also the end of the current window (WindowEnd).
-	// A one-shard set runs inline and has no outboxes, thunks or pool.
+	// barrier: winFns are the per-shard window tasks and barrierFns the
+	// per-shard barrier tasks submitted to the pool, reading winBarrier
+	// (written by the coordinator before each submission round, ordered by
+	// the pool's queue lock). winBarrier is also the end of the current
+	// window (WindowEnd). A one-shard set runs inline and has no tasks or
+	// pool.
 	winFns     []func()
-	injectFns  []func()
-	hookFns    []func()
+	barrierFns []func()
 	winBarrier time.Duration
 	winErrs    []error
 	winWG      sync.WaitGroup
@@ -202,13 +164,10 @@ func newShardSet(topo *graph.CSR, pop *Population, cfg Config, shards int, windo
 		detectK:    max(cfg.GatewayDetectThreshold, 1),
 	}
 	if shards > 1 {
-		ss.outbox = make([]remoteBuf, shards)
 		ss.offsets = make([]int, shards+1)
 		ss.cursor = make([]int, shards)
-		ss.views = make([]exchangeBatch, shards)
 		ss.winFns = make([]func(), shards)
-		ss.injectFns = make([]func(), shards)
-		ss.hookFns = make([]func(), shards)
+		ss.barrierFns = make([]func(), shards)
 		ss.winErrs = make([]error, shards)
 	}
 	for s := 0; s <= shards; s++ {
@@ -231,12 +190,8 @@ func newShardSet(topo *graph.CSR, pop *Population, cfg Config, shards int, windo
 			// Per-shard delivery jitter stream: the name family sits between
 			// the one-shard "net" name and the per-phone "usr" family.
 			src.StreamInto(&net.netSrc, 0x6e6574<<16|uint64(s)) // "net" | shard
-			net.remote = func(at time.Duration, from, target PhoneID) {
-				ss.outbox[s].push(at, from, target)
-			}
-			ss.winFns[s] = ss.shardTask(s, "at window", func() { sim.RunUntil(ss.winBarrier) })
-			ss.injectFns[s] = ss.shardTask(s, "injecting at barrier", func() { ss.inject(s) })
-			ss.hookFns[s] = ss.shardTask(s, "in barrier hooks before", func() { ss.shardHooks(s) })
+			ss.winFns[s] = ss.shardTask(s, "in its window at", func() { sim.RunUntil(ss.winBarrier) })
+			ss.barrierFns[s] = ss.shardTask(s, "at barrier", func() { ss.shardBarrier(s) })
 		}
 		if cfg.LegitSendInterval != nil {
 			// Background legitimate traffic is shard-local by construction:
@@ -254,13 +209,15 @@ func newShardSet(topo *graph.CSR, pop *Population, cfg Config, shards int, windo
 
 // shardTask wraps body as one of shard s's pool tasks: it signals winWG when
 // done and turns a panic into a winErrs entry naming the shard, the phase
-// and the barrier, so a crashing task fails the run instead of the process.
+// and the shard's clock — the panicking event's time in a window, the
+// barrier in a barrier task — so a crashing task fails the run instead of
+// the process.
 func (ss *ShardSet) shardTask(s int, phase string, body func()) func() {
 	return func() {
 		defer ss.winWG.Done()
 		defer func() {
 			if r := recover(); r != nil {
-				ss.winErrs[s] = fmt.Errorf("mms: shard %d panicked %s %v: %v", s, phase, ss.winBarrier, r)
+				ss.winErrs[s] = fmt.Errorf("mms: shard %d panicked %s %v: %v", s, phase, ss.nets[s].sim.Now(), r)
 			}
 		}()
 		body()
@@ -309,8 +266,9 @@ func (ss *ShardSet) WindowEnd() time.Duration { return ss.winBarrier }
 func (ss *ShardSet) State(id PhoneID) State { return ss.nets[0].State(id) }
 
 // ShardOf returns the index of the shard owning phone id. Hand-rolled
-// binary search over the bounds: exchange calls this once per cross-shard
-// copy, and sort.Search's predicate closure would allocate per call.
+// binary search over the bounds: the barrier's bucketing pass calls this
+// twice per cross-shard copy, and sort.Search's predicate closure would
+// allocate per call.
 func (ss *ShardSet) ShardOf(id PhoneID) int {
 	lo, hi := 0, len(ss.nets)
 	for lo < hi {
@@ -335,11 +293,11 @@ func (ss *ShardSet) SeedInfection(id PhoneID) error {
 // Run advances every shard to the horizon in lock-step windows, exchanging
 // cross-shard deliveries and running barrier synchronization at each
 // barrier. More than one shard runs on a worker pool of the given width
-// (GOMAXPROCS when <= 0), and a panic in any shard's event loop propagates
-// as an error carrying the shard index. One shard runs inline on the
-// calling goroutine, where a panic unwinds to the caller with its stack.
-// ctx is checked between windows: an event flood at a single instant
-// defers cancellation until the instant completes.
+// (GOMAXPROCS when <= 0), and a panic in any shard's task propagates as an
+// error carrying the shard index. One shard runs inline on the calling
+// goroutine, where a panic unwinds to the caller with its stack. ctx is
+// checked between windows: an event flood at a single instant defers
+// cancellation until the instant completes.
 func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int) error {
 	if horizon <= 0 {
 		return errors.New("mms: horizon must be positive")
@@ -353,31 +311,11 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 		defer p.Close()
 	}
 	for t := ss.window; ; t += ss.window {
-		if t > horizon {
-			t = horizon
-		}
+		t = min(t, horizon)
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("mms: run cancelled at t=%v: %w", ss.nets[0].sim.Now(), err)
 		}
-		// The winBarrier write is ordered before the thunks' reads by the
-		// pool's queue lock; the thunks are pre-built so the steady-state
-		// window loop allocates nothing.
-		ss.winBarrier = t
-		if p == nil {
-			ss.nets[0].sim.RunUntil(t)
-		} else {
-			for _, fn := range ss.winFns {
-				ss.runTask(p, fn)
-			}
-			if err := ss.join(); err != nil {
-				return err
-			}
-		}
-		next := t + ss.window
-		if next > horizon {
-			next = horizon
-		}
-		if err := ss.barrierStep(p, next); err != nil {
+		if err := ss.step(p, t, min(t+ss.window, horizon)); err != nil {
 			return err
 		}
 		if t >= horizon {
@@ -386,54 +324,56 @@ func (ss *ShardSet) Run(ctx context.Context, horizon time.Duration, workers int)
 	}
 }
 
-// RunWindow advances every shard to barrier serially on the calling
-// goroutine, then performs the same exchange and barrier synchronization
-// Run would, running the per-destination exchange tasks and the per-shard
-// barrier-hook tasks inline: one conservative window without pool
-// scheduling. next is the following barrier (responses use it to commit
-// work landing inside the upcoming window; pass barrier again at the
-// horizon). Benchmarks drive RunWindow directly to meter the exchange hot
-// path; trajectories are identical to Run's because the window protocol
-// is. A panic while injecting or in a per-shard hook re-panics with the
-// shard index.
+// RunWindow performs the window step Run would, with no pool: it advances
+// every shard to barrier serially on the calling goroutine, then runs the
+// exchange and barrier synchronization, each shard's barrier task inline.
+// next is the following barrier (responses use it to commit work landing
+// inside the upcoming window; pass barrier again at the horizon).
+// Benchmarks drive RunWindow directly to meter the exchange hot path;
+// trajectories are identical to Run's because the step is. With more than
+// one shard, a panic in any shard's task re-panics with an error naming
+// the shard.
 func (ss *ShardSet) RunWindow(barrier, next time.Duration) {
-	ss.winBarrier = barrier
-	for _, net := range ss.nets {
-		net.sim.RunUntil(barrier)
-	}
-	if err := ss.barrierStep(nil, next); err != nil {
+	if err := ss.step(nil, barrier, next); err != nil {
 		panic(err)
 	}
 }
 
-// barrierStep is everything that happens between windows, in order: drain
-// and inject the cross-shard outboxes, open the window ending at next,
-// then run barrier synchronization (merged detection, response hooks —
-// response.go). Per-destination and per-shard tasks run on p, or inline
-// when p is nil.
-func (ss *ShardSet) barrierStep(p *pool.Pool, next time.Duration) error {
-	if err := ss.exchange(p); err != nil {
-		return err
-	}
-	ss.winBarrier = next
-	return ss.barrierSync(p)
-}
-
-// exchange drains every shard's outbox and injects the copies into their
-// owner shards. Only the bucketing pass runs serially on the coordinator;
-// each destination with incoming copies then sorts and injects its own
-// range as one task, on p or inline when p is nil. It runs between
-// windows, when no shard event loop is live, and the barrier being
-// exchanged is winBarrier. The merge buffer, offsets, views and per-shard
-// outboxes are reused across windows and the thunks are built once, so the
-// steady-state exchange performs zero allocations (pinned by
-// TestShardedExchangeAllocationFree).
-func (ss *ShardSet) exchange(p *pool.Pool) error {
-	if ss.bucket() == 0 {
+// step runs the window ending at t on every shard, then the barrier that
+// opens the window ending at next, in order: bucket the outboxes by
+// destination, open the next window, merge gateway detection and fire its
+// callbacks, then run every shard's barrier task (shardBarrier). Shard
+// tasks run on p, or inline when p is nil. One shard runs its window and
+// its hooks inline, unwrapped, so a panic keeps its stack; it has no
+// outboxes, and it records detection inside the detecting event. Skipped
+// work is genuinely free: a barrier with no copies for a shard and no
+// hooks submits no task for it.
+func (ss *ShardSet) step(p *pool.Pool, t, next time.Duration) error {
+	// The winBarrier writes are ordered before the tasks' reads by the
+	// pool's queue lock; the tasks are pre-built so the steady-state step
+	// allocates nothing.
+	ss.winBarrier = t
+	if len(ss.nets) == 1 {
+		ss.nets[0].sim.RunUntil(t)
+		ss.winBarrier = next
+		ss.shardBarrier(0)
 		return nil
 	}
-	for d, fn := range ss.injectFns {
-		if ss.offsets[d] != ss.offsets[d+1] {
+	for _, fn := range ss.winFns {
+		ss.runTask(p, fn)
+	}
+	if err := ss.join(); err != nil {
+		return err
+	}
+	ss.bucket()
+	ss.winBarrier = next
+	if !ss.detected && len(ss.onDetected) > 0 {
+		if at, ok := ss.mergeDetection(); ok {
+			ss.detect(at)
+		}
+	}
+	for s, fn := range ss.barrierFns {
+		if len(ss.onShard) > 0 || ss.offsets[s] != ss.offsets[s+1] {
 			ss.runTask(p, fn)
 		}
 	}
@@ -441,17 +381,17 @@ func (ss *ShardSet) exchange(p *pool.Pool) error {
 }
 
 // bucket moves every outbox's copies into batch grouped by destination
-// shard — source-shard order, then push order, within each group — sets
-// offsets to the group bounds, and returns the number of copies moved.
-func (ss *ShardSet) bucket() int {
-	if len(ss.outbox) == 0 {
-		return 0
-	}
+// shard — source-shard order, then push order, within each group — and
+// sets offsets to the group bounds. It runs between windows, when no shard
+// event loop is live. The batch, offsets and outboxes are reused across
+// windows, so the steady-state exchange performs zero allocations (pinned
+// by TestShardedExchangeAllocationFree).
+func (ss *ShardSet) bucket() {
 	off := ss.offsets
 	clear(off)
-	for s := range ss.outbox {
-		for _, t := range ss.outbox[s].target {
-			off[ss.ShardOf(PhoneID(t))+1]++
+	for _, net := range ss.nets {
+		for _, c := range net.outbox {
+			off[ss.ShardOf(c.target)+1]++
 		}
 	}
 	for d := 1; d < len(off); d++ {
@@ -459,60 +399,53 @@ func (ss *ShardSet) bucket() int {
 	}
 	total := off[len(off)-1]
 	if total == 0 {
-		return 0
+		return
 	}
-	b := &ss.batch
-	b.at = slices.Grow(b.at[:0], total)[:total]
-	b.from = slices.Grow(b.from[:0], total)[:total]
-	b.target = slices.Grow(b.target[:0], total)[:total]
+	ss.batch = slices.Grow(ss.batch[:0], total)[:total]
 	cur := ss.cursor
 	copy(cur, off)
-	for s := range ss.outbox {
-		o := &ss.outbox[s]
-		for i, t := range o.target {
-			d := ss.ShardOf(PhoneID(t))
-			j := cur[d]
+	for _, net := range ss.nets {
+		for _, c := range net.outbox {
+			d := ss.ShardOf(c.target)
+			ss.batch[cur[d]] = c
 			cur[d]++
-			b.at[j], b.from[j], b.target[j] = o.at[i], o.from[i], t
 		}
-		o.reset()
+		net.outbox = net.outbox[:0]
 	}
-	return total
 }
 
-// inject sorts destination shard d's bucketed copies into the canonical
-// (arrival, sender, target) order and applies them on d's network. It
-// touches only d's state — its queue, its trial set and its own phones'
-// population entries — so destinations run in parallel. The sort need not
-// be stable: two copies with equal keys are the same copy.
-func (ss *ShardSet) inject(d int) {
-	lo, hi := ss.offsets[d], ss.offsets[d+1]
-	v := &ss.views[d]
-	v.at, v.from, v.target = ss.batch.at[lo:hi], ss.batch.from[lo:hi], ss.batch.target[lo:hi]
-	sort.Sort(v)
-	net, barrier := ss.nets[d], ss.winBarrier
-	for i := range v.at {
-		net.receiveRemote(v.at[i], PhoneID(v.from[i]), PhoneID(v.target[i]), barrier)
+// shardBarrier is shard s's task at a barrier: it sorts the copies bucketed
+// for s into the canonical (arrival, sender, target) order and injects
+// them, then runs s's OnShardBarrier hooks in registration order with the
+// next barrier, winBarrier. It touches only s's state — its queue, its
+// trial set and its own phones' population entries — so shards run it in
+// parallel, and s's hooks see every copy injected into its queue at this
+// barrier.
+func (ss *ShardSet) shardBarrier(s int) {
+	if ss.offsets != nil { // one shard exchanges nothing
+		in := ss.batch[ss.offsets[s]:ss.offsets[s+1]]
+		slices.SortFunc(in, compareCopies)
+		for _, c := range in {
+			ss.nets[s].receiveRemote(c)
+		}
+	}
+	for _, fn := range ss.onShard {
+		fn(s, ss.winBarrier)
 	}
 }
 
 // receiveRemote applies one cross-shard copy on the owner network: the
-// arrival clamps up to the barrier (the window it was sent in is already
-// closed), then the standard inbox pipeline runs — read-cap elision,
-// duplicate suppression, read-delay sampling from the target's own user
-// stream — and the read event is scheduled on the owner's queue.
-func (n *Network) receiveRemote(arrival time.Duration, from, target PhoneID, barrier time.Duration) {
-	if arrival < barrier {
-		arrival = barrier
-	}
-	if n.pop.received[target] >= readCap {
+// arrival clamps up to the network's clock, which stands at the barrier
+// (the window the copy was sent in is already closed), then the inbox
+// admission rule runs, the read delay is sampled from the target's own
+// user stream, and the read event is scheduled on the owner's queue.
+func (n *Network) receiveRemote(c remoteCopy) {
+	arrival := max(c.at, n.sim.Now())
+	if !n.admit(c.from, c.target, arrival) {
 		return
 	}
-	if !n.cfg.AllowDuplicateTrials && !n.firstTrial(from, target, arrival) {
-		return
-	}
-	delay := n.cfg.ReadDelay.Sample(&n.pop.userSrc[target])
-	if _, err := n.sim.ScheduleArgAt(arrival+delay, n.readH, packArg(target, from, 0)); err != nil {
+	delay := n.cfg.ReadDelay.Sample(&n.pop.userSrc[c.target])
+	if _, err := n.sim.ScheduleArgAt(arrival+delay, n.readH, packArg(c.target, c.from, 0)); err != nil {
 		return
 	}
 }

@@ -16,6 +16,12 @@ import (
 // destination offsets are uneven.
 func exchangeTestSet(t *testing.T, phones, shards int) *ShardSet {
 	t.Helper()
+	return exchangeTestSetConfig(t, phones, shards, DefaultConfig())
+}
+
+// exchangeTestSetConfig is exchangeTestSet with the network config cfg.
+func exchangeTestSetConfig(t *testing.T, phones, shards int, cfg Config) *ShardSet {
+	t.Helper()
 	root := rng.New(1)
 	topo, err := graph.BarabasiAlbertCSR(phones, 4, root.Stream(1))
 	if err != nil {
@@ -26,11 +32,18 @@ func exchangeTestSet(t *testing.T, phones, shards int) *ShardSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewShardSet(topo, pop, DefaultConfig(), shards, time.Minute, src)
+	ss, err := NewShardSet(topo, pop, cfg, shards, time.Minute, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ss
+}
+
+// pushCopy queues a cross-shard copy in the sender's owner shard's outbox,
+// as deliverCopy would during a window.
+func pushCopy(ss *ShardSet, at time.Duration, from, target PhoneID) {
+	net := ss.nets[ss.ShardOf(from)]
+	net.outbox = append(net.outbox, remoteCopy{at, from, target})
 }
 
 // pendingPerShard returns each shard queue's pending event count.
@@ -42,6 +55,22 @@ func pendingPerShard(ss *ShardSet) []int {
 	return p
 }
 
+// incoming returns destination d's range of the merge batch: after a
+// barrier, the copies injected into d in injection order.
+func incoming(ss *ShardSet, d int) []remoteCopy {
+	return ss.batch[ss.offsets[d]:ss.offsets[d+1]]
+}
+
+// checkOutboxesEmpty fails the test if any outbox holds a copy.
+func checkOutboxesEmpty(t *testing.T, ss *ShardSet) {
+	t.Helper()
+	for s, net := range ss.nets {
+		if n := len(net.outbox); n != 0 {
+			t.Errorf("outbox %d holds %d copies after the exchange, want 0", s, n)
+		}
+	}
+}
+
 // TestExchangeInjectsEachDestinationInCanonicalOrder pushes copies with
 // one arrival time into one destination from three source shards, each
 // source in reverse order, and checks that the destination injects them in
@@ -50,34 +79,22 @@ func TestExchangeInjectsEachDestinationInCanonicalOrder(t *testing.T) {
 	const dest = 1
 	ss := exchangeTestSet(t, 203, 4)
 	at := 30 * time.Second
-	type copyKey struct{ from, target uint32 }
-	var want []copyKey
+	var want []remoteCopy
 	for _, src := range []int{0, 2, 3} {
 		lo := ss.bounds[src]
 		for k := 0; k < 3; k++ {
-			want = append(want, copyKey{uint32(lo + k), uint32(ss.bounds[dest] + k)})
+			want = append(want, remoteCopy{at, PhoneID(lo + k), PhoneID(ss.bounds[dest] + k)})
 		}
 	}
 	// Push from the last source shard to the first, each in reverse, so
 	// neither push order nor source order agrees with the canonical one.
 	for i := len(want) - 1; i >= 0; i-- {
-		c := want[i]
-		ss.outbox[ss.ShardOf(PhoneID(c.from))].push(at, PhoneID(c.from), PhoneID(c.target))
+		pushCopy(ss, want[i].at, want[i].from, want[i].target)
 	}
 	before := pendingPerShard(ss)
-	ss.winBarrier = time.Minute
-	if err := ss.exchange(nil); err != nil {
-		t.Fatal(err)
-	}
-	v := &ss.views[dest]
-	if len(v.at) != len(want) {
-		t.Fatalf("destination %d injected %d copies, want %d", dest, len(v.at), len(want))
-	}
-	for i, c := range want {
-		if got := (copyKey{v.from[i], v.target[i]}); got != c || v.at[i] != at {
-			t.Errorf("copy %d injected as (%v, %d, %d), want (%v, %d, %d)",
-				i, v.at[i], got.from, got.target, at, c.from, c.target)
-		}
+	ss.RunWindow(time.Minute, 2*time.Minute)
+	if got := incoming(ss, dest); !slices.Equal(got, want) {
+		t.Errorf("destination %d injected %v, want %v", dest, got, want)
 	}
 	after := pendingPerShard(ss)
 	for s := range after {
@@ -89,17 +106,13 @@ func TestExchangeInjectsEachDestinationInCanonicalOrder(t *testing.T) {
 			t.Errorf("shard %d queue gained %d events, want %d", s, added, wantAdded)
 		}
 	}
-	for s := range ss.outbox {
-		if n := len(ss.outbox[s].at); n != 0 {
-			t.Errorf("outbox %d holds %d copies after the exchange, want 0", s, n)
-		}
-	}
+	checkOutboxesEmpty(t, ss)
 
 	// A destination with no incoming copies is a no-op, whether the
-	// exchange skips it or its task runs anyway.
-	ss.inject(0)
+	// barrier skips its task or the task runs anyway.
+	ss.shardBarrier(0)
 	if p := ss.nets[0].sim.Pending(); p != before[0] {
-		t.Errorf("empty destination 0 queue holds %d events after inject, want %d", p, before[0])
+		t.Errorf("empty destination 0 queue holds %d events after its barrier task, want %d", p, before[0])
 	}
 }
 
@@ -111,30 +124,58 @@ func TestExchangeBucketsShardEdges(t *testing.T) {
 	const shards = 5
 	ss := exchangeTestSet(t, 203, shards)
 	for d := 0; d < shards; d++ {
-		src := (d + 1) % shards
-		from := PhoneID(ss.bounds[src])
-		ss.outbox[src].push(10*time.Second, from, PhoneID(ss.bounds[d]))
-		ss.outbox[src].push(20*time.Second, from, PhoneID(ss.bounds[d+1]-1))
+		from := PhoneID(ss.bounds[(d+1)%shards])
+		pushCopy(ss, 10*time.Second, from, PhoneID(ss.bounds[d]))
+		pushCopy(ss, 20*time.Second, from, PhoneID(ss.bounds[d+1]-1))
 	}
 	before := pendingPerShard(ss)
-	ss.winBarrier = time.Minute
-	if err := ss.exchange(nil); err != nil {
-		t.Fatal(err)
-	}
+	ss.RunWindow(time.Minute, 2*time.Minute)
 	after := pendingPerShard(ss)
 	for d := 0; d < shards; d++ {
-		if lo, hi := ss.offsets[d], ss.offsets[d+1]; hi-lo != 2 {
-			t.Errorf("destination %d bucketed [%d,%d), want 2 copies", d, lo, hi)
+		in := incoming(ss, d)
+		if len(in) != 2 {
+			t.Errorf("destination %d bucketed %d copies, want 2", d, len(in))
 		}
-		v := &ss.views[d]
 		for i, want := range []int{ss.bounds[d], ss.bounds[d+1] - 1} {
-			if i < len(v.target) && int(v.target[i]) != want {
-				t.Errorf("destination %d copy %d targets phone %d, want %d", d, i, v.target[i], want)
+			if i < len(in) && int(in[i].target) != want {
+				t.Errorf("destination %d copy %d targets phone %d, want %d", d, i, in[i].target, want)
 			}
 		}
 		if added := after[d] - before[d]; added != 2 {
 			t.Errorf("shard %d queue gained %d events, want 2", d, added)
 		}
+	}
+	checkOutboxesEmpty(t, ss)
+}
+
+// TestRemoteCopyClampsToBarrier sends a copy whose arrival, a minute
+// before midnight, precedes the barrier just after it, with no read
+// delay. The read must be scheduled at the barrier itself, the clock the
+// destination stands at, and the duplicate-suppression trial must be
+// recorded on the barrier's day, not the arrival's.
+func TestRemoteCopyClampsToBarrier(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ReadDelay = rng.Constant{}
+	ss := exchangeTestSetConfig(t, 203, 2, cfg)
+	from, target := PhoneID(0), PhoneID(ss.bounds[1])
+	dest := ss.nets[1]
+	barrier := trialPeriod + time.Minute
+	pushCopy(ss, trialPeriod-time.Minute, from, target)
+	ss.RunWindow(barrier, barrier+time.Minute)
+	if p := dest.sim.Pending(); p != 1 {
+		t.Fatalf("destination holds %d events after the barrier, want 1", p)
+	}
+	// The read is due at the barrier, so running to the barrier fires it
+	// without moving the clock.
+	dest.sim.RunUntil(barrier)
+	if r := dest.Metrics().Reads; r != 1 {
+		t.Errorf("running to the barrier fired %d reads, want 1", r)
+	}
+	if now := dest.sim.Now(); now != barrier {
+		t.Errorf("destination clock at %v, want the barrier %v", now, barrier)
+	}
+	if keys := dest.trials.keys(); len(keys) != 1 || keys[0]&0xffff != 1 {
+		t.Errorf("trial keys %x, want one on day 1", keys)
 	}
 }
 
@@ -148,8 +189,7 @@ func TestShardBarrierHooksRunLastInRegistrationOrder(t *testing.T) {
 		ss := exchangeTestSet(t, 203, shards)
 		// One copy into every shard, from the next shard over.
 		for d := 0; d < shards; d++ {
-			src := (d + 1) % shards
-			ss.outbox[src].push(10*time.Second, PhoneID(ss.bounds[src]), PhoneID(ss.bounds[d]))
+			pushCopy(ss, 10*time.Second, PhoneID(ss.bounds[(d+1)%shards]), PhoneID(ss.bounds[d]))
 		}
 		before := pendingPerShard(ss)
 		logs := make([][]string, shards)
@@ -181,10 +221,10 @@ func TestShardBarrierHooksRunLastInRegistrationOrder(t *testing.T) {
 }
 
 // TestShardBarrierHookPanicNamesShard checks that a panicking per-shard
-// hook fails Run with an error naming the shard and the next barrier, and
-// that RunWindow re-panics with the same error.
+// hook fails Run with an error naming the shard and the barrier, and that
+// RunWindow re-panics with the same error.
 func TestShardBarrierHookPanicNamesShard(t *testing.T) {
-	const want = "mms: shard 2 panicked in barrier hooks before 2m0s: boom"
+	const want = "mms: shard 2 panicked at barrier 1m0s: boom"
 	panicking := func() *ShardSet {
 		ss := exchangeTestSet(t, 203, 4)
 		ss.OnShardBarrier(func(s int, _ time.Duration) {
@@ -257,14 +297,10 @@ func TestTrialsKeepOnlyLiveDays(t *testing.T) {
 			}
 		}
 		send := func(barrier time.Duration, arrivals ...time.Duration) {
-			t.Helper()
 			for _, at := range arrivals {
-				ss.outbox[0].push(at, from, target)
+				pushCopy(ss, at, from, target)
 			}
-			ss.winBarrier = barrier
-			if err := ss.exchange(nil); err != nil {
-				t.Fatal(err)
-			}
+			ss.RunWindow(barrier, barrier)
 		}
 
 		// Arrives on day 1 while the destination's clock is on day 0.
